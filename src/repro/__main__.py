@@ -17,8 +17,8 @@ Subcommands
     Run many adaptive sort jobs concurrently over a mixed workload
     (scenarios from ``repro.workloads.SCENARIOS``) and print the aggregated
     throughput report plus the per-family routing mix.  ``--executor
-    process`` shards jobs across worker processes for real multi-core
-    scaling.
+    process`` deals jobs round-robin across worker processes for real
+    multi-core scaling.
 ``calibrate [--sizes N1,N2,...] [--scenario S] [--plan-n N] [--save FILE]``
     Fit per-algorithm leading constants from measured runs, print them, and
     compare the calibrated predicted ranking against the measured-cost
@@ -705,10 +705,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--B", type=int, default=8)
     p_batch.add_argument("--omega", type=int, default=8)
     p_batch.add_argument("--executor", default="thread", choices=["thread", "process"],
-                         help="thread: shared pool (GIL-bound); process: sharded "
+                         help="thread: shared pool (GIL-bound); process: dealt "
                               "across worker processes for multi-core scaling")
     p_batch.add_argument("--workers", type=int, default=None,
-                         help="pool width (thread) / shard count (process)")
+                         help="pool width (threads or worker processes)")
     p_batch.add_argument("--constants", default=None, metavar="FILE",
                          help="calibrated-constants JSON (from `calibrate --save`)")
     p_batch.add_argument("--seed", type=int, default=0)

@@ -27,8 +27,6 @@ arbitrary edited trees.
 
 from __future__ import annotations
 
-import os
-
 from .callgraph import ProjectIndex, build_project_index
 from .cfg import CFGNode, FunctionCFG, build_cfg
 from .charges import ChargeFinding, analyze_charges
@@ -36,22 +34,12 @@ from .lockset import LockFinding, LocksetResult, analyze_lockset
 from .pairing import PairFinding, analyze_pairing
 from .solver import interprocedural_fixpoint, solve_backward, solve_forward
 
-#: set to disable the CFG-backed rules (the syntactic fallbacks take over)
-NOFLOW_ENV = "REPRO_LINT_NOFLOW"
-
-
-def flow_enabled() -> bool:
-    """CFG-backed rules run unless ``REPRO_LINT_NOFLOW`` is set non-empty."""
-    return not os.environ.get(NOFLOW_ENV)
-
-
 __all__ = [
     "CFGNode",
     "ChargeFinding",
     "FunctionCFG",
     "LockFinding",
     "LocksetResult",
-    "NOFLOW_ENV",
     "PairFinding",
     "ProjectIndex",
     "analyze_charges",
@@ -59,7 +47,6 @@ __all__ = [
     "analyze_pairing",
     "build_cfg",
     "build_project_index",
-    "flow_enabled",
     "interprocedural_fixpoint",
     "solve_backward",
     "solve_forward",

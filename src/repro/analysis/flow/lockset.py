@@ -6,8 +6,7 @@ and which blocking calls it may reach (directly or through callees).  The
 ``flow-lockset`` rule reports
 
 * a blocking call executed while a lock may be held — including calls
-  reached *through helper methods*, the known false-negative of the
-  syntactic ``lock-discipline`` rule; and
+  reached *through helper methods*; and
 * statically inferred lock-order cycles: acquiring B while holding A adds
   the edge A→B to the project lock-order graph (nested ``with`` or a call
   edge into a function that acquires), and any cycle in that graph is a
@@ -35,10 +34,12 @@ from .callgraph import FunctionInfo, ProjectIndex
 from .cfg import FOR, STMT, TEST, WITH_ENTER, WITH_EXIT, CFGNode, build_cfg
 from .solver import interprocedural_fixpoint, solve_forward
 
-#: constructions that make an attribute a lock (mirrors lint_rules)
+#: constructions that make an attribute a lock (lint_rules imports this too)
 LOCK_CTORS = ("Lock", "RLock", "Condition", "wrap_lock", "wrap_condition")
 
-#: calls that block the calling thread (mirrors lint_rules)
+#: calls that block the calling thread — holding a lock across one stalls
+#: every thread contending for it (and deadlocks when the blocked-on work
+#: needs the same lock to finish)
 BLOCKING_CALLS = (
     "result",
     "join",

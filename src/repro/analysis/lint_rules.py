@@ -22,8 +22,8 @@ from .flow import (
     analyze_lockset,
     analyze_pairing,
     build_project_index,
-    flow_enabled,
 )
+from .flow.lockset import LOCK_CTORS
 from .reprolint import Finding, LintContext, ModuleSource, rule
 
 #: modules allowed to touch physical storage directly: the model itself,
@@ -51,20 +51,6 @@ _LOCK_SCOPE_PREFIXES = (
     "src/repro/testing/",
 )
 _LOCK_SCOPE_FILES = ("src/repro/planner/plan_cache.py",)
-
-#: calls that block the calling thread — holding a lock across one of these
-#: stalls every other thread contending for that lock (and invites deadlock
-#: when the blocked-on work needs the same lock to finish)
-_BLOCKING_CALLS = (
-    "result",
-    "join",
-    "sendall",
-    "recv",
-    "readline",
-    "accept",
-    "connect",
-    "sleep",
-)
 
 #: where the vectorized/slow-reference pins live
 _PARITY_TEST_FILE = "tests/test_kernel_parity.py"
@@ -165,9 +151,6 @@ def check_loop_charge(module: ModuleSource, ctx: LintContext):
 # --------------------------------------------------------------------------- #
 # lock-discipline
 # --------------------------------------------------------------------------- #
-_LOCK_CTORS = ("Lock", "RLock", "Condition", "wrap_lock", "wrap_condition")
-
-
 def _call_name(node: ast.AST) -> str:
     if isinstance(node, ast.Call):
         fn = node.func
@@ -216,7 +199,7 @@ def _lock_attrs_of_class(cls: ast.ClassDef) -> set[str]:
     for node in ast.walk(cls):
         if not isinstance(node, ast.Assign):
             continue
-        if _call_name(node.value) in _LOCK_CTORS:
+        if _call_name(node.value) in LOCK_CTORS:
             for target in node.targets:
                 attr = _self_attr(target)
                 if attr is not None:
@@ -239,19 +222,14 @@ def _held_locks(module: ModuleSource, node: ast.AST, lock_attrs: set[str]) -> se
 @rule(
     "lock-discipline",
     "in lock-owning classes (service layer, PlanCache): instance state must "
-    "be written under the lock; when the flow engine is disabled "
-    "(REPRO_LINT_NOFLOW) this rule also carries the syntactic "
-    "blocking-under-lock check that flow-lockset otherwise subsumes",
+    "be written under the lock; blocking while a lock is held is "
+    "flow-lockset's check",
 )
 def check_lock_discipline(module: ModuleSource, ctx: LintContext):
     if not _in_scope(
         module, prefixes=_LOCK_SCOPE_PREFIXES, files=_LOCK_SCOPE_FILES
     ):
         return
-    # the interprocedural flow-lockset rule subsumes the blocking-call half
-    # of this rule (and sees through helper indirection); the syntactic
-    # check stays available as a fallback when flow analysis is disabled
-    check_blocking = not flow_enabled()
     for cls in ast.walk(module.tree):
         if not isinstance(cls, ast.ClassDef):
             continue
@@ -295,35 +273,6 @@ def check_lock_discipline(module: ModuleSource, ctx: LintContext):
                             "under their lock"
                         ),
                     )
-            # ---- blocking calls while holding the lock -------------------
-            # (fallback mode only — flow-lockset owns this check normally)
-            elif isinstance(node, ast.Call):
-                if not check_blocking:
-                    continue
-                name = _call_name(node)
-                if name not in _BLOCKING_CALLS:
-                    continue
-                # the condition's own wait/wait_for are how you block
-                # *correctly* under a lock, and notify is lock-internal
-                if isinstance(node.func, ast.Attribute):
-                    owner = _self_attr(node.func.value)
-                    if owner in lock_attrs:
-                        continue
-                held = _held_locks(module, node, lock_attrs)
-                if not held:
-                    continue
-                yield Finding(
-                    rule="lock-discipline",
-                    path=module.virtual_path,
-                    line=node.lineno,
-                    col=node.col_offset,
-                    message=(
-                        f"blocking call `{name}(...)` while holding "
-                        f"`self.{'/'.join(sorted(held))}` in `{cls.name}` — "
-                        "release the lock before blocking (or suppress with "
-                        "a comment explaining why holding it is the point)"
-                    ),
-                )
 
 
 # --------------------------------------------------------------------------- #
@@ -759,8 +708,6 @@ def check_flow_lockset(module: ModuleSource, ctx: LintContext):
     """Forward may-hold-lock dataflow per function plus call-graph
     summaries; also exports the static lock-order graph the test suite
     cross-validates against locksan's dynamic observations."""
-    if not flow_enabled():
-        return
     if not _in_scope(
         module, prefixes=_LOCK_SCOPE_PREFIXES, files=_LOCK_SCOPE_FILES
     ):
@@ -789,8 +736,6 @@ def check_flow_resource(module: ModuleSource, ctx: LintContext):
     """Forward may-open resource analysis per function — gen at the
     acquiring node, kill at release/escape, leak = open resource reaching
     an exit the discipline covers."""
-    if not flow_enabled():
-        return
     vp = module.virtual_path
     if not vp.startswith(_RESOURCE_SCOPE):
         return
@@ -819,8 +764,6 @@ def check_flow_charge(module: ModuleSource, ctx: LintContext):
     """Dominator-based deepening of loop-charge, interprocedural via
     per-record summaries over the call graph; SLOW_REFERENCE regions are
     exempt by dominance, not just syntactic containment."""
-    if not flow_enabled():
-        return
     if not _in_scope(module, prefixes=_LOOP_CHARGE_SCOPE):
         return
     for f in _flow_charge_findings(module, ctx):

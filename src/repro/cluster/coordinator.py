@@ -44,9 +44,8 @@ from ..core.shard_merge import shard_merge
 from ..models.external_memory import AEMachine, MemoryGuard
 from ..models.params import MachineParams
 from ..planner.cost_model import plan_cluster_shards
-from ..planner.sharding import WorkerDiedError
 from ..service.backoff import backoff_delay
-from ..service.scheduler import PRIORITY_CONTROL, QueueFullError
+from ..service.scheduler import PRIORITY_CONTROL, QueueFullError, WorkerDiedError
 from ..service.server import ServiceClient, ServiceError
 
 #: wire-level failures that mean "this host is gone" (vs a job-level error)

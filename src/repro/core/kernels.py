@@ -33,11 +33,11 @@ process-wide default (``"vectorized"``):
 The mode is deliberately a plain module global (not thread-local): the AEM
 machine is a single-threaded simulation, and benchmark harnesses flip the
 whole process between modes to measure the kernel layer itself.  A module
-global does not cross a ``fork``/``spawn`` on its own, so the process-pool
-executors ship the submitting process's default along explicitly —
-``run_sharded`` passes it to every ``execute_shard`` submission and the
-persistent-worker protocol carries it per job message — which keeps
-``kernel_mode(...)`` A/B measurements honest under ``executor="process"``.
+global does not cross a ``fork``/``spawn`` on its own, so the
+:class:`~repro.service.SortService` process pool ships the submitting
+process's default along explicitly — every job message to a worker process
+carries it — which keeps ``kernel_mode(...)`` A/B measurements honest under
+``executor="process"``.
 """
 
 from __future__ import annotations

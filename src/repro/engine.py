@@ -410,12 +410,12 @@ class SortEngine:
     ):
         """Execute many jobs through the engine's cache and constants.
 
-        Since the service redesign this is ``submit_many`` + ``gather`` on
-        the engine's persistent :meth:`service` pool — the call signature
-        and the :class:`~repro.planner.batch.BatchReport` it returns are
-        unchanged (parity-tested against the one-shot
-        :func:`~repro.planner.batch.execute_batch` reference), but the
-        worker pool now survives across calls.
+        This is ``submit_many`` + ``gather`` on the engine's persistent
+        :meth:`service` pool, the one pool that runs batch jobs; the worker
+        pool survives across calls.  The
+        :class:`~repro.planner.batch.BatchReport` it returns is tested
+        against the sequential :func:`~repro.planner.batch.execute_batch`
+        reference.
 
         ``jobs`` items are :class:`~repro.planner.batch.SortJob`\\ s (a bare
         data sequence is wrapped into an adaptive job on the engine's
@@ -444,8 +444,8 @@ class SortEngine:
         # behind on a long-lived engine
         svc = self.service(executor=executor, workers=workers, warm_cache=warm_cache)
         t0 = _time.perf_counter()
-        # round-robin pinning in process mode reproduces the historical
-        # shard deal exactly (per-worker caches see the same job streams)
+        # round-robin pinning in process mode gives each worker-local cache
+        # a fixed job stream, so per-worker plan stats are deterministic
         futures = svc.submit_many(
             jobs, check_sorted=check_sorted, round_robin=(executor == "process")
         )

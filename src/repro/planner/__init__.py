@@ -14,11 +14,10 @@ factors.  This subsystem turns those closed forms into an executable planner:
   implementation rather than unit-constant theory;
 * :mod:`~repro.planner.plan_cache` — memoise rankings (pure functions of
   ``(n, machine, constants)``) with hit/miss accounting;
-* :mod:`~repro.planner.batch` — execute many planned sort jobs concurrently
-  and aggregate their reports into a throughput summary;
-* :mod:`~repro.planner.sharding` — the ``executor="process"`` backend:
-  partition jobs into per-process shards and merge the per-shard reports for
-  real multi-core wall-clock scaling.
+* :mod:`~repro.planner.batch` — the batch job and report types, the
+  per-job function every batch path runs, and the sequential reference
+  batch.  Batches themselves run on the :class:`repro.service.SortService`
+  pool.
 
 The :class:`repro.engine.SortEngine` session façade (and through it the
 legacy :func:`repro.api.sort_auto` / :func:`run_batch` shims and the
@@ -49,7 +48,6 @@ from .cost_model import (
     rank_plans,
 )
 from .plan_cache import PlanCache
-from .sharding import ShardResult, merge_shard_reports, partition_jobs, run_sharded
 
 __all__ = [
     "BatchReport",
@@ -62,7 +60,6 @@ __all__ = [
     "PlanCache",
     "PlanCandidate",
     "RankingComparison",
-    "ShardResult",
     "SortJob",
     "SortPlan",
     "calibrate",
@@ -70,13 +67,10 @@ __all__ = [
     "execute_batch",
     "fit_constants",
     "measure_samples",
-    "merge_shard_reports",
-    "partition_jobs",
     "plan_cluster_shards",
     "plan_sort",
     "predict_candidate",
     "predict_shard_merge_io",
     "rank_plans",
     "run_batch",
-    "run_sharded",
 ]

@@ -1,32 +1,24 @@
-"""Batch execution: plan → execute over ``concurrent.futures``.
+"""Batch jobs: the job and report types plus the one per-job function.
 
-Production traffic is many sort requests, not one; this module runs a list of
-:class:`SortJob`\\ s concurrently and aggregates the per-job
-:class:`~repro.api.SortReport`\\ s into a :class:`BatchReport` throughput
-summary (jobs/s, records/s, total asymmetric I/O cost, per-family mix).
+Production traffic is many sort requests, not one; a batch is a list of
+:class:`SortJob`\\ s whose per-job :class:`~repro.api.SortReport`\\ s
+aggregate into a :class:`BatchReport` throughput summary (jobs/s,
+records/s, total asymmetric I/O cost, per-family mix).
 
 Jobs default to adaptive planning (:func:`repro.api.sort_auto`); a job may
 pin ``algorithm`` (and ``k``) to force a specific strategy.  One failing job
 does not abort the batch — failures are captured per job and reported.
 
-Two executors are available:
+Every batch path runs each job through :func:`execute_and_check` on its own
+simulated machine, so reads / writes / cost do not depend on scheduling:
 
-* ``executor="thread"`` — a shared :class:`ThreadPoolExecutor`.  The simulated
-  machines are independent (one
-  :class:`~repro.models.external_memory.AEMachine` per job, no shared
-  counters) so jobs are trivially parallelisable, but under CPython the GIL
-  serialises the pure-Python simulation work: fine for *model* costs, no
-  wall-clock scaling.
-* ``executor="process"`` — jobs are partitioned into shards, each shard runs
-  in its own worker process (one machine per job, one
-  :class:`~repro.planner.plan_cache.PlanCache` per shard) and the per-shard
-  :class:`BatchReport`\\ s are merged back in submission order
-  (:mod:`~repro.planner.sharding`).  This is the CPU-bound scale-out path:
-  wall-clock throughput grows with cores.
-
-Model-level aggregates (reads / writes / cost) are executor-independent:
-both paths run the identical per-job simulation, only the scheduling
-differs.
+* :meth:`repro.engine.SortEngine.batch` and the :func:`run_batch` shim run
+  the jobs on a persistent :class:`~repro.service.SortService` pool —
+  thread workers sharing one :class:`PlanCache`, or worker processes with
+  one cache each (``executor="process"``, the CPU-bound scale-out path);
+* :func:`execute_batch` runs them sequentially in submission order with one
+  fresh cache.  It is the reference the service's reports are tested
+  against.
 
 Adaptive planning is memoised through a :class:`PlanCache` (plans are pure
 functions of ``(n, machine, constants)``); the batch summary surfaces the
@@ -38,7 +30,6 @@ from __future__ import annotations
 import time
 from collections import Counter
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from ..models.params import MachineParams
@@ -86,13 +77,13 @@ class BatchReport:
     wall_seconds: float = 0.0
     #: which backend ran the batch (``"thread"`` or ``"process"``)
     executor: str = "thread"
-    #: plan-cache effectiveness over the batch (summed across shards in
+    #: plan-cache effectiveness over the batch (summed across workers in
     #: process mode); pinned jobs never consult the cache
     plan_hits: int = 0
     plan_misses: int = 0
-    #: per-shard (hits, misses) pairs in shard order — populated by the
-    #: process executor (each shard/worker owns its cache), empty in thread
-    #: mode where one shared cache already tells the whole story
+    #: per-worker (hits, misses) pairs in worker order — populated by the
+    #: process executor (each worker owns its cache), empty in thread mode
+    #: where one shared cache already tells the whole story
     shard_plan_stats: list = field(default_factory=list)
 
     # ------------------------------------------------------------------ #
@@ -195,99 +186,33 @@ def execute_and_check(
     constants=None,
     check_sorted: bool = False,
 ):
-    """The per-job semantics shared by BOTH executors: run the job, enforce
+    """The per-job semantics shared by every batch path: run the job, enforce
     ``check_sorted``, raise on any problem (the caller records the
-    :class:`JobFailure`).  Thread and process backends must not diverge here."""
+    :class:`JobFailure`).  Thread and process workers must not diverge here."""
     rep = _execute_job(job, cache=cache, constants=constants)
     if check_sorted and not rep.is_sorted():
         raise AssertionError(f"job {index} ({job.label!r}) output not sorted")
     return rep
 
 
-def execute_batch(
-    jobs: Sequence[SortJob],
-    max_workers: int | None = None,
-    check_sorted: bool = False,
-    executor: str = "thread",
-    plan_cache: PlanCache | None = None,
-    constants=None,
-    warm_cache=None,
-) -> BatchReport:
-    """Execute ``jobs`` concurrently and aggregate their reports — the
-    one-shot orchestration core.
+def execute_batch(jobs: Sequence[SortJob], check_sorted: bool = False) -> BatchReport:
+    """The sequential reference batch: run every job in submission order
+    through :func:`execute_and_check` with one fresh :class:`PlanCache`,
+    capturing failures per job.
 
-    Since the :class:`repro.service.SortService` redesign this is the
-    *reference* batch path: :meth:`~repro.engine.SortEngine.batch` (and the
-    legacy :func:`run_batch` shim) now submit through a persistent service
-    pool and are parity-tested against the reports this function produces.
-
-    Parameters
-    ----------
-    max_workers:
-        Pool width.  Thread mode defaults to ``min(8, len(jobs))``; process
-        mode defaults to one shard per CPU core (capped at the job count).
-    check_sorted:
-        Verify every output is sorted (costs an extra O(n) pass per job);
-        a violation is recorded as that job's failure.
-    executor:
-        ``"thread"`` (GIL-bound, zero start-up cost) or ``"process"``
-        (sharded across worker processes for real multi-core scaling).
-    plan_cache:
-        Memoisation table for adaptive planning.  Thread mode shares it
-        across workers (one is created internally when ``None``); process
-        mode builds one cache per shard instead — a cross-process shared
-        cache would serialise the very work the shards parallelise — and a
-        caller-supplied cache is ignored there.
-    constants:
-        Optional :class:`~repro.planner.calibration.CostConstants` so
-        adaptive jobs rank with calibrated rather than unit leading
-        constants.
-    warm_cache:
-        A :class:`PlanCache` (or its :meth:`~PlanCache.snapshot` entries) to
-        pre-seed planning with: thread mode seeds the shared cache, process
-        mode seeds every shard's local cache so shards start with the
-        parent's hot entries instead of cold-ranking per shard.
+    No pool: :meth:`~repro.engine.SortEngine.batch` (and :func:`run_batch`)
+    run batches on a :class:`~repro.service.SortService`, and their reports
+    are tested against this one.
     """
-    if executor not in ("thread", "process"):
-        raise ValueError(f"unknown executor {executor!r}; choose 'thread' or 'process'")
-    if max_workers is not None and max_workers < 1:
-        raise ValueError(f"max_workers must be >= 1 or None, got {max_workers}")
-    if not jobs:
-        return BatchReport(executor=executor)
-    if isinstance(warm_cache, PlanCache):
-        warm_cache = warm_cache.snapshot()
+    report = BatchReport()
+    cache = PlanCache()
     t0 = time.perf_counter()
-    if executor == "process":
-        from .sharding import run_sharded
-
-        report = run_sharded(
-            jobs,
-            num_shards=max_workers,
-            check_sorted=check_sorted,
-            constants=constants,
-            warm_entries=warm_cache,
-        )
-    else:
-        report = BatchReport(executor="thread")
-        cache = plan_cache if plan_cache is not None else PlanCache()
-        if warm_cache:
-            cache.seed(warm_cache)
-        # delta stats: a caller-supplied cache may be warm from earlier batches
-        hits0, misses0 = cache.hits, cache.misses
-        if max_workers is None:
-            max_workers = min(8, len(jobs))
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = [
-                pool.submit(execute_and_check, i, job, cache, constants, check_sorted)
-                for i, job in enumerate(jobs)
-            ]
-            for i, (job, fut) in enumerate(zip(jobs, futures)):
-                try:
-                    report.reports.append(fut.result())
-                except Exception as exc:  # noqa: BLE001 — captured per job by design
-                    report.failures.append(JobFailure(index=i, label=job.label, error=exc))
-        report.plan_hits = cache.hits - hits0
-        report.plan_misses = cache.misses - misses0
+    for i, job in enumerate(jobs):
+        try:
+            report.reports.append(execute_and_check(i, job, cache, check_sorted=check_sorted))
+        except Exception as exc:  # noqa: BLE001 — captured per job by design
+            report.failures.append(JobFailure(index=i, label=job.label, error=exc))
+    report.plan_hits, report.plan_misses = cache.hits, cache.misses
     report.wall_seconds = time.perf_counter() - t0
     return report
 
@@ -308,7 +233,7 @@ def run_batch(
 
     Every job must carry its own ``params`` here (the engine default used to
     fill in ``params=None`` jobs is taken from the first job's machine).
-    ``warm_cache`` pre-seeds the batch's planning (per-shard in process
+    ``warm_cache`` pre-seeds the batch's planning (per-worker in process
     mode) with a parent cache's hot entries.  Prefer a long-lived engine —
     or a :class:`~repro.service.SortService` directly — when issuing many
     batches: both keep the worker pool, one plan cache and one set of

@@ -15,12 +15,12 @@ persistent, heavily-trafficked deployment needs:
   newline-delimited-JSON line protocol over a local socket, plus
   :class:`ServiceClient` for Python callers.
 
-``engine.batch()`` and the legacy ``run_batch`` shim are thin clients of
-this layer (``submit_many`` + ``gather``), parity-tested against the
-one-shot :func:`~repro.planner.batch.execute_batch` reference.
+``engine.batch()`` and the ``run_batch`` shim are thin clients of this
+layer (``submit_many`` + ``gather``): it is the only pool that runs batch
+jobs.  Its reports are tested against the sequential
+:func:`~repro.planner.batch.execute_batch` reference.
 """
 
-from ..planner.sharding import WorkerDiedError
 from .backoff import Deadline, backoff_delay, backoff_delays
 from .futures import CANCELLED, FINISHED, PENDING, RUNNING, SortFuture, wait
 from .scheduler import (
@@ -28,6 +28,7 @@ from .scheduler import (
     PRIORITY_CONTROL,
     QueueFullError,
     SortService,
+    WorkerDiedError,
     default_pool_width,
 )
 from .server import EngineServer, ServiceClient, ServiceError

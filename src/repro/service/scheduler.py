@@ -12,23 +12,30 @@ turns the engine into a job service:
   within a priority — the submission ticket breaks ties), so latency-
   sensitive jobs overtake bulk backfill;
 * the worker pool is **persistent**: thread workers or long-lived worker
-  processes (:func:`repro.planner.sharding.spawn_persistent_worker`) that
-  survive across submissions instead of being rebuilt per batch call, each
-  keeping its plan cache warm across jobs;
+  processes (:func:`spawn_persistent_worker`) that survive across
+  submissions instead of being rebuilt per batch call, each keeping its
+  plan cache warm across jobs;
 * a worker process that dies (OOM kill, segfault) fails *only* its
-  in-flight future with
-  :class:`~repro.planner.sharding.WorkerDiedError` — the service respawns
+  in-flight future with :class:`WorkerDiedError` — the service respawns
   the worker and later submissions run normally;
 * :meth:`SortService.gather` folds a list of futures back into the familiar
   :class:`~repro.planner.batch.BatchReport`, which is how
-  :meth:`repro.engine.SortEngine.batch` (and the legacy ``run_batch`` shim)
-  are now expressed: ``submit_many`` + ``gather`` over a service the engine
-  keeps alive between calls.
+  :meth:`repro.engine.SortEngine.batch` (and the ``run_batch`` shim) are
+  expressed: ``submit_many`` + ``gather`` over a service the engine keeps
+  alive between calls.  This is the only pool that runs batch jobs.
 
-Cost-model note: the *simulated* I/O accounting is unchanged — every job
-still runs :func:`repro.planner.batch.execute_and_check` on its own
-simulated machine.  The service only changes *scheduling*, which is why the
-batch shims can promise byte-identical reports.
+Cost-model note: every job runs
+:func:`repro.planner.batch.execute_and_check` on its own simulated machine,
+the same per-job function the sequential
+:func:`~repro.planner.batch.execute_batch` reference runs.  The service only
+changes *scheduling*, so its reports match that reference byte for byte.
+
+Worker processes
+----------------
+A process worker is a daemon child running :func:`persistent_worker_loop`:
+one lockstep request/response exchange per job over a pipe, whose parent
+end is :meth:`SortService._process_worker`.  A child that dies mid-job
+surfaces to the parent as a broken pipe.
 
 Admission control
 -----------------
@@ -58,22 +65,19 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import multiprocessing
 import os
+import pickle
 import threading
 import time
 from collections.abc import Iterable, Sequence
 from concurrent.futures import CancelledError
 
 from ..analysis.locksan import wrap_condition
-from ..core.kernels import get_default_kernel
+from ..core.kernels import get_default_kernel, set_default_kernel
 from ..models.params import MachineParams
 from ..planner.batch import BatchReport, JobFailure, SortJob, execute_and_check
 from ..planner.plan_cache import PlanCache
-from ..planner.sharding import (
-    WorkerDiedError,
-    spawn_persistent_worker,
-    stop_persistent_worker,
-)
 from ..testing import faults
 from .backoff import Deadline
 from .futures import SortFuture
@@ -102,6 +106,14 @@ class QueueFullError(RuntimeError):
         self.max_queue = max_queue
         self.policy = policy
         self.retry_after = retry_after
+
+
+class WorkerDiedError(RuntimeError):
+    """A persistent pool worker process died while a job was in flight.
+
+    Only the in-flight job fails with this; the pool respawns the worker and
+    subsequent submissions run normally.
+    """
 
 
 def default_pool_width(executor: str) -> int:
@@ -158,6 +170,91 @@ class _Entry:
 
     def key(self):
         return (self.priority, self.seq)
+
+
+# ---------------------------------------------------------------------- #
+# worker processes (the child end of SortService._process_worker's pipe)
+# ---------------------------------------------------------------------- #
+def _picklable_error(exc: Exception) -> Exception:
+    """``exc`` if it survives a pickle round-trip, else a stand-in that does."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+        return exc
+    except Exception:  # noqa: BLE001 — any pickling failure gets the stand-in
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+
+
+def persistent_worker_loop(conn, constants=None, warm_entries=None) -> None:
+    """Body of one long-lived worker process.
+
+    Protocol (lockstep request/response over ``conn``):
+
+    * ``("job", index, job, check_sorted, kernel)`` → ``("ok", report, dh,
+      dm)`` or ``("err", picklable_exception, dh, dm)`` where ``dh``/``dm``
+      are this job's plan-cache hit/miss deltas and ``kernel`` is the
+      submitting process's block-kernel mode (module globals do not cross
+      processes, so every job message carries it);
+    * ``("seed", entries)`` → ``("seeded", installed, 0, 0)`` — install a
+      parent :meth:`PlanCache.snapshot` into the worker-local cache;
+    * ``("stop",)`` → exit.
+
+    The worker-local cache persists across jobs: repeated job shapes stop
+    paying the ranking after the first submission, without any
+    cross-process shared state.
+    """
+    cache = PlanCache()
+    if warm_entries:
+        cache.seed(warm_entries)
+    while True:
+        msg = conn.recv()
+        if msg[0] == "stop":
+            break
+        if msg[0] == "seed":
+            conn.send(("seeded", cache.seed(msg[1]), 0, 0))
+            continue
+        _kind, index, job, check_sorted, kernel = msg
+        set_default_kernel(kernel)
+        hits0, misses0 = cache.hits, cache.misses
+        try:
+            reply = ("ok", execute_and_check(
+                index, job, cache=cache, constants=constants, check_sorted=check_sorted
+            ))
+        except Exception as exc:  # noqa: BLE001 — captured per job by design
+            reply = ("err", _picklable_error(exc))
+        conn.send((*reply, cache.hits - hits0, cache.misses - misses0))
+    conn.close()
+
+
+def spawn_persistent_worker(constants=None, warm_entries=None):
+    """Fork one persistent worker; returns ``(process, parent_conn)``.
+
+    The process is a daemon (it must never outlive the service that owns
+    it); exactly one job is in flight per worker, so the pipe needs no
+    framing beyond the lockstep protocol.
+    """
+    parent_conn, child_conn = multiprocessing.Pipe()
+    proc = multiprocessing.Process(
+        target=persistent_worker_loop,
+        args=(child_conn, constants, warm_entries),
+        daemon=True,
+    )
+    proc.start()
+    child_conn.close()
+    return proc, parent_conn
+
+
+def stop_persistent_worker(proc, conn, timeout: float = 5.0) -> None:
+    """Best-effort orderly stop: send the stop message, join, then escalate
+    to terminate if the worker does not exit (e.g. wedged mid-job)."""
+    try:
+        conn.send(("stop",))
+    except (OSError, BrokenPipeError):
+        pass  # already dead — nothing to stop
+    proc.join(timeout)
+    if proc.is_alive():
+        proc.terminate()
+        proc.join(timeout)
+    conn.close()
 
 
 class SortService:
@@ -308,9 +405,9 @@ class SortService:
         ``job`` is a :class:`SortJob` or a bare data sequence (wrapped into
         an adaptive job on the service's machine).  ``priority``: lower
         runs first, FIFO within equal priorities.  ``worker`` optionally
-        pins the job to one pool slot (used by the batch shims to reproduce
-        the historical round-robin sharding exactly; normal traffic should
-        leave it ``None`` and let any idle worker pull).
+        pins the job to one pool slot (see ``submit_many(round_robin=)``;
+        normal traffic should leave it ``None`` and let any idle worker
+        pull).
 
         With a bounded queue (``max_queue``), a full queue applies the
         service's admission policy — see the module docstring.
@@ -452,10 +549,10 @@ class SortService:
     ) -> list[SortFuture]:
         """Submit a batch; return its futures in submission order.
 
-        ``round_robin=True`` pins job *i* to worker ``i % workers`` — the
-        deterministic deal the one-shot process executor used, which keeps
-        per-worker plan-cache behaviour (and therefore the shim parity
-        guarantees) identical to the pre-service sharding.
+        ``round_robin=True`` pins job *i* to worker ``i % workers``.  Which
+        worker runs a job then no longer depends on timing, so each
+        worker-local plan cache sees a fixed job stream and the per-worker
+        hit/miss stats :meth:`gather` reports are deterministic.
         """
         return [
             self.submit(
@@ -512,10 +609,11 @@ class SortService:
     # ------------------------------------------------------------------ #
     def gather(self, futures: Sequence[SortFuture]) -> BatchReport:
         """Wait for ``futures`` and fold them into a
-        :class:`~repro.planner.batch.BatchReport` (reports in the given
-        order, per-job failures captured, plan-cache stats aggregated —
-        per-worker in process mode, mirroring the per-shard stats of the
-        one-shot executor).
+        :class:`~repro.planner.batch.BatchReport`: reports in the given
+        order, per-job failures captured with their position, plan-cache
+        hits/misses summed.  In process mode ``shard_plan_stats`` also
+        lists each worker's ``(hits, misses)`` in worker order, since every
+        worker owns its cache.
         """
         t0 = time.perf_counter()
         report = BatchReport(executor=self.executor)
@@ -580,15 +678,17 @@ class SortService:
         future.plan_stats = (worker, hits, misses)
         future.wall_seconds = wall
         future.cpu_seconds = wall if cpu is None else cpu
-        if error is not None:
-            future.set_exception(error)
-        else:
-            future.set_result(result)
+        # count the job before resolving its future: a caller woken by the
+        # future must already see it in stats()
         with self._cond:
             self.completed += 1
             self.busy_seconds += wall
             if error is None:
                 self.records_sorted += records
+        if error is not None:
+            future.set_exception(error)
+        else:
+            future.set_result(result)
 
     def _thread_worker(self, index: int) -> None:
         while True:

@@ -21,6 +21,9 @@ def pytest_addoption(parser):
 
 
 def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: a test that takes seconds rather than milliseconds"
+    )
     if config.getoption("--iosan"):
         from repro.analysis import iosan
 

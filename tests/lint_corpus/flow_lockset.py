@@ -1,8 +1,8 @@
 # reprolint: path=src/repro/service/corpus_flow_lockset.py
 """Planted violations: flow-lockset (3 findings) + flow-resource (1).
 
-The lockset findings exercise exactly what the syntactic lock-discipline
-rule cannot see: blocking reached *through a helper method*, and a
+The lockset findings exercise exactly what a syntactic, one-node-at-a-time
+check cannot see: blocking reached *through a helper method*, and a
 lock-order cycle spread across two methods.  The ticket finding rides
 along because discarding a registry ticket is a service-layer pattern.
 """

@@ -1,5 +1,5 @@
 # reprolint: path=src/repro/service/corpus_lock_discipline.py
-"""Planted violations: lock-discipline (3 findings)."""
+"""Planted violations: lock-discipline (2 findings) + flow-lockset (1)."""
 
 import threading
 import time

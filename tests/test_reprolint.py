@@ -105,8 +105,8 @@ class TestCorpus:
                    for f in findings)
 
     def test_lock_discipline_fires(self):
-        # with the flow engine on, the blocking-under-lock half of the old
-        # rule is owned by flow-lockset; the unlocked-write half stays here
+        # the blocking call under the lock is flow-lockset's finding; the
+        # two unlocked writes are lock-discipline's
         findings = lint_corpus_file("lock_discipline.py")
         assert sorted(rules_of(findings)) == [
             "flow-lockset", "lock-discipline", "lock-discipline",
@@ -115,14 +115,6 @@ class TestCorpus:
         assert "self.jobs" in messages
         assert "self.slots" in messages
         assert "result(...)" in messages
-
-    def test_lock_discipline_fallback_without_flow(self, monkeypatch):
-        # REPRO_LINT_NOFLOW restores the syntactic blocking check, so the
-        # same three violations surface under the old rule name
-        monkeypatch.setenv("REPRO_LINT_NOFLOW", "1")
-        findings = lint_corpus_file("lock_discipline.py")
-        assert rules_of(findings) == ["lock-discipline"] * 3
-        assert any("result(...)" in f.message for f in findings)
 
     def test_kernel_parity_fires(self):
         findings = lint_corpus_file("kernel_parity.py")
@@ -201,13 +193,6 @@ class TestCorpus:
         assert "_bump" in messages and "loop depth 1" in messages
         # dominated, slow-exempt and waived loops all stay silent
         assert {f.line for f in findings} == {36, 56, 73}
-
-    def test_flow_rules_silent_when_disabled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LINT_NOFLOW", "1")
-        for name in ("flow_lockset.py", "flow_resource.py", "flow_charge.py"):
-            findings = lint_corpus_file(name)
-            flow = [f for f in findings if f.rule.startswith("flow-")]
-            assert flow == [], name
 
     def test_clean_file_is_clean(self):
         assert lint_corpus_file("clean.py") == []

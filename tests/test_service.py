@@ -303,17 +303,13 @@ class TestShutdown:
 # batch shim parity: engine.batch == submit_many + gather == execute_batch
 # ---------------------------------------------------------------------- #
 def batch_fingerprint(report):
-    """Everything in a BatchReport except wall-clock timing."""
+    """The per-job content of a BatchReport: reports and failures."""
     return {
-        "executor": report.executor,
         "reports": [
             (r.algorithm, r.family, r.n, r.output, r.reads, r.writes, r.cost())
             for r in report.reports
         ],
         "failures": [(f.index, f.label, type(f.error).__name__) for f in report.failures],
-        "plan_hits": report.plan_hits,
-        "plan_misses": report.plan_misses,
-        "shard_plan_stats": report.shard_plan_stats,
     }
 
 
@@ -321,13 +317,23 @@ class TestBatchShimParity:
     @pytest.mark.parametrize("executor", ["thread", "process"])
     def test_engine_batch_matches_execute_batch_reference(self, executor):
         jobs = _jobs(8)
-        reference = execute_batch(jobs, max_workers=2, executor=executor)
+        jobs[5] = SortJob(data=[3, 1, 2], params=PARAMS, algorithm="bogosort",
+                          label="bad")
+        reference = execute_batch(jobs)
         via_service = SortEngine(PARAMS, executor=executor, workers=2)
         try:
             got = via_service.batch(jobs)
         finally:
             via_service.close()
+        assert got.executor == executor
         assert batch_fingerprint(got) == batch_fingerprint(reference)
+        assert [f.index for f in got.failures] == [5]
+        if executor == "thread":
+            # one shared cache, like the reference's; process workers each
+            # own a cache, so their per-worker stats are pinned elsewhere
+            assert (got.plan_hits, got.plan_misses) == (
+                reference.plan_hits, reference.plan_misses
+            )
 
     def test_engine_batch_is_submit_many_plus_gather(self):
         jobs = _jobs(6)
@@ -336,10 +342,9 @@ class TestBatchShimParity:
             svc = engine.service()
             via_futures = svc.gather(svc.submit_many(jobs))
         # second pass hits the now-warm shared cache; everything else equal
-        a, b = batch_fingerprint(via_batch), batch_fingerprint(via_futures)
-        assert a["reports"] == b["reports"]
-        assert b["plan_hits"] == a["plan_hits"] + a["plan_misses"]
-        assert b["plan_misses"] == 0
+        assert batch_fingerprint(via_batch) == batch_fingerprint(via_futures)
+        assert via_futures.plan_hits == via_batch.plan_hits + via_batch.plan_misses
+        assert via_futures.plan_misses == 0
 
     def test_failures_keep_positions_and_types(self):
         jobs = _jobs(3)
@@ -451,6 +456,21 @@ class TestPersistentProcessPool:
             assert all(g.result(timeout=60).is_sorted() for g in goods)
             assert tail.result(timeout=60).is_sorted()
 
+    def test_unpicklable_error_replaced_by_standin(self):
+        # a worker process pickles each job's exception back to the parent;
+        # one whose constructor breaks pickling is replaced, not lost
+        from repro.service.scheduler import _picklable_error
+
+        class Weird(Exception):
+            def __init__(self, a, b):  # noqa: ARG002 - signature breaks pickling
+                super().__init__(a)
+
+        standin = _picklable_error(Weird("x", "y"))
+        assert isinstance(standin, RuntimeError)
+        assert "Weird" in str(standin)
+        plain = ValueError("fine")
+        assert _picklable_error(plain) is plain
+
 
 # ---------------------------------------------------------------------- #
 # stats
@@ -465,6 +485,17 @@ class TestStats:
         assert stats["executor"] == "thread" and stats["workers"] == 2
         svc.shutdown()
         assert svc.stats()["shutdown"]
+
+    def test_job_is_counted_before_its_future_resolves(self):
+        # a done-callback runs as the future resolves, so it sees exactly
+        # what a caller woken by result() would see next
+        svc, gate, release = _gated_service()
+        seen = []
+        gate.add_done_callback(lambda f: seen.append(svc.stats()["completed"]))
+        release.set()
+        gate.result(timeout=30)
+        svc.shutdown()
+        assert seen == [1]
 
     def test_queued_counts_undispatched(self):
         svc, gate, release = _gated_service()

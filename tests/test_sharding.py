@@ -1,14 +1,10 @@
-"""Tests for the process-pool batch executor and the sharding layer."""
+"""Tests for batches on the process executor: ``run_batch`` /
+``engine.batch`` over the SortService worker-process pool, per-worker plan
+caches and cache warming."""
 
 import pytest
 
-from repro import MachineParams, SortJob, run_batch
-from repro.planner.sharding import (
-    default_shard_count,
-    execute_shard,
-    merge_shard_reports,
-    partition_jobs,
-)
+from repro import MachineParams, PlanCache, SortJob, run_batch
 from repro.workloads import make_scenario, random_permutation
 
 SMALL = MachineParams(M=64, B=8, omega=8)
@@ -24,29 +20,6 @@ def _mixed_jobs(count=12, base_n=200):
         )
         for i in range(count)
     ]
-
-
-class TestPartitioning:
-    def test_round_robin_preserves_indices(self):
-        jobs = _mixed_jobs(7)
-        shards = partition_jobs(jobs, 3)
-        assert len(shards) == 3
-        assert sorted(i for shard in shards for i, _ in shard) == list(range(7))
-        # round-robin: shard s holds indices s, s+3, s+6, ...
-        assert [i for i, _ in shards[0]] == [0, 3, 6]
-        assert [i for i, _ in shards[1]] == [1, 4]
-
-    def test_more_shards_than_jobs_drops_empties(self):
-        shards = partition_jobs(_mixed_jobs(2), 5)
-        assert len(shards) == 2
-
-    def test_invalid_shard_count(self):
-        with pytest.raises(ValueError, match="num_shards"):
-            partition_jobs(_mixed_jobs(2), 0)
-
-    def test_default_shard_count_bounds(self):
-        assert default_shard_count(0) == 1
-        assert 1 <= default_shard_count(100)
 
 
 class TestProcessExecutor:
@@ -114,48 +87,6 @@ class TestProcessExecutor:
             with pytest.raises(ValueError, match="max_workers"):
                 run_batch(_mixed_jobs(2), executor=executor, max_workers=0)
 
-    def test_dead_shard_worker_fails_its_jobs_not_the_batch(self, monkeypatch):
-        # a worker death (OOM kill, segfault) surfaces as the future raising;
-        # the lost shard's jobs become JobFailures and other shards survive
-        import repro.planner.sharding as sharding
-
-        real = sharding.execute_shard
-
-        def flaky(shard, check_sorted=False, constants=None, warm_entries=None,
-                  kernel=None):
-            if any(index == 0 for index, _ in shard):
-                raise RuntimeError("simulated worker death")
-            return real(shard, check_sorted, constants, warm_entries, kernel)
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                from concurrent.futures import Future
-
-                fut = Future()
-                try:
-                    fut.set_result(fn(*args))
-                except Exception as e:  # noqa: BLE001
-                    fut.set_exception(e)
-                return fut
-
-        monkeypatch.setattr(sharding, "execute_shard", flaky)
-        monkeypatch.setattr(sharding, "ProcessPoolExecutor", InlinePool)
-        jobs = _mixed_jobs(6)
-        report = sharding.run_sharded(jobs, num_shards=2)
-        # shard 0 held indices 0, 2, 4 — all recorded failed; shard 1 survives
-        assert report.jobs_completed == 3
-        assert [f.index for f in report.failures] == [0, 2, 4]
-        assert all("did not complete" in str(f.error) for f in report.failures)
-
     def test_empty_batch(self):
         report = run_batch([], executor="process")
         assert report.jobs_completed == 0 and report.executor == "process"
@@ -173,45 +104,8 @@ class TestProcessExecutor:
         assert report.summary()["plan_hits"] == 6
 
 
-class TestShardUnits:
-    def test_run_sharded_empty_jobs(self):
-        from repro.planner.sharding import run_sharded
-
-        report = run_sharded([])
-        assert report.jobs_completed == 0 and report.executor == "process"
-
-    def test_execute_shard_runs_inline(self):
-        jobs = _mixed_jobs(4)
-        result = execute_shard(list(enumerate(jobs)))
-        assert len(result.indices) == 4
-        assert result.report.jobs_completed == 4
-        assert result.report.plan_misses > 0
-
-    def test_merge_restores_submission_order(self):
-        jobs = _mixed_jobs(6)
-        shards = partition_jobs(jobs, 2)
-        merged = merge_shard_reports([execute_shard(s) for s in shards])
-        assert [r.n for r in merged.reports] == [j.data.__len__() for j in jobs]
-        assert merged.plan_misses > 0
-
-    def test_unpicklable_error_replaced_by_standin(self):
-        from repro.planner.sharding import _picklable_error
-
-        class Weird(Exception):
-            def __init__(self, a, b):  # noqa: ARG002 - signature breaks pickling
-                super().__init__(a)
-
-        standin = _picklable_error(Weird("x", "y"))
-        assert isinstance(standin, RuntimeError)
-        assert "Weird" in str(standin)
-        plain = ValueError("fine")
-        assert _picklable_error(plain) is plain
-
-
 class TestWarmCache:
     def test_warm_entries_eliminate_shard_misses(self):
-        from repro import PlanCache
-
         parent = PlanCache()
         parent.plan(400, SMALL)
         jobs = [
@@ -228,31 +122,32 @@ class TestWarmCache:
         assert warm.total_cost() == cold.total_cost()
 
     def test_warm_cache_accepts_snapshot_entries(self):
-        from repro import PlanCache
-        from repro.planner.batch import execute_batch
-
+        # process mode: every worker spawns holding the snapshot entries
         parent = PlanCache()
         parent.plan(300, SMALL)
         jobs = [
             SortJob(data=random_permutation(300, seed=i), params=SMALL)
             for i in range(4)
         ]
-        report = execute_batch(jobs, max_workers=2, executor="process",
-                               warm_cache=parent.snapshot())
+        report = run_batch(jobs, max_workers=2, executor="process",
+                           warm_cache=parent.snapshot())
         assert report.plan_misses == 0 and report.plan_hits == 4
+        assert report.shard_plan_stats == [(2, 0), (2, 0)]
 
     def test_thread_mode_seeds_the_shared_cache(self):
-        from repro import PlanCache
-        from repro.planner.batch import execute_batch
-
         parent = PlanCache()
         parent.plan(250, SMALL)
         jobs = [
             SortJob(data=random_permutation(250, seed=i), params=SMALL)
             for i in range(3)
         ]
-        report = execute_batch(jobs, executor="thread", warm_cache=parent)
+        shared = PlanCache()
+        report = run_batch(jobs, max_workers=2, executor="thread",
+                           plan_cache=shared, warm_cache=parent)
         assert report.plan_misses == 0 and report.plan_hits == 3
+        # the seed landed in the one cache every thread worker plans through
+        assert len(shared) == 1
+        assert (shared.hits, shared.misses) == (3, 0)
 
 
 class TestPerShardStats:
