@@ -46,7 +46,8 @@ import bisect
 import math
 
 from ..models.external_memory import AEMachine, BlockWriter, ExtArray
-from .kernels import SLOW_REFERENCE, register_kernel_entry, resolve_kernel, take_smallest
+from .kernels import SLOW_REFERENCE, register_kernel_entry, resolve_kernel
+from .selection_sort import selection_phases
 
 register_kernel_entry(
     "buffer-tree",
@@ -746,43 +747,41 @@ def _external_prefix_sort(
 
     params = machine.params
     out = machine.writer(name="bufsort")
+    M = params.M
+    if kernel != SLOW_REFERENCE:
+        # block-granular selection phases over the (truncated) prefix
+        # blocks; the records are unique triples, so every phase boundary
+        # is (last emitted, 1), the reference's strict ``> last_max`` filter
+        selection_phases(
+            lambda: _prefix_blocks(machine, buf, prefix_len), prefix_len, M, out
+        )
+        return out.close()
     emitted = 0
     last_max = None
-    M = params.M
     while emitted < prefix_len:
-        if kernel == SLOW_REFERENCE:
-            working: list = []
-            seen = 0
-            for bi in range(buf.num_blocks):
+        working: list = []
+        seen = 0
+        for bi in range(buf.num_blocks):
+            if seen >= prefix_len:
+                break
+            if buf.block_len(bi) == 0:  # empty placeholder: no transfer
+                continue
+            block = machine.read_block(buf, bi, copy=False)
+            for rec in block:
                 if seen >= prefix_len:
                     break
-                if buf.block_len(bi) == 0:  # empty placeholder: no transfer
+                seen += 1
+                if last_max is not None and rec <= last_max:
                     continue
-                block = machine.read_block(buf, bi, copy=False)
-                for rec in block:
-                    if seen >= prefix_len:
-                        break
-                    seen += 1
-                    if last_max is not None and rec <= last_max:
-                        continue
-                    if len(working) < M:
-                        heapq.heappush(working, _NegKey(rec))
-                    elif rec < working[0].value:
-                        heapq.heapreplace(working, _NegKey(rec))
-            batch = sorted(item.value for item in working)
-        else:
-            # block-granular selection phase: the shared bounded kernel
-            # over the (truncated) prefix blocks — exact M-smallest multiset
-            batch = take_smallest(
-                _prefix_blocks(machine, buf, prefix_len), M, lo=last_max
-            )
+                if len(working) < M:
+                    heapq.heappush(working, _NegKey(rec))
+                elif rec < working[0].value:
+                    heapq.heapreplace(working, _NegKey(rec))
+        batch = sorted(item.value for item in working)
         if not batch:
             raise AssertionError("prefix sort stalled")
-        if kernel == SLOW_REFERENCE:
-            for rec in batch:
-                out.append(rec)
-        else:
-            out.extend(batch)
+        for rec in batch:
+            out.append(rec)
         emitted += len(batch)
         last_max = batch[-1]
     return out.close()

@@ -140,19 +140,37 @@ def register_kernel_entry(name: str, *, vectorized: str,
         KERNEL_CONTRACTS.pop(name, None)
 
 
-def take_smallest(blocks, take: int, lo=None) -> list:
+def take_smallest(blocks, take: int, lo=None, skip: int = 0) -> list:
     """The shared bounded-selection kernel: the ``take`` smallest records
-    strictly greater than ``lo`` across an iterable of record lists,
-    returned ascending.
+    past the boundary ``(lo, skip)`` across an iterable of record lists,
+    returned ascending, equal records in scan order.
+
+    ``lo=None`` admits every record.  Otherwise ``lo`` is the last record a
+    previous selection phase emitted and ``skip`` how many records equal to
+    it that phase and the ones before it emitted: a record is admitted when
+    it is greater than ``lo``, or equal to ``lo`` and not among the first
+    ``skip`` such records in scan order.  With ``skip=1`` and unique
+    records that is the plain strict ``> lo`` filter.
+
+    This is the paper's §2 remark — *"a position index can always be added
+    to make keys unique"* — with the index left implicit.  Candidates are
+    appended in scan order and ``list.sort()`` is stable, so the kernel
+    sorts as if by ``(record, scan position)`` without building the pairs,
+    and ``(lo, skip)`` names the pair the previous phase ended on.  The
+    running cutoff stays a plain ``r < cutoff``: a record scanned after the
+    cutoff pair has a larger position, so an equal one is larger as a pair.
 
     Per block, the candidate window is filtered with one comprehension;
-    the working set is pruned back to ``take`` (a C-level sort of a mostly
-    sorted list) only when it overflows a half-working-set margin, so the
-    amortized cost is O(log) per surviving candidate and the scratch stays
-    <= 1.5 * ``take`` records.  The result is the exact ``take``-smallest
-    multiset — every record the running cutoff drops provably cannot be
-    among the final ``take`` — matching the record-at-a-time bounded
-    max-heap of the Lemma 4.2 reference implementations.
+    while occurrences of ``lo`` remain to be skipped, one ``list.count`` per
+    window finds them, and a per-record loop runs only in the window where
+    the skip runs out.  The working set is pruned back to ``take`` (a
+    C-level sort of a mostly sorted list) only when it overflows a
+    half-working-set margin, so the amortized cost is O(log) per surviving
+    candidate and the scratch stays <= 1.5 * ``take`` records.  The result
+    is the exact ``take``-smallest multiset — every record the running
+    cutoff drops provably cannot be among the final ``take`` — matching the
+    record-at-a-time bounded max-heap of the Lemma 4.2 reference
+    implementations.
     """
     working: list = []
     cutoff = None  # the take-th smallest seen so far, once known
@@ -161,46 +179,24 @@ def take_smallest(blocks, take: int, lo=None) -> list:
         if lo is None:
             cand = block if cutoff is None else [r for r in block if r < cutoff]
         elif cutoff is None:
-            cand = [r for r in block if r > lo]
+            cand = [r for r in block if lo <= r]
         else:
-            cand = [r for r in block if lo < r < cutoff]
-        if not cand:
-            continue
-        working.extend(cand)
-        if len(working) >= margin:
-            working.sort()
-            del working[take:]
-            cutoff = working[-1]
-    working.sort()
-    del working[take:]
-    return working
-
-
-def take_smallest_indexed(blocks, take: int, lo=None) -> list:
-    """Position-decorated :func:`take_smallest`: the ``take`` smallest
-    ``(record, scan position)`` pairs strictly greater than the pair ``lo``,
-    returned ascending.
-
-    The paper's §2 remark — *"a position index can always be added to make
-    keys unique"* — applied below the selection kernel: decorating each
-    record with its global scan offset makes every key unique, so the
-    running cutoff advances even through runs of duplicates.  Positions are
-    derived from the scan order alone (free metadata, no extra I/O), and
-    the decoration orders duplicates by position, i.e. the selection
-    becomes a *stable* sort.  Same pruning discipline and the same exact
-    ``take``-smallest guarantee as :func:`take_smallest`, now over pairs.
-    """
-    working: list = []
-    cutoff = None  # the take-th smallest pair seen so far, once known
-    margin = take + (take >> 1) + 1
-    base = 0
-    for block in blocks:
-        cand = [(r, base + i) for i, r in enumerate(block)]
-        base += len(block)
-        if lo is not None:
-            cand = [p for p in cand if p > lo]
-        if cutoff is not None:
-            cand = [p for p in cand if p < cutoff]
+            cand = [r for r in block if lo <= r < cutoff]
+        if skip and cand:
+            # while skip > 0 every record in working is > lo, so the cutoff
+            # is too and each occurrence of lo reaches this window
+            ties = cand.count(lo)
+            if ties > skip:  # the skip runs out inside this window
+                kept = []
+                for r in cand:
+                    if skip and r == lo:
+                        skip -= 1
+                    else:
+                        kept.append(r)
+                cand = kept
+            elif ties:
+                skip -= ties
+                cand = [r for r in cand if lo < r]
         if not cand:
             continue
         working.extend(cand)

@@ -16,12 +16,17 @@ records are emitted; we keep the accounting conservative and charge both).
 Duplicate keys: the phase cutoff ("strictly larger than the largest record
 written so far") stalls on inputs whose duplicate runs exceed ``M``, so both
 paths apply the paper's §2 remark — *"a position index can always be added to
-make keys unique"* — below the engine: every record is compared as a
-``(record, scan position)`` pair.  Positions come from the scan order alone
+make keys unique"* — below the engine: records are ordered as
+``(record, scan position)`` pairs.  Positions come from the scan order alone
 (free metadata, no extra I/O), the cutoff always advances by exactly
 ``min(M, remaining)`` records per phase, and the emitted order is the
-*stable* sort of the input.  Counters are unchanged and meet the lemma's
-exact bounds on every input.
+*stable* sort of the input.  The reference builds the pairs.  The vectorized
+path leaves the index implicit: :func:`~repro.core.kernels.take_smallest`
+keeps candidates in scan order and relies on the stable ``list.sort()``, and
+a phase boundary is carried as ``(lo, skip)`` — the last record emitted and
+how many records equal to it are already out — which names the same pair
+the reference's ``last_max`` does.  Counters are unchanged and meet the
+lemma's exact bounds on every input.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from .kernels import (
     SLOW_REFERENCE,
     register_kernel_entry,
     resolve_kernel,
-    take_smallest_indexed,
+    take_smallest,
 )
 
 register_kernel_entry(
@@ -77,27 +82,40 @@ def selection_sort(
     # M-record working set + load block + store buffer
     guard.acquire(params.M + 2 * params.B)
 
-    M = params.M
-    last_max = None  # largest (record, position) pair emitted so far
-    emitted = 0
     try:
-        while emitted < n:
-            # One scan: the M smallest (record, position) pairs > last_max,
-            # selected with the shared bounded kernel (exact M-smallest
-            # multiset, same as the reference's record-at-a-time max-heap;
-            # scratch <= 1.5 M).  Position decoration keeps the cutoff
-            # advancing through duplicate runs.
-            batch = take_smallest_indexed(machine.scan_blocks(arr), M, lo=last_max)
-            if not batch:
-                raise AssertionError(
-                    "selection phase found no records although output is incomplete"
-                )
-            out_writer.extend([rec for rec, _ in batch])
-            emitted += len(batch)
-            last_max = batch[-1]
+        selection_phases(lambda: machine.scan_blocks(arr), n, params.M, out_writer)
     finally:
         guard.release(params.M + 2 * params.B)
     return out_writer.close()
+
+
+def selection_phases(scan, n: int, M: int, out_writer) -> None:
+    """The vectorized Lemma 4.2 phase loop: write ``n`` records to
+    ``out_writer`` in stable sorted order, at most ``M`` per phase.
+
+    ``scan()`` returns one charged pass over the input's blocks; each phase
+    calls it once and keeps, with :func:`~repro.core.kernels.take_smallest`,
+    the ``M`` smallest records past the previous phase's boundary (exact
+    ``M``-smallest multiset, same as the reference's record-at-a-time
+    max-heap; scratch <= 1.5 M).  The boundary ``(lo, skip)`` is the last
+    record emitted and how many records equal to it are already out, so the
+    cutoff advances through duplicate runs longer than ``M``.
+    """
+    lo, skip = None, 0
+    emitted = 0
+    while emitted < n:
+        batch = take_smallest(scan(), M, lo, skip)
+        if not batch:
+            raise AssertionError(
+                "selection phase found no records although output is incomplete"
+            )
+        out_writer.extend(batch)
+        emitted += len(batch)
+        last = batch[-1]
+        # records equal to ``last`` sit at the tail of the sorted batch; a
+        # boundary value that spans phases keeps its earlier count
+        skip = batch.count(last) + (skip if last == lo else 0)
+        lo = last
 
 
 def _selection_sort_slow(
