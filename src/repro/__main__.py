@@ -624,30 +624,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0 if not failed else 1
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from .analysis import reprolint
-
-    argv = list(args.paths)
-    argv += ["--format", args.format, "--root", args.root]
-    if args.baseline:
-        argv += ["--baseline", args.baseline]
-    if args.write_baseline:
-        argv += ["--write-baseline", args.write_baseline]
-    for name in args.rules or ():
-        argv += ["--rule", name]
-    if args.jobs != 1:
-        argv += ["--jobs", str(args.jobs)]
-    if args.no_cache:
-        argv += ["--no-cache"]
-    if args.cache_file:
-        argv += ["--cache-file", args.cache_file]
-    if args.explain:
-        argv += ["--explain", args.explain]
-    if args.dump_graphs:
-        argv += ["--dump-graphs", args.dump_graphs]
-    return reprolint.main(argv)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -865,37 +841,22 @@ def build_parser() -> argparse.ArgumentParser:
                               "reproduces the same counts")
     p_chaos.set_defaults(fn=_cmd_chaos)
 
-    p_lint = sub.add_parser(
+    # every lint flag is declared once, by reprolint's own parser: main()
+    # forwards `repro lint ARGS...` to it unparsed
+    sub.add_parser(
         "lint",
-        help="run the repo's cost-accounting / lock-discipline linter",
+        help="run the repo's cost-accounting / lock-discipline linter "
+             "(`repro lint --help` lists its flags)",
     )
-    p_lint.add_argument("paths", nargs="*", default=["src", "benchmarks"],
-                        help="files or directories (default: src benchmarks)")
-    p_lint.add_argument("--format", choices=["text", "json"], default="text")
-    p_lint.add_argument("--rule", action="append", dest="rules", metavar="NAME",
-                        help="run only the named rule (repeatable)")
-    p_lint.add_argument("--baseline", default=None, metavar="FILE",
-                        help="JSON baseline of grandfathered findings")
-    p_lint.add_argument("--write-baseline", default=None, metavar="FILE",
-                        help="write current findings to FILE and exit 0")
-    p_lint.add_argument("--root", default=".",
-                        help="repo root for scoped rule paths")
-    p_lint.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="lint stale files across N worker processes")
-    p_lint.add_argument("--no-cache", action="store_true",
-                        help="disable the mtime-keyed findings cache")
-    p_lint.add_argument("--cache-file", default=None, metavar="FILE",
-                        help="cache location (default: <root>/.reprolint_cache.json)")
-    p_lint.add_argument("--explain", default=None, metavar="RULE",
-                        help="print the named rule's contract and exit")
-    p_lint.add_argument("--dump-graphs", default=None, metavar="DIR",
-                        help="serialize the call graph and static lock-order "
-                             "graph under DIR and exit")
-    p_lint.set_defaults(fn=_cmd_lint)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] == "lint":
+        from .analysis import reprolint
+
+        return reprolint.main(argv[1:])
     args = build_parser().parse_args(argv)
     return args.fn(args)
 

@@ -135,6 +135,8 @@ class ProjectIndex:
         self.modules: dict[str, ModuleInfo] = {}  # modname → info
         self.functions: dict[str, FunctionInfo] = {}
         self.edges: dict[str, list[str]] = {}  # caller qual → callee quals
+        #: qualname → :meth:`_local_types`, computed once per function
+        self._locals: dict[str, dict[str, str]] = {}
 
     # -- indexing ------------------------------------------------------- #
     def add_module(self, path: str, tree: ast.Module) -> ModuleInfo:
@@ -145,6 +147,7 @@ class ProjectIndex:
     def finalize(self) -> None:
         """Infer attribute types, then resolve every call edge."""
         self.functions = {}
+        self._locals = {}
         for mod in self.modules.values():
             self.functions.update(mod.functions)
         for mod in self.modules.values():
@@ -233,7 +236,10 @@ class ProjectIndex:
 
     def _local_types(self, mod: ModuleInfo, fn: FunctionInfo) -> dict[str, str]:
         """Parameter/local name → class qualifier within one function."""
-        types: dict[str, str] = {}
+        types = self._locals.get(fn.qualname)
+        if types is not None:
+            return types
+        types = self._locals[fn.qualname] = {}
         args = fn.node.args
         for a in (*args.posonlyargs, *args.args, *args.kwonlyargs):
             qual = self._annotation_class(mod, a.annotation)

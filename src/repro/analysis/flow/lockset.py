@@ -263,22 +263,29 @@ def compute_summaries(
 ) -> dict[str, FnSummary]:
     """Interprocedural may-summaries: locks acquired and blocking calls
     reachable (suppressed blocking sites are deliberate and excluded)."""
+    # each function's own acquisitions and blocking calls, walked once —
+    # the fixpoint below only folds in its callees' summaries
+    own: dict[str, FnSummary] = {}
+    for qual, info in index.functions.items():
+        acquires: set[str] = set()
+        for sub in walk_executed(info.node):
+            if isinstance(sub, (ast.With, ast.AsyncWith)):
+                for item in sub.items:
+                    acquires |= _with_item_locks(item.context_expr, info, model)
+        table = suppressions.get(info.path)
+        blocking = {
+            name
+            for call, name in _blocking_calls_in(info.node, info, model)
+            if not _suppressed(table, call.lineno)
+        }
+        own[qual] = FnSummary(frozenset(acquires), frozenset(blocking))
 
     def initial(qual: str) -> FnSummary:
         return FnSummary()
 
     def summarize(qual: str, summaries: dict[str, FnSummary]) -> FnSummary:
-        info = index.functions[qual]
-        acquires: set[str] = set()
-        blocking: set[str] = set()
-        table = suppressions.get(info.path)
-        for sub in walk_executed(info.node):
-            if isinstance(sub, (ast.With, ast.AsyncWith)):
-                for item in sub.items:
-                    acquires |= _with_item_locks(item.context_expr, info, model)
-        for call, name in _blocking_calls_in(info.node, info, model):
-            if not _suppressed(table, call.lineno):
-                blocking.add(name)
+        acquires = set(own[qual].acquires)
+        blocking = set(own[qual].blocking)
         for callee in index.edges.get(qual, ()):
             summary = summaries.get(callee)
             if summary is not None:

@@ -663,38 +663,24 @@ def _module_is_overlay(module: ModuleSource, ctx: LintContext) -> bool:
     return vp not in sources or sources[vp] != module.text
 
 
-def _flow_lockset_result(module: ModuleSource, ctx: LintContext):
-    """Whole-project lockset result, cached for the common (non-overlay)
-    case; overlays re-run the analysis with the module's tree spliced in."""
+def _flow_result(module: ModuleSource, ctx: LintContext, analyze):
+    """``analyze(index, suppressions)`` over the whole project, cached on
+    the run's context for the common (non-overlay) case.  An overlay gets a
+    fresh index with the module's tree spliced in, kept only for this call."""
     if not _module_is_overlay(module, ctx):
-        cached = getattr(ctx, "_flow_lockset_cache", None)
-        if cached is None:
-            cached = analyze_lockset(
+        results = getattr(ctx, "_flow_results_cache", None)
+        if results is None:
+            results = ctx._flow_results_cache = {}
+        if analyze not in results:
+            results[analyze] = analyze(
                 _flow_base_index(ctx), _flow_suppressions(ctx)
             )
-            ctx._flow_lockset_cache = cached
-        return cached
+        return results[analyze]
     vp = module.virtual_path
     index = build_project_index(_flow_sources(ctx), extra={vp: module.tree})
     suppressions = dict(_flow_suppressions(ctx))
     suppressions[vp] = module.suppressions
-    return analyze_lockset(index, suppressions, paths={vp})
-
-
-def _flow_charge_findings(module: ModuleSource, ctx: LintContext):
-    if not _module_is_overlay(module, ctx):
-        cached = getattr(ctx, "_flow_charges_cache", None)
-        if cached is None:
-            cached = analyze_charges(
-                _flow_base_index(ctx), _flow_suppressions(ctx)
-            )
-            ctx._flow_charges_cache = cached
-        return cached
-    vp = module.virtual_path
-    index = build_project_index(_flow_sources(ctx), extra={vp: module.tree})
-    suppressions = dict(_flow_suppressions(ctx))
-    suppressions[vp] = module.suppressions
-    return analyze_charges(index, suppressions, paths={vp})
+    return analyze(index, suppressions, paths={vp})
 
 
 @rule(
@@ -712,8 +698,7 @@ def check_flow_lockset(module: ModuleSource, ctx: LintContext):
         module, prefixes=_LOCK_SCOPE_PREFIXES, files=_LOCK_SCOPE_FILES
     ):
         return
-    result = _flow_lockset_result(module, ctx)
-    for f in result.findings:
+    for f in _flow_result(module, ctx, analyze_lockset).findings:
         if f.path != module.virtual_path:
             continue
         yield Finding(
@@ -766,7 +751,7 @@ def check_flow_charge(module: ModuleSource, ctx: LintContext):
     exempt by dominance, not just syntactic containment."""
     if not _in_scope(module, prefixes=_LOOP_CHARGE_SCOPE):
         return
-    for f in _flow_charge_findings(module, ctx):
+    for f in _flow_result(module, ctx, analyze_charges):
         if f.path != module.virtual_path:
             continue
         yield Finding(

@@ -36,17 +36,6 @@ can opt into any rule's scope while living outside it.
 
 Exit codes: 0 — clean (after baseline filtering), 1 — findings, 2 — usage
 or parse error.
-
-Caching and parallelism
------------------------
-The CLI keeps an mtime-keyed findings cache (default
-``<root>/.reprolint_cache.json``; ``--no-cache`` disables, ``--cache-file``
-relocates) so the CI lint gate stays fast as the tree grows: a file is
-re-analyzed only when its ``(mtime_ns, size)`` changes or the *environment
-fingerprint* — the rule set plus every cross-file input the rules read
-(the parity test, boundcheck.py, the core tree, the rules themselves) —
-changes.  ``--jobs N`` shards stale files across N worker processes.
-Library calls to :func:`lint_paths` default to no cache and one process.
 """
 
 from __future__ import annotations
@@ -54,7 +43,6 @@ from __future__ import annotations
 import argparse
 import ast
 import dataclasses
-import hashlib
 import json
 import os
 import re
@@ -232,19 +220,9 @@ def lint_paths(
     paths: Iterable[str],
     root: str = ".",
     rules: Iterable[str] | None = None,
-    jobs: int = 1,
-    cache_path: str | None = None,
-    stats: dict | None = None,
 ) -> list[Finding]:
-    """Lint every ``.py`` file under ``paths`` with all (or named) rules.
-
-    ``cache_path`` names an mtime-keyed findings cache: files whose
-    ``(mtime_ns, size)`` signature matches the cache (under an unchanged
-    environment fingerprint — see :func:`_env_fingerprint`) reuse their
-    stored findings without re-parsing.  ``jobs > 1`` shards the stale
-    files across worker processes.  ``stats``, if given, is populated with
-    ``{"files", "cached", "linted", "jobs"}`` counters for reporting.
-    """
+    """Lint every ``.py`` file under ``paths`` with all (or named) rules,
+    in one pass over one :class:`LintContext`."""
     # importing the rules module populates RULES as a side effect
     from . import lint_rules  # noqa: F401
 
@@ -255,209 +233,11 @@ def lint_paths(
         if unknown:
             raise KeyError(f"unknown rule(s): {sorted(unknown)}")
         selected = [RULES[name] for name in rules]
-    rule_names = [r.name for r in selected]
-
-    files = list(iter_python_files(paths))
-    fingerprint = _env_fingerprint(root, rule_names)
-    cached_findings: dict[str, list[Finding]] = {}
-    signatures: dict[str, tuple[int, int] | None] = {
-        os.path.abspath(p): _stat_signature(p) for p in files
-    }
-    if cache_path is not None:
-        cache = _load_cache(cache_path, fingerprint)
-        for path in files:
-            key = os.path.abspath(path)
-            entry = cache.get(key)
-            sig = signatures[key]
-            if entry is not None and sig is not None and entry.get(
-                "signature"
-            ) == list(sig):
-                cached_findings[key] = [
-                    Finding(**f) for f in entry.get("findings", [])
-                ]
-
-    stale = [p for p in files if os.path.abspath(p) not in cached_findings]
-    fresh: dict[str, list[Finding]]
-    if jobs > 1 and len(stale) > 1:
-        fresh = _lint_parallel(stale, root, rule_names, jobs)
-    else:
-        ctx = LintContext(root)
-        fresh = {
-            os.path.abspath(p): lint_file(p, ctx, selected) for p in stale
-        }
-
-    if cache_path is not None:
-        entries = {}
-        for path in files:
-            key = os.path.abspath(path)
-            sig = signatures[key]
-            if sig is None:
-                continue
-            found = cached_findings.get(key)
-            if found is None:
-                found = fresh[key]
-            entries[key] = {
-                "signature": list(sig),
-                "findings": [f.to_dict() for f in found],
-            }
-        _save_cache(cache_path, fingerprint, entries)
-
-    if stats is not None:
-        stats["files"] = len(files)
-        stats["cached"] = len(cached_findings)
-        stats["linted"] = len(stale)
-        stats["jobs"] = jobs
-
-    findings: list[Finding] = []
-    for path in files:
-        key = os.path.abspath(path)
-        findings.extend(cached_findings.get(key, fresh.get(key, [])))
-    return findings
-
-
-# --------------------------------------------------------------------------- #
-# cache + parallelism
-# --------------------------------------------------------------------------- #
-#: bump when the cache entry format (not rule behavior) changes
-CACHE_VERSION = 1
-
-
-def _cache_dependencies(root: str) -> list[str]:
-    """Cross-file inputs the rules read: a change to any of these can flip
-    findings in *other* files, so they all feed the environment fingerprint
-    (changing one invalidates the whole cache)."""
-    deps = [
-        os.path.join(root, "src", "repro", "analysis", "boundcheck.py"),
-        os.path.join(root, "src", "repro", "analysis", "lint_rules.py"),
-        os.path.join(root, "src", "repro", "analysis", "reprolint.py"),
-        os.path.join(root, "src", "repro", "models", "external_memory.py"),
-        os.path.join(root, "tests", "test_kernel_parity.py"),
-    ]
-    # the flow rules read the whole project (call graph + lock model), so
-    # every module a summary can flow through is a cache input
-    for sub in (
-        ("src", "repro", "core"),
-        ("src", "repro", "service"),
-        ("src", "repro", "planner"),
-        ("src", "repro", "analysis", "flow"),
-    ):
-        subdir = os.path.join(root, *sub)
-        if os.path.isdir(subdir):
-            deps.extend(
-                os.path.join(subdir, fn)
-                for fn in sorted(os.listdir(subdir))
-                if fn.endswith(".py")
-            )
-    return deps
-
-
-def _stat_signature(path: str) -> tuple[int, int] | None:
-    """Cheap change detector for one file: ``(mtime_ns, size)`` or None."""
-    try:
-        st = os.stat(path)
-    except OSError:
-        return None
-    return (st.st_mtime_ns, st.st_size)
-
-
-def _analysis_content_hash(root: str) -> str:
-    """Content hash of every module in the analysis package.  The rules'
-    *behavior* lives here; mtimes churn under checkouts and touch(1), so
-    the fingerprint reads the bytes."""
-    h = hashlib.sha256()
-    pkg = os.path.join(root, "src", "repro", "analysis")
-    for dirpath, dirnames, filenames in os.walk(pkg):
-        dirnames[:] = sorted(
-            d for d in dirnames if not d.startswith(".") and d != "__pycache__"
-        )
-        for fn in sorted(filenames):
-            if not fn.endswith(".py"):
-                continue
-            full = os.path.join(dirpath, fn)
-            h.update(b"\0file:" + os.path.relpath(full, pkg).encode())
-            try:
-                with open(full, "rb") as fh:
-                    h.update(fh.read())
-            except OSError:
-                h.update(b"<unreadable>")
-    return h.hexdigest()
-
-
-def _env_fingerprint(root: str, rule_names: Iterable[str]) -> str:
-    """Hash of everything that can change findings besides the linted file
-    itself: cache format, interpreter version (AST shapes and analysis
-    results can differ across Pythons), active rule set, the analysis
-    package's own content, and cross-file dependency signatures."""
-    h = hashlib.sha256()
-    h.update(f"v{CACHE_VERSION}".encode())
-    h.update(b"\0python:" + sys.version.encode())
-    h.update(b"\0analysis:" + _analysis_content_hash(root).encode())
-    for name in sorted(rule_names):
-        h.update(b"\0rule:" + name.encode())
-    for dep in _cache_dependencies(root):
-        h.update(b"\0dep:" + dep.encode())
-        h.update(repr(_stat_signature(dep)).encode())
-    return h.hexdigest()
-
-
-def _load_cache(path: str, fingerprint: str) -> dict:
-    """Per-file cache entries, or {} when absent/corrupt/stale-environment."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, ValueError):
-        return {}
-    if not isinstance(data, dict) or data.get("fingerprint") != fingerprint:
-        return {}
-    files = data.get("files")
-    return files if isinstance(files, dict) else {}
-
-
-def _save_cache(path: str, fingerprint: str, entries: dict) -> None:
-    """Best-effort atomic rewrite — a read-only checkout just skips caching."""
-    payload = {"fingerprint": fingerprint, "files": entries}
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-        os.replace(tmp, path)
-    except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-
-
-def _lint_files_chunk(task: tuple[list[str], str, list[str]]) -> list[tuple]:
-    """Worker-process entry: lint one chunk of files, return picklable pairs
-    of ``(abspath, [finding dict, ...])``."""
-    paths, root, rule_names = task
-    from . import lint_rules  # noqa: F401  (populate RULES in the worker)
-
     ctx = LintContext(root)
-    selected = [RULES[name] for name in rule_names]
-    out = []
-    for path in paths:
-        findings = lint_file(path, ctx, selected)
-        out.append((os.path.abspath(path), [f.to_dict() for f in findings]))
-    return out
-
-
-def _lint_parallel(
-    paths: list[str], root: str, rule_names: list[str], jobs: int
-) -> dict[str, list[Finding]]:
-    """Shard ``paths`` round-robin across ``jobs`` worker processes."""
-    import concurrent.futures
-
-    jobs = max(1, min(jobs, len(paths)))
-    chunks = [paths[i::jobs] for i in range(jobs)]
-    tasks = [(chunk, root, rule_names) for chunk in chunks if chunk]
-    results: dict[str, list[Finding]] = {}
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        for pairs in pool.map(_lint_files_chunk, tasks):
-            for key, dicts in pairs:
-                results[key] = [Finding(**d) for d in dicts]
-    return results
+    findings: list[Finding] = []
+    for path in iter_python_files(paths):
+        findings.extend(lint_file(path, ctx, selected))
+    return findings
 
 
 # --------------------------------------------------------------------------- #
@@ -573,12 +353,6 @@ def main(argv: list[str] | None = None, out=None) -> int:
                         help="write current findings to FILE and exit 0")
     parser.add_argument("--root", default=".",
                         help="repo root that scoped rule paths are relative to")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="lint stale files across N worker processes")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the mtime-keyed findings cache")
-    parser.add_argument("--cache-file", metavar="FILE",
-                        help="cache location (default: <root>/.reprolint_cache.json)")
     parser.add_argument("--explain", metavar="RULE",
                         help="print the named rule's contract and exit")
     parser.add_argument("--dump-graphs", metavar="DIR",
@@ -592,17 +366,8 @@ def main(argv: list[str] | None = None, out=None) -> int:
     if args.dump_graphs:
         return _dump_graphs(args.root, args.dump_graphs, out)
 
-    if args.no_cache:
-        cache_path = None
-    elif args.cache_file:
-        cache_path = args.cache_file
-    else:
-        cache_path = os.path.join(args.root, ".reprolint_cache.json")
-
     try:
-        findings = lint_paths(args.paths or ["src", "benchmarks"],
-                              root=args.root, rules=args.rules,
-                              jobs=max(1, args.jobs), cache_path=cache_path)
+        findings = lint_paths(args.paths, root=args.root, rules=args.rules)
     except (OSError, SyntaxError, KeyError, ValueError) as exc:
         print(f"reprolint: error: {exc}", file=sys.stderr)
         return 2

@@ -87,6 +87,54 @@ class TestFramework:
         with pytest.raises(KeyError):
             lint_paths([CORPUS], root=REPO, rules=["no-such-rule"])
 
+    def test_empty_root(self, tmp_path, capsys):
+        (tmp_path / "empty").mkdir()
+        findings = lint_paths([str(tmp_path / "empty")], root=str(tmp_path))
+        assert findings == []
+        rc = main([str(tmp_path / "empty"), "--root", str(tmp_path)])
+        assert rc == 0
+        assert "0 findings" in capsys.readouterr().out
+
+    def test_relint_sees_an_edited_callee(self, tmp_path, capsys):
+        # the flow rules read the whole project, so an edit to a module
+        # outside the linted file's layer must change that file's findings
+        svc = tmp_path / "src" / "repro" / "service" / "svc.py"
+        util = tmp_path / "src" / "repro" / "models" / "util.py"
+        svc.parent.mkdir(parents=True)
+        util.parent.mkdir(parents=True)
+        svc.write_text(
+            "import threading\n"
+            "\n"
+            "from repro.models.util import helper\n"
+            "\n"
+            "\n"
+            "class Svc:\n"
+            "    def __init__(self):\n"
+            "        self._lock = threading.Lock()\n"
+            "\n"
+            "    def run(self):\n"
+            "        with self._lock:\n"
+            "            return helper()\n"
+        )
+        util.write_text("def helper():\n    return 0\n")
+        argv = [str(tmp_path / "src"), "--root", str(tmp_path)]
+        assert main(argv) == 0
+        capsys.readouterr()
+
+        util.write_text("import time\n\n\ndef helper():\n    time.sleep(0)\n")
+        assert main(argv) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "reprolint: 1 finding"
+        assert lines[0].startswith("src/repro/service/svc.py:12:")
+        assert ": flow-lockset: " in lines[0]
+        # linting writes nothing: no findings cache or other state file
+        written = sorted(
+            p.relative_to(tmp_path).as_posix()
+            for p in tmp_path.rglob("*")
+            if p.is_file()
+        )
+        assert written == ["src/repro/models/util.py", "src/repro/service/svc.py"]
+
 
 class TestCorpus:
     def test_uncharged_io_fires(self):
@@ -306,155 +354,15 @@ class TestSuppressionEdgeCases:
         assert filter_baseline(after, load_baseline(str(baseline))) == []
 
 
-class TestCacheAndJobs:
-    def make_tree(self, tmp_path):
-        bench = tmp_path / "bench_a.py"
-        bench.write_text(BENCH_VIOLATION)
-        clean = tmp_path / "clean.py"
-        clean.write_text("x = 1\n")
-        # a core file so the dependency fingerprint has something to watch
-        core = tmp_path / "src" / "repro" / "core"
-        core.mkdir(parents=True)
-        dep = core / "kernel_stub.py"
-        dep.write_text("y = 2\n")
-        return bench, clean, dep
-
-    def run(self, tmp_path, cache, **kwargs):
-        stats = {}
-        findings = lint_paths([str(tmp_path / "bench_a.py"),
-                               str(tmp_path / "clean.py")],
-                              root=str(tmp_path),
-                              cache_path=str(cache) if cache else None,
-                              stats=stats, **kwargs)
-        return findings, stats
-
-    def test_warm_run_hits_cache_and_matches(self, tmp_path):
-        self.make_tree(tmp_path)
-        cache = tmp_path / "cache.json"
-        cold, s_cold = self.run(tmp_path, cache)
-        warm, s_warm = self.run(tmp_path, cache)
-        assert s_cold == {"files": 2, "cached": 0, "linted": 2, "jobs": 1}
-        assert s_warm == {"files": 2, "cached": 2, "linted": 0, "jobs": 1}
-        assert [f.to_dict() for f in warm] == [f.to_dict() for f in cold]
-
-    def test_mtime_change_invalidates_one_file(self, tmp_path):
-        bench, _, _ = self.make_tree(tmp_path)
-        cache = tmp_path / "cache.json"
-        self.run(tmp_path, cache)
-        st = os.stat(bench)
-        os.utime(bench, ns=(st.st_atime_ns, st.st_mtime_ns + 1_000_000))
-        _, stats = self.run(tmp_path, cache)
-        assert stats["cached"] == 1 and stats["linted"] == 1
-
-    def test_content_change_relints_with_new_findings(self, tmp_path):
-        bench, _, _ = self.make_tree(tmp_path)
-        cache = tmp_path / "cache.json"
-        before, _ = self.run(tmp_path, cache)
-        assert rules_of(before) == ["bench-emit"]
-        bench.write_text(
-            "# reprolint: path=benchmarks/bench_planted.py\n"
-            "def bench_planted_scenario(benchmark):\n"
-            "    return benchmark\n"
-        )
-        after, _ = self.run(tmp_path, cache)
-        assert after == []
-
-    def test_dependency_change_invalidates_everything(self, tmp_path):
-        _, _, dep = self.make_tree(tmp_path)
-        cache = tmp_path / "cache.json"
-        self.run(tmp_path, cache)
-        dep.write_text("y = 3  # cross-file input changed\n")
-        _, stats = self.run(tmp_path, cache)
-        assert stats["cached"] == 0 and stats["linted"] == 2
-
-    def test_rule_selection_invalidates_cache(self, tmp_path):
-        self.make_tree(tmp_path)
-        cache = tmp_path / "cache.json"
-        self.run(tmp_path, cache)
-        _, stats = self.run(tmp_path, cache, rules=["bench-emit"])
-        assert stats["cached"] == 0
-
-    def test_no_cache_leaves_no_file(self, tmp_path):
-        self.make_tree(tmp_path)
-        findings, stats = self.run(tmp_path, cache=None)
-        assert rules_of(findings) == ["bench-emit"]
-        assert not (tmp_path / "cache.json").exists()
-
-    def test_corrupt_cache_is_ignored(self, tmp_path):
-        self.make_tree(tmp_path)
-        cache = tmp_path / "cache.json"
-        cache.write_text("{not json")
-        findings, stats = self.run(tmp_path, cache)
-        assert rules_of(findings) == ["bench-emit"]
-        assert stats["linted"] == 2
-
-    def test_parallel_jobs_match_serial(self):
-        serial = lint_paths([CORPUS], root=REPO)
-        parallel = lint_paths([CORPUS], root=REPO, jobs=2)
-        assert [f.to_dict() for f in parallel] == [f.to_dict() for f in serial]
-
-    def test_single_file_root_with_excess_jobs(self, tmp_path):
-        # one stale file, four shards: three workers get empty chunks
-        bench = tmp_path / "bench_a.py"
-        bench.write_text(BENCH_VIOLATION)
-        findings = lint_paths([str(bench)], root=str(tmp_path), jobs=4)
-        assert rules_of(findings) == ["bench-emit"]
-
-    def test_empty_root(self, tmp_path, capsys):
-        (tmp_path / "empty").mkdir()
-        findings = lint_paths([str(tmp_path / "empty")], root=str(tmp_path),
-                              jobs=4)
-        assert findings == []
-        rc = main([str(tmp_path / "empty"), "--root", str(tmp_path)])
-        assert rc == 0
-        assert "0 findings" in capsys.readouterr().out
-
-    def test_corrupt_cache_under_parallel_sharding(self, tmp_path):
-        self.make_tree(tmp_path)
-        cache = tmp_path / "cache.json"
-        cache.write_text('{"version": 1, "entries": ')  # truncated write
-        findings, stats = self.run(tmp_path, cache, jobs=4)
-        assert rules_of(findings) == ["bench-emit"]
-        assert stats["linted"] == 2 and stats["jobs"] == 4
-        # the rewritten cache must be valid again for the next (serial) run
-        _, warm = self.run(tmp_path, cache)
-        assert warm["cached"] == 2
-
-    def test_flow_rules_jobs_parity(self):
-        # the flow rules rebuild their project index inside each worker;
-        # sharding must not change what they report
-        flow_rules = ["flow-lockset", "flow-resource", "flow-charge"]
-        serial = lint_paths([CORPUS], root=REPO, rules=flow_rules)
-        sharded = lint_paths([CORPUS], root=REPO, rules=flow_rules, jobs=4)
-        assert serial  # the corpus plants violations for every flow rule
-        assert [f.to_dict() for f in sharded] == [f.to_dict() for f in serial]
-
-    def test_cli_no_cache_and_jobs_flags(self, capsys):
-        rc = main([CORPUS, "--root", REPO, "--no-cache", "--jobs", "2"])
-        out = capsys.readouterr().out
-        assert rc == 1
-        assert "reprolint: 31 findings" in out
-
-    def test_cli_cache_file_round_trip(self, tmp_path, capsys):
-        cache = str(tmp_path / "c.json")
-        assert main([CORPUS, "--root", REPO, "--cache-file", cache]) == 1
-        capsys.readouterr()
-        assert os.path.exists(cache)
-        rc = main([CORPUS, "--root", REPO, "--cache-file", cache])
-        out = capsys.readouterr().out
-        assert rc == 1
-        assert "reprolint: 31 findings" in out
-
-
 class TestCLI:
     def test_corpus_exits_one(self, capsys):
-        rc = main([CORPUS, "--root", REPO, "--no-cache"])
+        rc = main([CORPUS, "--root", REPO])
         out = capsys.readouterr().out
         assert rc == 1
         assert "reprolint: 31 findings" in out
 
     def test_json_format(self, capsys):
-        rc = main([CORPUS, "--root", REPO, "--format", "json", "--no-cache"])
+        rc = main([CORPUS, "--root", REPO, "--format", "json"])
         assert rc == 1
         payload = json.loads(capsys.readouterr().out)
         assert len(payload) == 31
@@ -520,8 +428,9 @@ class TestCLI:
         assert "0 findings" in out
 
     def test_module_invocation_matches_acceptance_command(self):
+        # no path arguments: the defaults are the acceptance paths
         proc = subprocess.run(
-            [sys.executable, "-m", "repro", "lint", "src", "benchmarks"],
+            [sys.executable, "-m", "repro", "lint"],
             cwd=REPO,
             env={**os.environ, "PYTHONPATH": os.path.join(REPO, "src")},
             capture_output=True,
@@ -529,6 +438,7 @@ class TestCLI:
             timeout=120,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout == "reprolint: 0 findings\n"
 
 
 class TestKernelRegistryCompleteness:
