@@ -359,10 +359,10 @@ class AEMPriorityQueue:
                 count += 1
                 new_max = rec
         else:
-            for block in self.machine.scan_blocks(leaf):
-                writer.extend(block)
-                count += len(block)
-                new_max = block[-1]
+            blocks = list(self.machine.scan_blocks(leaf))
+            writer.extend_blocks(blocks)
+            count = len(leaf)
+            new_max = blocks[-1][-1]
         self._beta = writer.close()
         self._beta_len = count
         self._beta_valid = count

@@ -32,12 +32,17 @@ collapsed.  For the left-to-right deletion sweep of heapsort this never
 degrades the height bound.
 
 General deletions (§4.3.1: "Supporting general deletions is not much
-harder"): buffers carry *operations* ``(key, seq, is_delete)`` with a global
-sequence number; sorting by ``(key, seq)`` keeps same-key operations in
-arrival order through every emptying, and operations are applied when they
-reach a leaf (an insert-then-delete pair annihilates there).  Deleting an
-absent key raises ``KeyError`` at application time.  Leaves store plain keys,
-so the read path (leftmost-leaf pops, draining) is unchanged.
+harder"): buffers carry *operations*.  A buffered insert is the key itself; a
+buffered delete is a one-slot :class:`_Delete` marker that compares exactly
+like its key.  A buffer's record order is arrival order, and every sort and
+merge that carries a buffer is stable (the Lemma 4.2 prefix sort keeps equal
+records in scan order; the tail merge gives ties to the older, sorted
+prefix), so same-key operations stay in arrival order through every emptying
+without a sequence number: the paper's §2 position index, kept implicit.
+Operations are applied when they reach a leaf (an insert-then-delete pair
+annihilates there).  Deleting an absent key raises ``KeyError`` at
+application time.  Leaves store plain keys, so the read path (leftmost-leaf
+pops, draining) is unchanged.
 """
 
 from __future__ import annotations
@@ -57,6 +62,40 @@ register_kernel_entry(
 )
 
 
+class _Delete:
+    """A buffered delete of ``key``.
+
+    It compares exactly like ``key`` (against keys and other markers, in
+    either operand order), so it sorts, routes and merges with its key's
+    other operations and arrival order decides between them.  Unhashable:
+    equal to its key but never interchangeable with it.
+    """
+
+    __slots__ = ("key",)
+    __hash__ = None
+
+    def __init__(self, key):
+        self.key = key
+
+    def __repr__(self) -> str:
+        return f"_Delete({self.key!r})"
+
+    def __eq__(self, other) -> bool:
+        return self.key == (other.key if type(other) is _Delete else other)
+
+    def __lt__(self, other) -> bool:
+        return self.key < (other.key if type(other) is _Delete else other)
+
+    def __le__(self, other) -> bool:
+        return self.key <= (other.key if type(other) is _Delete else other)
+
+    def __gt__(self, other) -> bool:
+        return self.key > (other.key if type(other) is _Delete else other)
+
+    def __ge__(self, other) -> bool:
+        return self.key >= (other.key if type(other) is _Delete else other)
+
+
 class _Node:
     """A buffer-tree node.  All fields are metadata except the buffers."""
 
@@ -74,7 +113,7 @@ class _Node:
         self.is_leaf = is_leaf
         self.keys: list = []  # router keys (len == len(children) - 1)
         self.children: list[_Node] = []
-        self.buffer: ExtArray | None = None  # unsorted pending inserts
+        self.buffer: ExtArray | None = None  # pending operations, arrival order
         self.buffer_count = 0
         self.elements: ExtArray | None = None  # sorted leaf payload
         self.element_count = 0
@@ -93,7 +132,7 @@ class BufferTree:
     kernel:
         ``"vectorized"`` (default) drains and distributes buffers in
         block-granular slices; ``"slow_reference"`` is the record-at-a-time
-        original.  Identical structure, contents and counters either way.
+        reference.  Identical structure, contents and counters either way.
     """
 
     def __init__(self, machine: AEMachine, k: int = 1, *, kernel: str | None = None):
@@ -113,7 +152,6 @@ class BufferTree:
         self.buffer_limit = self.l * params.B  # "full" threshold, lB records
         self.root = _Node(is_leaf=True)
         self.size = 0  # net size: inserts minus (assumed-valid) deletes
-        self._seq = 0  # global operation sequence number
         #: sticky: any delete op ever buffered (gates the bulk leaf merge)
         self._has_deletes = False
         # the root's partial buffer block stays in memory (Theorem 4.7)
@@ -156,7 +194,7 @@ class BufferTree:
     # ------------------------------------------------------------------ #
     def insert(self, key) -> None:
         """Append an insert operation to the root buffer; cascade when full."""
-        self._append_op(key, is_delete=False)
+        self._append_op(key)
         self.size += 1
 
     def delete(self, key) -> None:
@@ -167,12 +205,11 @@ class BufferTree:
         reaches its leaf.
         """
         self._has_deletes = True
-        self._append_op(key, is_delete=True)
+        self._append_op(_Delete(key))
         self.size -= 1
 
-    def _append_op(self, key, *, is_delete: bool) -> None:
-        self._root_buffer_writer().append((key, self._seq, is_delete))
-        self._seq += 1
+    def _append_op(self, op) -> None:
+        self._root_buffer_writer().append(op)
         self.root.buffer_count += 1
         if self.root.buffer_count >= self.buffer_limit:
             self._cascade_from(self.root)
@@ -180,10 +217,10 @@ class BufferTree:
     def insert_many(self, keys) -> None:
         """Insert many keys, batching the root-buffer appends.
 
-        The vectorized path stages up to ``buffer_limit - buffer_count``
-        operations at a time and appends them with one ``extend`` (identical
-        block layout and charges), cascading at exactly the record where the
-        record-at-a-time path would.
+        The vectorized path appends up to ``buffer_limit - buffer_count``
+        keys at a time with one ``extend`` (identical block layout and
+        charges), cascading at exactly the record where the record-at-a-time
+        path would.
         """
         if self.kernel == SLOW_REFERENCE:
             for key in keys:
@@ -196,10 +233,7 @@ class BufferTree:
         while pos < total:
             room = self.buffer_limit - self.root.buffer_count
             take = max(1, min(room, total - pos))
-            seq = self._seq
-            ops = [(key, seq + j, False) for j, key in enumerate(keys[pos : pos + take])]
-            self._root_buffer_writer().extend(ops)
-            self._seq += take
+            self._root_buffer_writer().extend(keys[pos : pos + take])
             self.root.buffer_count += take
             self.size += take
             pos += take
@@ -288,31 +322,30 @@ class BufferTree:
         if self.kernel == SLOW_REFERENCE:
             stream = self._drain_buffer_sorted(node)
             idx = 0  # current child under the sorted sweep
-            for entry in stream:
-                key = entry[0]
-                while idx < len(node.keys) and key >= node.keys[idx]:
+            for op in stream:
+                while idx < len(node.keys) and op >= node.keys[idx]:
                     idx += 1
-                writer_for(idx).append(entry)
+                writer_for(idx).append(op)
                 node.children[idx].buffer_count += 1
         else:
             # block-granular sweep: each sorted chunk is split into per-child
-            # segments at the router keys (bisect over the chunk's keys) and
-            # each segment lands with one cost-equivalent extend
+            # segments at the router keys (bisect over the chunk: operations
+            # compare like their keys) and each segment lands with one
+            # cost-equivalent extend
             routers = node.keys
             n_routers = len(routers)
             idx = 0
             for chunk in self._drain_buffer_sorted_blocks(node):
-                keys = [entry[0] for entry in chunk]
                 pos = 0
                 n_chunk = len(chunk)
                 while pos < n_chunk:
-                    key = keys[pos]
-                    while idx < n_routers and key >= routers[idx]:
+                    op = chunk[pos]
+                    while idx < n_routers and op >= routers[idx]:
                         idx += 1
                     if idx == n_routers:
                         end = n_chunk
                     else:
-                        end = bisect.bisect_left(keys, routers[idx], pos)
+                        end = bisect.bisect_left(chunk, routers[idx], pos)
                     segment = chunk if pos == 0 and end == n_chunk else chunk[pos:end]
                     writer_for(idx).extend(segment)
                     node.children[idx].buffer_count += end - pos
@@ -377,9 +410,9 @@ class BufferTree:
     def _merge_leaf_bulk(self, leaf: _Node, out_writer: BlockWriter) -> int:
         """Insert-only leaf emptying: bulk merge of op keys with the payload.
 
-        Materialises the payload run and the (already key-sorted) op-key run
-        and lets one C-level sort merge them (timsort detects the two runs
-        and gallops).  Preserves :meth:`_apply_ops` semantics for the
+        Materialises the payload run and the (already sorted) run of
+        buffered keys and lets one C-level sort merge them (timsort detects
+        the two runs and gallops).  Preserves :meth:`_apply_ops` semantics for the
         insert-only case — ``KeyError`` on a duplicate insert (against the
         payload or between two buffered inserts), reported at the smallest
         offending key, which in key order is the first the reference would
@@ -391,7 +424,7 @@ class BufferTree:
                 merged.extend(block)
         n_payload = len(merged)
         for chunk in self._drain_buffer_sorted_blocks(leaf):
-            merged.extend([entry[0] for entry in chunk])
+            merged.extend(chunk)
         had_ops = len(merged) > n_payload
         if had_ops and n_payload:
             merged.sort()  # two sorted runs: C-level galloping merge
@@ -412,28 +445,28 @@ class BufferTree:
         return len(merged)
 
     def _apply_ops(self, ops, payload):
-        """Merge an op stream (sorted by ``(key, seq)``) with a sorted key
-        payload, yielding the surviving keys in order.
+        """Merge an op stream (sorted, equal keys' operations in arrival
+        order) with a sorted key payload, yielding the surviving keys in
+        order.
 
-        Operations on one key apply in sequence order; an insert followed by
+        Operations on one key apply in arrival order; an insert followed by
         a delete annihilates; deleting an absent key raises ``KeyError``.
         """
         sentinel = object()
         op = next(ops, sentinel)
         pay = next(payload, sentinel)
         while op is not sentinel or pay is not sentinel:
-            if op is sentinel or (pay is not sentinel and pay < op[0]):
+            if op is sentinel or (pay is not sentinel and pay < op):
                 yield pay
                 pay = next(payload, sentinel)
                 continue
-            key = op[0]
+            key = op.key if type(op) is _Delete else op
             present = pay is not sentinel and pay == key
             if present:
                 pay = next(payload, sentinel)
             had_insert = False
-            while op is not sentinel and op[0] == key:
-                _key, _seq, is_delete = op
-                if is_delete:
+            while op is not sentinel and op == key:
+                if type(op) is _Delete:
                     if not present:
                         raise KeyError(f"delete of absent key {key!r}")
                     present = False
@@ -477,30 +510,23 @@ class BufferTree:
                     routers.append(first)
                 new_leaves.append(piece)
         else:
-            chunks = self.machine.scan_blocks(merged)
-            cur: list = []
-            pos = 0
+            # one read of the merged leaf, then each new leaf's records land
+            # with one extend (a new leaf starts mid-block of the merged run,
+            # so per-block extends would top up and flush every block)
+            records: list = []
+            for block in self.machine.scan_blocks(merged):
+                records.extend(block)
+            start = 0
             for size in sizes:
                 piece = _Node(is_leaf=True)
                 w = self.machine.writer(name="leaf")
-                first = None
-                need = size
-                while need:
-                    if pos >= len(cur):
-                        cur = next(chunks)
-                        pos = 0
-                    take = min(need, len(cur) - pos)
-                    seg = cur if pos == 0 and take == len(cur) else cur[pos : pos + take]
-                    if first is None:
-                        first = seg[0]
-                    w.extend(seg)
-                    pos += take
-                    need -= take
+                w.extend(records[start : start + size])
                 piece.elements = w.close()
                 piece.element_count = size
                 if new_leaves:
-                    routers.append(first)
+                    routers.append(records[start])
                 new_leaves.append(piece)
+                start += size
 
         parent = self._find_parent(self.root, leaf)
         if parent is None:
@@ -586,39 +612,46 @@ class BufferTree:
     def pop_leftmost_leaf(self) -> ExtArray | None:
         """Empty buffers along the root-to-leftmost-leaf path, then detach
         and return the leftmost leaf's sorted elements (or ``None`` if the
-        tree holds no elements)."""
+        tree holds no elements).  A leaf left empty because every one of its
+        keys was deleted is detached and the pop moves on to the next."""
         if self.size == 0:
             return None
-        self._seal_root_buffer()
-        # Empty every buffer on the leftmost path, top-down.  Each emptying
-        # distributes to *all* children (same asymptotics as emptying only
-        # toward the leftmost child); full descendants are resolved by the
-        # standard cascade.  A cascade can restructure the tree (splits), so
-        # the descent restarts from the root until it completes untouched.
         while True:
-            node = self.root
-            restructured = False
-            while not node.is_leaf:
-                if node.buffer_count > 0:
-                    self._cascade_from(node)
+            self._seal_root_buffer()
+            # Empty every buffer on the leftmost path, top-down.  Each
+            # emptying distributes to *all* children (same asymptotics as
+            # emptying only toward the leftmost child); full descendants are
+            # resolved by the standard cascade.  A cascade can restructure
+            # the tree (splits), so the descent restarts from the root until
+            # it completes untouched.
+            while True:
+                node = self.root
+                restructured = False
+                while not node.is_leaf:
+                    if node.buffer_count > 0:
+                        self._cascade_from(node)
+                        restructured = True
+                        break
+                    node = node.children[0]
+                if not restructured and node.buffer_count > 0:
+                    self._empty_leaf(node)
                     restructured = True
+                if not restructured:
                     break
-                node = node.children[0]
-            if not restructured and node.buffer_count > 0:
-                self._empty_leaf(node)
-                restructured = True
-            if not restructured:
-                break
 
-        elements = node.elements
-        count = node.element_count
-        node.elements = None
-        node.element_count = 0
-        self.size -= count
-        self._detach_leftmost_leaf()
-        if count == 0:
-            return self.pop_leftmost_leaf() if self.size > 0 else None
-        return elements
+            elements = node.elements
+            count = node.element_count
+            was_root = node is self.root
+            node.elements = None
+            node.element_count = 0
+            self.size -= count
+            self._detach_leftmost_leaf()
+            if count:
+                return elements
+            # an emptied root leaf means an empty tree, whatever ``size``
+            # says after an operation raised mid-emptying
+            if self.size <= 0 or was_root:
+                return None
 
     def _detach_leftmost_leaf(self) -> None:
         """Remove the leftmost leaf; drop childless ancestors; collapse a
@@ -685,14 +718,6 @@ class BufferTree:
     # ------------------------------------------------------------------ #
     # public streaming hooks (the engine's ``StreamSession`` drains here)
     # ------------------------------------------------------------------ #
-    @property
-    def next_seq(self) -> int:
-        """The sequence number the next operation will receive — a unique,
-        monotonically increasing id a caller may embed in composite keys
-        (the §2 position-index uniquification) before the insert consumes
-        it."""
-        return self._seq
-
     def drain_stream(self):
         """Yield every element in sorted order, charging each leaf's block
         reads as it is scanned (leftmost-leaf pops under the hood).
@@ -742,7 +767,11 @@ def _external_prefix_sort(
     machine: AEMachine, buf: ExtArray, prefix_len: int, kernel: str = SLOW_REFERENCE
 ) -> ExtArray:
     """Lemma 4.2 selection sort over the first ``prefix_len`` records of
-    ``buf`` (repeated scans of the prefix region; output written once)."""
+    ``buf`` (repeated scans of the prefix region; output written once).
+
+    Stable: equal records (a key and its delete marker, or a re-inserted
+    key) leave in scan order, which is their arrival order.
+    """
     import heapq
 
     params = machine.params
@@ -750,14 +779,14 @@ def _external_prefix_sort(
     M = params.M
     if kernel != SLOW_REFERENCE:
         # block-granular selection phases over the (truncated) prefix
-        # blocks; the records are unique triples, so every phase boundary
-        # is (last emitted, 1), the reference's strict ``> last_max`` filter
+        # blocks; each phase boundary is (last emitted, how many equal
+        # records are out), the stable order of the reference's pairs
         selection_phases(
             lambda: _prefix_blocks(machine, buf, prefix_len), prefix_len, M, out
         )
         return out.close()
     emitted = 0
-    last_max = None
+    last_max = None  # largest (record, scan position) pair emitted so far
     while emitted < prefix_len:
         working: list = []
         seen = 0
@@ -770,17 +799,19 @@ def _external_prefix_sort(
             for rec in block:
                 if seen >= prefix_len:
                     break
+                # the §2 position index: equal records order by position
+                pair = (rec, seen)
                 seen += 1
-                if last_max is not None and rec <= last_max:
+                if last_max is not None and pair <= last_max:
                     continue
                 if len(working) < M:
-                    heapq.heappush(working, _NegKey(rec))
-                elif rec < working[0].value:
-                    heapq.heapreplace(working, _NegKey(rec))
+                    heapq.heappush(working, _NegKey(pair))
+                elif pair < working[0].value:
+                    heapq.heapreplace(working, _NegKey(pair))
         batch = sorted(item.value for item in working)
         if not batch:
             raise AssertionError("prefix sort stalled")
-        for rec in batch:
+        for rec, _ in batch:
             out.append(rec)
         emitted += len(batch)
         last_max = batch[-1]

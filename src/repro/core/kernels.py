@@ -15,10 +15,14 @@ algorithms.  The *vectorized* kernels move whole blocks — ``scan_blocks`` /
 Vectorization is required to be **I/O-invisible**: for every algorithm the
 vectorized path must produce byte-identical output blocks and *exactly* the
 same ``reads`` / ``writes`` / ``cost`` tallies as the record-at-a-time path,
-because the counters are the paper's claim.  The original implementations are
-therefore kept, verbatim, behind the ``"slow_reference"`` mode, and the
-parity suite (``tests/test_kernel_parity.py``) pins the two modes against
-each other on outputs and counters.
+because the counters are the paper's claim.  The record-at-a-time
+implementations are therefore kept behind the ``"slow_reference"`` mode, and
+the parity suite (``tests/test_kernel_parity.py``) pins the two modes against
+each other on outputs and counters.  They are the original code except where
+a stable order must be spelled out: the Lemma 4.2 selection phases (selection
+sort and the buffer tree's prefix sort) select ``(record, scan position)``
+pairs, so equal records leave in scan order as they do in the vectorized
+kernel.
 
 Selecting a mode
 ----------------

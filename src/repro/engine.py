@@ -544,12 +544,12 @@ class StreamSession:
 
     Duplicate keys are legal: following the paper's §2 remark that "a
     position index can always be added to make keys unique", records enter
-    the tree as ``(key, seq)`` pairs and are unwrapped on drain, so equal
-    keys coexist and drain in arrival order.  ``delete(key)`` removes the
-    most recently pushed live instance of ``key`` (raising ``KeyError`` if
-    none is live); the per-key liveness index is in-memory session
-    bookkeeping, free under the model like the priority queue's
-    implicit-deletion pair list.
+    the tree as ``(key, uid)`` pairs, ``uid`` being the session's push count,
+    and are unwrapped on drain, so equal keys coexist and drain in arrival
+    order.  ``delete(key)`` removes the most recently pushed live instance
+    of ``key`` (raising ``KeyError`` if none is live); the per-key liveness
+    index is in-memory session bookkeeping, free under the model like the
+    priority queue's implicit-deletion pair list.
     """
 
     def __init__(self, engine: SortEngine, k: int = 1):
@@ -566,7 +566,7 @@ class StreamSession:
         #: ``report`` is the most recent one
         self.reports: list = []
         self.report = None
-        self._live: dict = {}  # key -> live seqs (most recent last)
+        self._live: dict = {}  # key -> live uids (most recent last)
         self._reads_mark = 0
         self._writes_mark = 0
         self._ops_mark = 0  # tree ops billed by earlier drains
@@ -596,9 +596,9 @@ class StreamSession:
     def push(self, record) -> None:
         """Ingest one record (amortized buffer-tree insert)."""
         self._require_open()
-        seq = self.tree.next_seq  # the tree's op counter doubles as the uid
-        self.tree.insert((record, seq))
-        self._live.setdefault(record, []).append(seq)
+        uid = self.pushed  # the push count doubles as the position index
+        self.tree.insert((record, uid))
+        self._live.setdefault(record, []).append(uid)
         self.pushed += 1
 
     def push_many(self, records: Iterable) -> None:
@@ -614,13 +614,13 @@ class StreamSession:
         session's liveness index can afford to fail fast).
         """
         self._require_open()
-        seqs = self._live.get(key)
-        if not seqs:
+        uids = self._live.get(key)
+        if not uids:
             raise KeyError(f"delete of absent key {key!r}")
-        seq = seqs.pop()
-        if not seqs:
+        uid = uids.pop()
+        if not uids:
             del self._live[key]
-        self.tree.delete((key, seq))
+        self.tree.delete((key, uid))
         self.deleted += 1
 
     # ------------------------------------------------------------------ #
@@ -682,27 +682,27 @@ class StreamSession:
         surplus = taken[m:]
         taken = taken[:m]
         # the last leaf rarely lands exactly on m: everything beyond goes
-        # back into the tree as ordinary (key, seq) inserts, keeping their
-        # original sequence numbers so arrival order survives the round trip
+        # back into the tree as ordinary (key, uid) inserts, keeping their
+        # original uids so arrival order survives the round trip
         for pair in surplus:
             self.tree.insert(pair)
         self._reinserts += len(surplus)
         # the extracted records leave the session's liveness index
-        for key, seq in taken:
-            seqs = self._live.get(key)
-            if seqs is not None:
+        for key, uid in taken:
+            uids = self._live.get(key)
+            if uids is not None:
                 try:
-                    seqs.remove(seq)
+                    uids.remove(uid)
                 except ValueError:  # pragma: no cover - index out of sync
                     pass
-                if not seqs:
+                if not uids:
                     del self._live[key]
-        out = [key for key, _seq in taken]
+        out = [key for key, _uid in taken]
         return self._delta_report(out, algorithm=f"stream-pop-min(k={self.k})")
 
     def _drain(self):
-        # unwrap the (key, seq) uniquifying pairs (§2 position index)
-        out = [key for key, _seq in self.tree.drain_stream()]
+        # unwrap the (key, uid) uniquifying pairs (§2 position index)
+        out = [key for key, _uid in self.tree.drain_stream()]
         self._live.clear()
         return self._delta_report(out, algorithm=f"stream-buffer-tree(k={self.k})")
 

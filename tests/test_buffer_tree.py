@@ -1,6 +1,8 @@
 """Tests for the §4.3 buffer tree (structure, emptying, splits, leaf pops)."""
 
 import random
+import sys
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -222,6 +224,67 @@ class TestGeneralDeletions:
                 ref.add(key)
                 tree.insert(key)
         assert tree.drain_sorted() == sorted(ref)
+
+
+@contextmanager
+def shallow_stack(headroom: int = 150):
+    """Cap the recursion limit a little above the caller's depth, so code
+    that recurses once per emptied leaf fails on a small tree."""
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    previous = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + headroom)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(previous)
+
+
+class TestEmptiedLeaves:
+    """A leaf whose keys were all deleted detaches empty; popping must move
+    on to the next leaf in a loop, not with one call per empty leaf."""
+
+    N = 6000
+
+    def test_drain_past_many_emptied_leaves(self):
+        tree, _ = make_tree(M=16, B=4, k=1)
+        tree.insert_many(range(self.N))
+        first = tree.pop_leftmost_leaf().peek_list()
+        for key in range(len(first), self.N - 10):
+            tree.delete(key)
+        with shallow_stack():
+            out = tree.drain_sorted()
+        assert out == list(range(self.N - 10, self.N))
+        assert tree.size == 0
+
+    def test_stream_pop_min_past_many_emptied_leaves(self):
+        from repro import SortEngine
+
+        session = SortEngine(MachineParams(M=16, B=4, omega=4)).stream(k=1)
+        session.push_many(range(self.N))
+        session.flush()
+        session.push_many(range(self.N))
+        for key in range(self.N - 10):
+            session.delete(key)
+        with shallow_stack():
+            popped = session.pop_min(5).output
+            rest = session.close().output
+        assert popped == list(range(self.N - 10, self.N - 5))
+        assert rest == list(range(self.N - 5, self.N))
+
+    def test_pop_after_a_raised_emptying_ends(self):
+        # the bad delete raises after the root leaf was emptied, so the
+        # size no longer matches the (now empty) tree; a later pop must
+        # not keep detaching the same empty root leaf
+        tree, _ = make_tree(M=16, B=4, k=1)
+        tree.insert_many(range(5))
+        tree.delete(10_000)
+        with pytest.raises(KeyError, match="absent"):
+            tree.drain_sorted()
+        assert tree.pop_leftmost_leaf() is None
 
 
 class TestWriteEfficiency:

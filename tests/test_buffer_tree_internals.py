@@ -1,11 +1,14 @@
 """White-box tests for the buffer tree's streaming/splitting machinery."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.buffer_tree import (
     BufferTree,
+    _Delete,
     _external_prefix_sort,
     _skip_stream,
 )
@@ -112,3 +115,63 @@ class TestMultiwaySplit:
         tree.insert_many(data)
         assert tree.internal_splits > 0
         assert tree.drain_sorted() == sorted(data)
+
+
+class TestArrivalOrder:
+    """Buffers keep no sequence number: a delete is a ``_Delete`` marker
+    that compares like its key, and equal keys' operations keep arrival
+    order because every sort and merge over a buffer is stable."""
+
+    @pytest.mark.parametrize("key, smaller, larger", [(5, 4, 6), ((5, 2), (5, 1), (6, 0))])
+    def test_marker_compares_like_its_key(self, key, smaller, larger):
+        marker = _Delete(key)
+        assert marker == key and key == marker
+        assert not (marker != key) and not (key != marker)
+        assert marker <= key <= marker and marker >= key >= marker
+        assert not (marker < key) and not (key < marker)
+        assert smaller < marker < larger
+        assert larger > marker > smaller
+        assert marker != smaller and smaller != marker
+        assert _Delete(smaller) < marker < _Delete(larger)
+        assert marker == _Delete(key)
+
+    def test_sort_keeps_marker_in_arrival_order(self):
+        ops = [7, _Delete(3), 3, 1, _Delete(7), _Delete(3), 3]
+        ops.sort()
+        assert [(type(op) is _Delete, op) for op in ops] == [
+            (False, 1), (True, 3), (False, 3), (True, 3), (False, 3),
+            (False, 7), (True, 7),
+        ]
+
+    def test_marker_is_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(_Delete(1))
+        with pytest.raises(TypeError):
+            {_Delete(1)}
+
+    def test_alternating_ops_on_one_key_through_cascades(self):
+        """Insert / delete / insert ... of one key, with filler between the
+        operations: at fanout 4 each filler batch overfills the root buffer,
+        so the key's operations are sorted, routed and merged together with
+        others through several levels before they meet at their leaf."""
+        tree = BufferTree(make_machine(M=16, B=4), k=1)
+        rng = random.Random(0)
+        fresh = iter(rng.sample(range(0, 100_000, 2), 1_000))
+        key = 50_001
+        filler: set = set()
+        for i in range(9):
+            if i % 2 == 0:
+                tree.insert(key)
+            else:
+                tree.delete(key)
+            batch = [next(fresh) for _ in range(24)]
+            emptyings = tree.emptyings
+            tree.insert_many(batch)
+            assert tree.emptyings > emptyings
+            filler.update(batch)
+        assert tree.internal_splits > 0
+        assert tree.drain_sorted() == sorted(filler | {key})
+        # five inserts and four deletes: each delete removed the key either
+        # from a leaf's payload or, when it met the insert before it in one
+        # leaf emptying, by annihilation (pinned for this seed)
+        assert tree.annihilations == 3
