@@ -49,6 +49,7 @@ SINGLE_CHARGES = frozenset(
 CHARGED_PRIMITIVES = frozenset(
     {
         "read_block",
+        "read_blocks",
         "write_block",
         "scan",
         "scan_blocks",

@@ -24,7 +24,8 @@ Server result tickets
     future in the registry forever — nobody can ever evict it.
 ``SealedBlock`` escape
     Names bound from ``read_block(..., copy=False)`` / iteration of
-    ``scan_blocks(...)`` are zero-copy views of physical storage.  Storing
+    ``scan_blocks(...)`` or ``read_blocks(...)`` (directly or through
+    ``zip``) are zero-copy views of physical storage.  Storing
     one whole (append to a container, assignment to an attribute or
     subscript) or returning it raw lets it outlive its block and alias
     later writes; ``yield`` is allowed (streaming to an in-scope consumer
@@ -55,7 +56,7 @@ class PairFinding:
 _WRITER_FACTORIES = ("writer", "BlockWriter")
 
 #: sealed-view producers
-_SEALED_SCAN = "scan_blocks"
+_SEALED_ITERS = ("scan_blocks", "read_blocks")
 _SEALED_READ = "read_block"
 
 
@@ -323,13 +324,27 @@ def _sealed_names(fn_node: ast.AST) -> dict[str, int]:
                 if _is_sealed_read(sub.value):
                     names[target.id] = sub.lineno
         elif isinstance(sub, (ast.For, ast.AsyncFor)):
-            if (
-                isinstance(sub.target, ast.Name)
-                and isinstance(sub.iter, ast.Call)
-                and _call_attr_or_name(sub.iter) == _SEALED_SCAN
-            ):
-                names[sub.target.id] = sub.lineno
+            for target, it in _loop_bindings(sub.target, sub.iter):
+                if (
+                    isinstance(target, ast.Name)
+                    and isinstance(it, ast.Call)
+                    and _call_attr_or_name(it) in _SEALED_ITERS
+                ):
+                    names[target.id] = sub.lineno
     return names
+
+
+def _loop_bindings(target: ast.AST, it: ast.AST):
+    """``for t in it`` → ``(t, it)``; ``for a, b in zip(x, y)`` also
+    pairs each tuple element with its ``zip`` argument."""
+    yield target, it
+    if (
+        isinstance(target, ast.Tuple)
+        and isinstance(it, ast.Call)
+        and _call_attr_or_name(it) == "zip"
+        and len(target.elts) == len(it.args)
+    ):
+        yield from zip(target.elts, it.args)
 
 
 def _check_sealed_escape(

@@ -14,7 +14,8 @@ delta it produced against the physical blocks it moved and raises
 Checks installed by :func:`enable`
 ----------------------------------
 * ``read_block`` / ``write_block`` must move the counter by exactly one
-  block read / write per call.
+  block read / write per call; ``read_blocks`` by exactly one read per
+  block in the batch.
 * ``scan`` / ``scan_blocks`` must charge exactly one read per non-empty
   physical block (verified at the batch-charge point and at exhaustion;
   an early-abandoned scan legitimately charges less and is not checked).
@@ -29,8 +30,8 @@ Checks installed by :func:`enable`
 * ``read_block(copy=False)`` returns a :class:`SealedBlock` — a
   mutation-trapping view of the resident block — so a caller that mutates
   secondary memory through the read-only fast path raises instead of
-  corrupting blocks behind the counter's back.  ``scan_blocks`` seals the
-  blocks it yields the same way.
+  corrupting blocks behind the counter's back.  ``read_blocks`` and
+  ``scan_blocks`` seal the blocks they return or yield the same way.
 * The single-charge counter methods (``charge_block_read`` /
   ``charge_block_write``), branch-free on the hot path, are replaced with
   validating versions so a negative count raises like the batch API does
@@ -90,6 +91,7 @@ class SealedBlock(list):
 
 _PATCH_TARGETS = (
     (AEMachine, "read_block"),
+    (AEMachine, "read_blocks"),
     (AEMachine, "write_block"),
     (AEMachine, "scan"),
     (AEMachine, "scan_blocks"),
@@ -140,6 +142,7 @@ def enable() -> None:
         _originals[(cls, name)] = getattr(cls, name)
 
     orig_read_block = _originals[(AEMachine, "read_block")]
+    orig_read_blocks = _originals[(AEMachine, "read_blocks")]
     orig_write_block = _originals[(AEMachine, "write_block")]
     orig_scan = _originals[(AEMachine, "scan")]
     orig_scan_blocks = _originals[(AEMachine, "scan_blocks")]
@@ -153,6 +156,16 @@ def enable() -> None:
         if got != 1:
             raise _drift("read_block", 1, got, "read")
         return blk if copy else SealedBlock(blk)
+
+    def read_blocks(self, arrs, bis):
+        for arr in arrs:
+            _audit(arr)
+        before = self.counter.block_reads
+        blocks = orig_read_blocks(self, arrs, bis)
+        got = self.counter.block_reads - before
+        if got != len(arrs) or len(blocks) != len(arrs):
+            raise _drift("read_blocks", len(arrs), got, "read")
+        return [SealedBlock(blk) for blk in blocks]
 
     def write_block(self, arr, bi, values):
         _audit(arr)
@@ -255,6 +268,7 @@ def enable() -> None:
         self.block_writes += n
 
     AEMachine.read_block = read_block
+    AEMachine.read_blocks = read_blocks
     AEMachine.write_block = write_block
     AEMachine.scan = scan
     AEMachine.scan_blocks = scan_blocks

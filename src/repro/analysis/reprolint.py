@@ -366,6 +366,15 @@ def main(argv: list[str] | None = None, out=None) -> int:
     if args.dump_graphs:
         return _dump_graphs(args.root, args.dump_graphs, out)
 
+    # a bad baseline is a usage error: report it before the (slow) lint
+    baseline = None
+    if args.baseline:
+        try:
+            baseline = load_baseline(args.baseline)
+        except (OSError, ValueError) as exc:
+            print(f"reprolint: error: {exc}", file=sys.stderr)
+            return 2
+
     try:
         findings = lint_paths(args.paths, root=args.root, rules=args.rules)
     except (OSError, SyntaxError, KeyError, ValueError) as exc:
@@ -378,12 +387,8 @@ def main(argv: list[str] | None = None, out=None) -> int:
               f"{args.write_baseline}", file=out)
         return 0
 
-    if args.baseline:
-        try:
-            findings = filter_baseline(findings, load_baseline(args.baseline))
-        except (OSError, ValueError) as exc:
-            print(f"reprolint: error: {exc}", file=sys.stderr)
-            return 2
+    if baseline is not None:
+        findings = filter_baseline(findings, baseline)
 
     if args.format == "json":
         render_json(findings, out)

@@ -43,6 +43,31 @@ A round still outputs at least ``M`` records whenever any capacity event
 occurred (the queue held ``M`` records at that moment and all of them pop
 this round), so Lemma 4.1's ``ceil(n/M)``-round bound — and hence Theorem
 4.3 — is unchanged.
+
+Kernels
+-------
+:func:`_merge` is the record-at-a-time reference: a sorted queue of
+``(key, run, is_last)`` entries.  It is the ``slow_reference`` kernel and
+runs the paper-literal ablation.  :func:`_merge_vectorized`, the default,
+takes the same decisions in the same order with bare keys: the queue is two
+sorted key lists, the ``is_last`` flags become a sorted list of ``(block-last
+key, run)`` boundaries that drains cut at with ``bisect``, and phase 1 reads
+the current block of every run in one batched charge
+(:meth:`~repro.models.external_memory.AEMachine.read_blocks`).  Equal keys
+in different runs need one extra rule, described in its docstring; with it
+both kernels write the same blocks and charge the same reads and writes on
+every input that sorts, and both raise :class:`StrandingDetected` on the
+rest (see below).
+
+Equal keys
+----------
+The ``lastV < key`` filter is the paper's, which assumes distinct keys (§2).
+A copy of a key that is still outside the queue when another copy is
+written can never be admitted again, because ``lastV`` has reached its key.
+That happens when a round's cut — the phase-1 cap, an ejection or a skip —
+falls between equal keys, or when equal keys straddle a block boundary of
+one run.  The merge then raises :class:`StrandingDetected` instead of
+returning a short output.
 """
 
 from __future__ import annotations
@@ -66,9 +91,10 @@ _INF = object()  # sentinel: larger than every key
 
 
 class StrandingDetected(RuntimeError):
-    """Raised when the paper-literal merge (``round_threshold=False``)
-    permanently strands a record — the erratum this module's docstring
-    documents.  The fixed algorithm never raises this."""
+    """Raised when a merge permanently strands a record: the paper-literal
+    merge (``round_threshold=False``) through the erratum this module's
+    docstring documents, either merge on repeated keys (see "Equal keys"
+    there).  On distinct keys the fixed algorithm never raises this."""
 
 
 class _MergeQueue:
@@ -245,27 +271,6 @@ def _merge(
     return out.close()
 
 
-def _splice_sorted(items: list, seg: list) -> None:
-    """Merge sorted ``seg`` into sorted ``items`` in place.
-
-    Finds each maximal run of ``seg`` that falls into one gap of ``items``
-    (``bisect``) and inserts it with a single slice assignment — a C-level
-    ``memmove`` per *gap*, instead of one ``insort`` per record.
-    """
-    ins = 0
-    i0 = 0
-    ns = len(seg)
-    while i0 < ns:
-        ins = bisect.bisect_right(items, seg[i0], ins)
-        if ins == len(items):
-            items.extend(seg[i0:] if i0 else seg)
-            return
-        j = bisect.bisect_left(seg, items[ins], i0)
-        items[ins:ins] = seg[i0:j]
-        ins += j - i0
-        i0 = j
-
-
 def _merge_vectorized(
     machine: AEMachine,
     runs: list[ExtArray],
@@ -275,19 +280,37 @@ def _merge_vectorized(
 
     Control flow — which block is read when, which records each round
     admits, ejects or strands — is *identical* to :func:`_merge`; only the
-    in-memory mechanics are batched:
+    in-memory mechanics are batched, and the queue holds bare keys instead
+    of the reference's ``(key, run, is_last)`` entries:
 
-    * phase-1 admission slices a block's admissible segment with ``bisect``
-      (runs are sorted, so records ``<= lastV`` are a prefix and records
-      ``>= T`` a suffix) and, when the whole segment fits without capacity
-      events, splices it into the queue with one C-level sort of two sorted
-      runs; capacity-constrained blocks fall back to the reference's
-      faithful eject/skip loop;
-    * phase-2 drains the maximal queue prefix up to the next block-boundary
-      entry with one ``extend`` to the output writer instead of a ``pop(0)``
-      (an O(M) list shift!) per record.
+    * **Queue.**  Two sorted key lists: ``settled``, and ``recent`` — the
+      phase-2 admissions since the last merge of the two.  ``recent`` is
+      merged into ``settled`` (one C-level sort of two sorted runs) once it
+      holds more than ``isqrt(M*B)`` keys, or when a capacity event needs
+      the queue's top.
+    * **Block boundaries.**  ``bounds`` is a sorted list of ``(block-last
+      key, run)`` pairs, one per run whose block-last record is queued —
+      the entries the reference flags ``is_last``.  A drain pops the
+      smallest pair ``(b, i)`` and writes every queued key ``<= b``
+      (``bisect_right``) with one ``extend``; an ejection of the keys
+      ``>= x`` deletes the pairs with key ``>= x``, a suffix of the list.
+    * **Ties.**  The reference's entry order leaves the copies of ``b``
+      from runs after ``i`` queued when it drains ``(b, i, True)``, so when
+      the queue holds more than one copy of ``b`` the drain holds back the
+      copies in those runs' admitted slices.  On unique keys it never
+      fires.  A cut (phase-1 cap, ejection or skip) that splits equal keys
+      strands a record in both kernels, which then raise
+      :class:`StrandingDetected`; on every input that sorts the two give
+      byte-identical outputs and counters.
+    * **Phase 1** reads the current block of every live run in one
+      :meth:`~repro.models.external_memory.AEMachine.read_blocks` batch
+      (one read charged per block, in one counter update), slices each
+      admissible window with ``bisect`` and keeps the ``M`` smallest keys
+      with one ``sort``.  Phase-2 admission likewise slices the window and,
+      on a capacity event, ejects the queue's top with one slice delete.
 
-    Both give byte-identical outputs and counters; the parity suite pins it.
+    The parity suite, the golden fixture and ``tests/test_merge_kernels.py``
+    pin the equivalence.
     """
     params = machine.params
     n = sum(r.length for r in runs)
@@ -298,106 +321,112 @@ def _merge_vectorized(
     footprint = params.M + 2 * params.B
 
     M = params.M
-    items: list[tuple] = []  # sorted entries (key, run_index, is_last_in_block)
-    pointers = [0] * len(runs)  # I_1..I_l: current block index per run
+    spill = math.isqrt(M * params.B)  # bound on ``recent`` before it merges
+    settled: list = []  # sorted queued keys
+    recent: list = []  # sorted phase-2 admissions not yet merged in
+    bounds: list[tuple] = []  # sorted (block-last key, run) of queued block-lasts
+    n_runs = len(runs)
+    slices: list = [()] * n_runs  # each run's admitted slice of its current block
+    nblocks = [run.num_blocks for run in runs]
+    pointers = [0] * n_runs  # I_1..I_l: current block index per run
+    live = list(range(n_runs))  # runs whose pointer has not passed the end
     last_v = None  # last value written to the output (None = -inf)
     written = 0
     threshold = _INF  # per-round cap T (reset each round)
 
+    def settle() -> None:
+        settled.extend(recent)
+        settled.sort()
+        recent.clear()
+
     def process_block(i: int) -> None:
         """Read run i's current block and admit eligible records in bulk."""
         nonlocal threshold
-        run = runs[i]
         bi = pointers[i]
-        if bi >= run.num_blocks:
+        if bi >= nblocks[i]:
             return
-        block = machine.read_block(run, bi, copy=False)
+        block = machine.read_block(runs[i], bi, copy=False)
         blk_len = len(block)
-        start = bisect.bisect_right(block, last_v) if last_v is not None else 0
+        start = bisect.bisect_right(block, last_v)
         if threshold is _INF:
             end = blk_len
         else:
             end = bisect.bisect_left(block, threshold, start)
-        if end <= start:
+        seg = block[start:end]
+        slices[i] = seg
+        if not seg:
             return
-        if start == 0 and end == blk_len:
-            seg = [(rec, i, False) for rec in block]
-            seg[-1] = (block[-1], i, True)
-        else:
-            last_pos = blk_len - 1
-            seg = [(block[pos], i, pos == last_pos) for pos in range(start, end)]
-        free = M - len(items)
+        free = M - len(settled) - len(recent)
         if len(seg) <= free:
-            # no capacity event possible: splice the sorted segment into the
-            # sorted queue, one C-level slice insertion per gap
-            if not items or seg[0] >= items[-1]:
-                items.extend(seg)
+            # no capacity event possible
+            if recent and seg[0] < recent[-1]:
+                recent.extend(seg)
+                recent.sort()
             else:
-                _splice_sorted(items, seg)
+                recent.extend(seg)
+            if len(recent) > spill:
+                settle()
+            if end == blk_len:
+                bisect.insort(bounds, (block[-1], i))
             return
         # Capacity-constrained admission, batched.  The reference processes
         # the (ascending) segment one record at a time: fill free slots,
         # then each further record either ejects the queue max (if smaller)
         # or is skipped, capping the round threshold and ending the block
         # (everything later is larger still).  Because admitted records are
-        # never the queue max, the ejected entries are exactly the top ``t``
-        # of the pre-admission queue, where ``t`` is the largest prefix of
-        # the segment with ``seg[j] < items[M-1-j]`` — so the whole exchange
-        # is one slice delete plus one splice, and the threshold drops to
-        # the smallest ejected key (then to the first skipped key, if that
-        # skip was still admissible).
-        if free:
-            head = seg[:free]
-            if not items or head[0] >= items[-1]:
-                items.extend(head)
-            else:
-                _splice_sorted(items, head)
-            seg = seg[free:]
+        # never the queue max, the ejected keys are exactly the top ``t`` of
+        # the queue after the free slots fill, where ``t`` is the largest
+        # prefix of the rest with ``rest[j] < settled[M-1-j]`` — so the
+        # whole exchange is one slice delete plus one merge, and the
+        # threshold drops to the smallest ejected key (then to the first
+        # skipped key, if that skip was still admissible).
+        settled.extend(recent)
+        settled.extend(seg[:free])
+        settled.sort()
+        recent.clear()
+        rest = seg[free:]
         t = 0
-        ns = len(seg)
-        while t < ns and seg[t][0] < items[M - 1 - t][0]:
+        ns = len(rest)
+        while t < ns and rest[t] < settled[M - 1 - t]:
             t += 1
         if t:
-            ejected_min = items[M - t][0]
+            ejected_min = settled[M - t]
             threshold = (
                 ejected_min if threshold is _INF else min(threshold, ejected_min)
             )
-            del items[M - t :]
-            admitted = seg[:t]
-            if not items or admitted[0] >= items[-1]:
-                items.extend(admitted)
-            else:
-                _splice_sorted(items, admitted)
+            del settled[M - t :]
+            del bounds[bisect.bisect_left(bounds, (ejected_min,)) :]
+            settled.extend(rest[:t])
+            settled.sort()
         if t < ns:
-            rec = seg[t][0]
+            slices[i] = seg[: free + t]
+            rec = rest[t]
             if threshold is _INF or rec < threshold:
                 # skipped due to capacity while still admissible: cap the
                 # round at this key
-                threshold = rec if threshold is _INF else min(threshold, rec)
+                threshold = rec
+        elif end == blk_len:
+            bisect.insort(bounds, (block[-1], i))
 
-    n_runs = len(runs)
     phase1_margin = M + 1 + (M >> 1)
     guard.acquire(footprint)
     try:
         while written < n:
-            # ---- phase 1: one pass over every run's current block ----------
+            # ---- phase 1: one batched read of every run's current block ----
             # The round starts with an empty queue, so its outcome is closed
-            # form: the queue ends as the M smallest admissible entries across
+            # form: the queue ends as the M smallest admissible keys across
             # all current blocks, and the round threshold T ends at the
             # (M+1)-th (every eject/skip key has M smaller keys already seen,
             # so T can never undercut it; the (M+1)-th itself is ejected,
-            # skipped, or T-filtered).  Gather candidate windows per run with
-            # one listcomp each, keep the M+1 smallest (pruned at 1.5M so the
-            # scratch stays bounded), then cut the queue and T together —
-            # no per-record queue traffic at all.
+            # skipped, or T-filtered).  Gather each run's candidate window,
+            # keep the M+1 smallest (pruned at 1.5M so the scratch stays
+            # bounded), then cut the queue, T and the boundaries together.
             threshold = _INF
             cutoff = None  # running (M+1)-th smallest key
-            for i in range(n_runs):
-                run = runs[i]
-                bi = pointers[i]
-                if bi >= run.num_blocks:
-                    continue
-                block = machine.read_block(run, bi, copy=False)
+            live = [i for i in live if pointers[i] < nblocks[i]]
+            live_runs = [runs[i] for i in live]
+            bis = [pointers[i] for i in live]
+            for i, block in zip(live, machine.read_blocks(live_runs, bis)):
                 blk_len = len(block)
                 start = bisect.bisect_right(block, last_v) if last_v is not None else 0
                 end = (
@@ -406,52 +435,78 @@ def _merge_vectorized(
                     else bisect.bisect_right(block, cutoff, start)
                 )
                 if end <= start:
+                    # a run with no admitted slice keeps its old one: none of
+                    # its keys equals a key queued this round
                     continue
-                if start == 0 and end == blk_len:
-                    seg = [(rec, i, False) for rec in block]
-                    seg[-1] = (block[-1], i, True)
-                else:
-                    last_pos = blk_len - 1
-                    seg = [(block[pos], i, pos == last_pos) for pos in range(start, end)]
-                items.extend(seg)
-                if len(items) >= phase1_margin:
-                    items.sort()
-                    del items[M + 1 :]
-                    cutoff = items[-1][0]
-            items.sort()
-            if len(items) > M:
-                threshold = items[M][0]
-                del items[M:]
-            if not items:
+                seg = block[start:end]
+                slices[i] = seg
+                settled.extend(seg)
+                if end == blk_len:
+                    bounds.append((block[-1], i))
+                if len(settled) >= phase1_margin:
+                    settled.sort()
+                    del settled[M + 1 :]
+                    cutoff = settled[-1]
+            settled.sort()
+            bounds.sort()
+            if len(settled) > M:
+                threshold = settled[M]
+                del settled[M:]
+                del bounds[bisect.bisect_left(bounds, (threshold,)) :]
+            if not settled:
                 raise StrandingDetected(
                     "merge round admitted no records with "
                     f"{n - written} unwritten: the paper-literal filter stranded "
                     "them (see the module docstring erratum)"
                 )
             # ---- phase 2: bulk-drain up to each block boundary -------------
-            while items:
-                idx = 0
-                n_items = len(items)
-                while idx < n_items and not items[idx][2]:
-                    idx += 1
-                if idx == n_items:
-                    # no boundary entry left: drain the whole queue
-                    out.extend([e[0] for e in items])
-                    written += n_items
-                    last_v = items[-1][0]
-                    items.clear()
-                    break
-                batch = items[: idx + 1]
-                del items[: idx + 1]
-                out.extend([e[0] for e in batch])
+            while bounds:
+                b, i = bounds.pop(0)
+                hi = bisect.bisect_right(settled, b)
+                hi_r = bisect.bisect_right(recent, b) if recent else 0
+                if (
+                    (hi > 1 and settled[hi - 2] == b)
+                    or (hi_r > 1 and recent[hi_r - 2] == b)
+                    or (hi and hi_r and settled[hi - 1] == b == recent[hi_r - 1])
+                ):
+                    # several queued copies of b: hold back those of later runs
+                    settle()
+                    hi = bisect.bisect_right(settled, b)
+                    hi_r = 0
+                    copies = hi - bisect.bisect_left(settled, b, 0, hi)
+                    hi -= min(copies - 1, _copies_after(slices, i, b))
+                if hi_r:
+                    batch = settled[:hi] + recent[:hi_r]
+                    batch.sort()
+                    del recent[:hi_r]
+                else:
+                    batch = settled[:hi]
+                del settled[:hi]
+                out.extend(batch)
                 written += len(batch)
-                last_v, i, _ = batch[-1]
+                last_v = b
                 pointers[i] += 1
                 process_block(i)
-
+            # no boundary left: drain the whole queue, ending the round
+            if recent:
+                settle()
+            if settled:
+                out.extend(settled)
+                written += len(settled)
+                last_v = settled[-1]
+                settled.clear()
     finally:
         guard.release(footprint)
     return out.close()
+
+
+def _copies_after(slices: list, i: int, b) -> int:
+    """Copies of ``b`` in the admitted slices of runs ``i+1, i+2, ...``."""
+    count = 0
+    for seg in slices[i + 1 :]:
+        if seg and not (b < seg[0] or seg[-1] < b):
+            count += bisect.bisect_right(seg, b) - bisect.bisect_left(seg, b)
+    return count
 
 
 # ---------------------------------------------------------------------- #

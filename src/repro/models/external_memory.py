@@ -9,7 +9,8 @@ This module provides the executable machine the §4 algorithms run against:
 * :class:`ExtArray` — an array living in (simulated) secondary memory,
   partitioned into blocks of ``B`` records; growable (for buffer-tree buffers).
 * :class:`AEMachine` — owns the cost counter and the transfer instructions
-  ``read_block`` / ``write_block``.
+  ``read_block`` / ``write_block`` (plus ``read_blocks``, a batch of reads
+  under one charge).
 * :class:`BlockReader` / :class:`BlockWriter` — the streaming access patterns
   every algorithm in the paper uses: sequential scans charging one read per
   block, and buffered appends charging one write per flushed block.
@@ -222,6 +223,26 @@ class AEMachine:
         self.counter.charge_block_read()
         blk = arr._blocks[bi]
         return list(blk) if copy else blk
+
+    def read_blocks(self, arrs: list[ExtArray], bis: list[int]) -> list[list]:
+        """Transfer block ``bis[j]`` of ``arrs[j]`` for every ``j`` (cost 1
+        each), charging all the reads in ONE batched counter update.
+
+        The batched counterpart of ``read_block(copy=False)``: identical
+        charges, but one Python call and one counter update per batch — the
+        mergesort merge reads the current block of every run this way each
+        round.  The returned lists are the resident blocks themselves —
+        callers MUST NOT mutate them, and must copy or slice whatever they
+        keep.
+        """
+        if len(arrs) != len(bis):
+            raise ValueError(f"{len(arrs)} arrays but {len(bis)} block indices")
+        if bis and min(bis) < 0:
+            raise IndexError(f"negative block index {min(bis)}")
+        blocks = [arr._blocks[bi] for arr, bi in zip(arrs, bis)]
+        if blocks:
+            self.counter.charge_reads(len(blocks))
+        return blocks
 
     def write_block(self, arr: ExtArray, bi: int, values: list) -> None:
         """Transfer ``values`` from primary memory into block ``bi`` (cost ω).

@@ -32,6 +32,25 @@ class TestTransfers:
         with pytest.raises(IndexError):
             machine.read_block(arr, 5)
 
+    def test_read_blocks_batches_the_charge(self, machine):
+        a = machine.from_list(range(20))
+        b = machine.from_list(range(100, 108))
+        blocks = machine.read_blocks([a, b, a], [2, 0, 0])
+        assert [list(blk) for blk in blocks] == [
+            list(range(16, 20)), list(range(100, 108)), list(range(8))]
+        assert machine.counter.block_reads == 3
+        assert machine.read_blocks([], []) == []
+        assert machine.counter.block_reads == 3
+
+    def test_read_blocks_rejects_bad_indices(self, machine):
+        arr = machine.from_list(range(8))
+        for bis in ([1], [-1]):
+            with pytest.raises(IndexError):
+                machine.read_blocks([arr], bis)
+        with pytest.raises(ValueError):
+            machine.read_blocks([arr, arr], [0])
+        assert machine.counter.block_reads == 0
+
     def test_write_block_appends(self, machine):
         arr = machine.allocate()
         machine.write_block(arr, 0, [1, 2, 3])

@@ -178,6 +178,20 @@ class TestPairing:
         kind, f = findings[0]
         assert kind == "writer" and f.line == 4
 
+    def test_read_blocks_views_are_sealed(self):
+        # batched reads return zero-copy views, directly or through zip;
+        # slices are copies and may be kept
+        src = (
+            "def f(machine, runs, bis, keep):\n"
+            "    for blk in machine.read_blocks(runs, bis):\n"
+            "        keep.append(blk)\n"
+            "    for i, blk in zip(bis, machine.read_blocks(runs, bis)):\n"
+            "        keep[i] = blk\n"
+            "        keep.append(blk[1:])\n"
+        )
+        findings = pairing_of(src)
+        assert [(k, f.line) for k, f in findings] == [("sealed", 3), ("sealed", 5)]
+
     def test_check_toggles(self):
         src = (
             "def f(self, fut, machine, arr, keep):\n"

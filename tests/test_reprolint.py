@@ -12,6 +12,7 @@ import pytest
 
 from repro.__main__ import main as cli_main
 from repro.analysis import lint_rules  # noqa: F401 — populates RULES
+from repro.analysis import reprolint
 from repro.analysis.reprolint import (
     RULES,
     Finding,
@@ -387,6 +388,17 @@ class TestCLI:
     def test_missing_baseline_is_usage_error(self):
         assert main([CORPUS, "--root", REPO,
                      "--baseline", "/nonexistent/b.json"]) == 2
+
+    def test_bad_baseline_is_reported_before_linting(self, monkeypatch, tmp_path):
+        calls = []
+        monkeypatch.setattr(reprolint, "lint_paths",
+                            lambda *args, **kwargs: calls.append(args) or [])
+        assert main([CORPUS, "--root", REPO,
+                     "--baseline", "/nonexistent/b.json"]) == 2
+        not_a_list = tmp_path / "b.json"
+        not_a_list.write_text("{}")
+        assert main([CORPUS, "--root", REPO, "--baseline", str(not_a_list)]) == 2
+        assert calls == []
 
     def test_explain_rule(self, capsys):
         assert main(["--explain", "flow-lockset"]) == 0

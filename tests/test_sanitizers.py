@@ -108,6 +108,78 @@ class TestSealedBlocks:
             break
 
 
+@pytest.fixture
+def iosan_over(monkeypatch):
+    """``install(name, fn)`` patches an AEMachine method, then enables
+    iosan so its wrapper cross-checks the patched version."""
+    was = iosan.iosan_enabled()
+    iosan.disable()
+
+    def install(name, fn):
+        monkeypatch.setattr(AEMachine, name, fn)
+        iosan.enable()
+
+    yield install
+    iosan.disable()
+    monkeypatch.undo()
+    if was:
+        iosan.enable()
+
+
+class TestIosanReadBlocks:
+    def test_read_blocks_returns_sealed_views(self, iosan_on, params):
+        machine = AEMachine(params)
+        a = machine.from_list(DATA[:64])
+        b = machine.from_list(DATA[64:80])
+        blocks = machine.read_blocks([a, b], [3, 1])
+        assert machine.counter.block_reads == 2
+        assert all(isinstance(blk, iosan.SealedBlock) for blk in blocks)
+        assert list(blocks[1]) == DATA[72:80]
+        with pytest.raises(iosan.UnchargedIOError):
+            blocks[0][0] = 99
+        with pytest.raises(iosan.UnchargedIOError):
+            blocks[1].sort()
+        assert machine.read_block(a, 3) == DATA[24:32]
+
+    @pytest.mark.parametrize("drift", [-1, 1])
+    def test_wrong_charge_raises(self, iosan_over, params, drift):
+        real = AEMachine.read_blocks
+
+        def drifting(self, arrs, bis):
+            blocks = real(self, arrs, bis)
+            self.counter.block_reads += drift
+            return blocks
+
+        iosan_over("read_blocks", drifting)
+        machine = AEMachine(params)
+        arr = machine.from_list(DATA[:64])
+        with pytest.raises(iosan.UnchargedIOError, match="read_blocks"):
+            machine.read_blocks([arr, arr], [0, 1])
+
+    def test_mutating_the_returned_block_raises(self, iosan_over, params):
+        real = AEMachine.read_blocks
+
+        def mutating(self, arrs, bis):
+            blocks = real(self, arrs, bis)
+            blocks[0].append(-1)  # a record pushed into a live block
+            return blocks
+
+        iosan_over("read_blocks", mutating)
+        machine = AEMachine(params)
+        arr = machine.from_list(DATA[:64])
+        machine.read_blocks([arr], [0])
+        with pytest.raises(iosan.UnchargedIOError, match="drift"):
+            machine.read_blocks([arr], [1])
+
+    def test_out_of_band_mutation_detected(self, iosan_on, params):
+        machine = AEMachine(params)
+        arr = machine.from_list(DATA[:64])
+        other = machine.from_list(DATA[64:72])
+        arr._blocks[2].pop()
+        with pytest.raises(iosan.UnchargedIOError, match="drift"):
+            machine.read_blocks([other, arr], [0, 0])
+
+
 class TestIosanDrift:
     def test_out_of_band_mutation_detected(self, iosan_on, params):
         machine = AEMachine(params)
