@@ -45,6 +45,7 @@ BLOCKING_CALLS = (
     "join",
     "sendall",
     "recv",
+    "read",
     "readline",
     "accept",
     "connect",

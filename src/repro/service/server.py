@@ -26,7 +26,38 @@ Request → response examples::
     {"op": "cancel", "ticket": 7}   → {"ok": true, "cancelled": true}
     {"op": "status", "ticket": 7}   → {"ok": true, "state": "PENDING"}
     {"op": "stats"}                 → {"ok": true, "stats": {...}}
+    {"op": "ping"}                  → {"ok": true, "pong": true, "frames": ["i64"]}
     {"op": "shutdown"}              → {"ok": true, "stopping": true}
+
+**int64 frames.**  A record payload that is a non-empty list of exact
+``int`` values (no ``bool``, no subclasses), each within int64, may travel
+as a raw frame instead of a JSON array: 8 bytes per record, little-endian
+int64 (``array("q")``, byte-swapped on big-endian hosts), sent right after
+the JSON line that announces it.  In ``submit`` and in each ``submit_many``
+job, ``"data_i64": n`` replaces ``"data"``, and the frames follow the line
+in job order.  A ``result`` request with ``"frames": true`` gets
+``"output_i64": n`` and a frame in place of an all-int ``"output"``.
+Everything else — control fields, and floats, strings, bools, mixed lists,
+ints of 2^63 or more and empty lists — stays JSON, byte for byte:
+
+* **capability** — ``ping`` advertises ``"frames": ["i64"]``;
+  :class:`ServiceClient` asks once per connection, at its first request
+  that carries records, and frames only for a server that advertised them.
+  The server frames a reply only when the request asked, so a JSON-only
+  client never sees a frame;
+* **cap** — :data:`MAX_LINE_BYTES` bounds a request line and, separately,
+  the frames of one message together.  A count that is not a non-negative
+  int, or that passes the cap, gets an ``ok: false`` reply and the
+  connection is closed, as for an oversized line; the server reads every
+  announced frame before it validates the request, so a rejected request
+  cannot desynchronize the stream;
+* **one send per message** — a header line and its frames leave in a
+  single write on each side; two writes meet Nagle's algorithm and the
+  peer's delayed ACK and stall every framed round trip.
+
+Frames change only the transport: the server turns each frame back into
+the list :meth:`EngineServer.dispatch` expects, so dispatch and the
+``_op_*`` handlers see the same dict either way.
 
 :class:`ServiceClient` wraps the socket plumbing for Python callers (tests,
 examples, the CI smoke): ``submit`` / ``result`` / ``sort`` /
@@ -39,8 +70,10 @@ from __future__ import annotations
 import json
 import socket
 import socketserver
+import sys
 import threading
 import time
+from array import array
 from concurrent.futures import CancelledError
 
 from ..analysis.locksan import wrap_lock
@@ -50,9 +83,39 @@ from .backoff import backoff_delay
 from .futures import SortFuture
 from .scheduler import QueueFullError, SortService
 
-#: hard cap on one request line — a runaway (or malicious) client must not
-#: be able to buffer unbounded bytes into the handler thread
+#: hard cap on one request line, and on the frames of one message together
+#: — a runaway (or malicious) client must not be able to buffer unbounded
+#: bytes into the handler thread
 MAX_LINE_BYTES = 64 * 1024 * 1024
+
+#: bytes per framed record (int64)
+_I64 = 8
+#: frames are little-endian on the wire, whatever the host's byte order
+_SWAP = sys.byteorder == "big"
+
+
+def _i64_frame(records) -> bytes | None:
+    """``records`` as one little-endian int64 frame, or ``None`` when they
+    must stay JSON: not a list, empty, holding anything but exact ``int``
+    values (a ``bool`` or an int subclass is not one), or out of int64."""
+    if not isinstance(records, list) or not records or set(map(type, records)) != {int}:
+        return None
+    try:
+        frame = array("q", records)
+    except OverflowError:
+        return None
+    if _SWAP:
+        frame.byteswap()
+    return frame.tobytes()
+
+
+def _i64_records(frame) -> list[int]:
+    """The records of one little-endian int64 frame."""
+    records = array("q")
+    records.frombytes(frame)
+    if _SWAP:
+        records.byteswap()
+    return records.tolist()
 
 
 class ServiceError(RuntimeError):
@@ -79,16 +142,16 @@ class _Handler(socketserver.StreamRequestHandler):
     client).
 
     Hardening contract: no client byte stream may tear this thread down.
-    Garbage, truncated lines (a client dying mid-send), oversized lines and
-    mid-reply disconnects all end in an ``ok: false`` reply or a clean
-    connection close — the *server* and its other connections are
-    unaffected either way.
+    Garbage, truncated lines or frames (a client dying mid-send), oversized
+    lines, bad frame counts and mid-reply disconnects all end in an ``ok:
+    false`` reply or a clean connection close — the *server* and its other
+    connections are unaffected either way.
     """
 
     def handle(self) -> None:  # pragma: no cover - exercised via sockets
         try:
             self._serve_lines()
-        except (OSError, ValueError):
+        except (OSError, ValueError, EOFError):
             # connection reset / torn stream mid-read: close this
             # connection quietly, never the handler pool
             return
@@ -113,17 +176,60 @@ class _Handler(socketserver.StreamRequestHandler):
                 if not isinstance(request, dict):
                     raise ValueError("request must be a JSON object")
             except ValueError as exc:
-                reply = {"ok": False, "error": f"invalid request: {exc}"}
-            else:
-                reply = self.server.engine_server.dispatch(
-                    request, client=self.client_address
-                )
-            if not self._reply(reply):
+                if not self._reply({"ok": False, "error": f"invalid request: {exc}"}):
+                    return
+                continue
+            error = self._read_frames(request)
+            if error is not None:
+                # the frame bytes that follow are unknown: the stream is
+                # desynchronized beyond repair, as for an oversized line
+                self._reply({"ok": False, "error": error})
+                return
+            reply = self.server.engine_server.dispatch(
+                request, client=self.client_address
+            )
+            if not self._reply(reply, frames=request.get("frames") is True):
                 return  # client went away mid-reply
             if reply.get("stopping"):
                 return
 
-    def _reply(self, reply: dict) -> bool:  # pragma: no cover - via sockets
+    def _read_frames(self, request: dict) -> str | None:  # pragma: no cover - via sockets
+        """Read every int64 frame ``request`` announces and put each one's
+        records under ``data`` in place of its ``data_i64`` count, so
+        dispatch sees the request a JSON client would have sent.
+
+        Returns an error message for a count the stream cannot recover
+        from; raises :class:`EOFError` when the stream ends inside a frame.
+        """
+        jobs = request.get("jobs")
+        specs = [request, *jobs] if isinstance(jobs, list) else [request]
+        framed = [s for s in specs if isinstance(s, dict) and "data_i64" in s]
+        if not framed:
+            return None
+        total = 0
+        for spec in framed:
+            count = spec["data_i64"]
+            if type(count) is not int or count < 0:
+                return f"invalid frame count {count!r}: need a non-negative int"
+            total += count * _I64
+            if total > MAX_LINE_BYTES:
+                return f"frames exceed {MAX_LINE_BYTES} bytes"
+        frames = memoryview(self.rfile.read(total))
+        if len(frames) < total:
+            raise EOFError("stream ended inside a frame")
+        offset = 0
+        for spec in framed:
+            size = spec.pop("data_i64") * _I64
+            spec["data"] = _i64_records(frames[offset : offset + size])
+            offset += size
+        return None
+
+    def _reply(self, reply: dict, frames: bool = False) -> bool:  # pragma: no cover - via sockets
+        """Send one reply; with ``frames``, an all-int64 ``output`` goes as
+        ``output_i64`` plus a frame."""
+        frame = _i64_frame(reply.get("output")) if frames else None
+        if frame is not None:
+            reply["output_i64"] = len(reply.pop("output"))
         try:
             payload = json.dumps(reply)
         except (TypeError, ValueError):
@@ -132,8 +238,11 @@ class _Handler(socketserver.StreamRequestHandler):
             payload = json.dumps(
                 {"ok": False, "error": "server produced an unserializable reply"}
             )
+            frame = None
         try:
-            self.wfile.write((payload + "\n").encode("utf-8"))
+            # the line and its frame leave in one write (see the module
+            # docstring: two writes stall on Nagle plus delayed ACK)
+            self.wfile.write((payload + "\n").encode("utf-8") + (frame or b""))
             self.wfile.flush()
         except (OSError, BrokenPipeError):
             return False
@@ -370,7 +479,7 @@ class EngineServer:
 
     # ---- ops --------------------------------------------------------- #
     def _op_ping(self, request: dict, client: tuple | None = None) -> dict:
-        return {"ok": True, "pong": True}
+        return {"ok": True, "pong": True, "frames": ["i64"]}
 
     def _op_submit(self, request: dict, client: tuple | None = None) -> dict:
         self._check_quota(client)
@@ -490,6 +599,10 @@ class ServiceClient:
     ``retry_cap``) instead of hammering a booting server at a fixed rate.
     ``request_timeout`` is a per-request deadline on the socket — a stalled
     server surfaces as :class:`TimeoutError` instead of a silent hang.
+
+    ``submit``, ``submit_many`` and ``result`` carry all-int64 records as
+    frames (see the module docstring) when the server advertises them; the
+    first of those calls on a connection asks with one ``ping``.
     """
 
     def __init__(
@@ -517,13 +630,15 @@ class ServiceClient:
             raise ConnectionError(
                 f"cannot reach sort server at {host}:{port}: {last_error}"
             )
-        self._rfile = self._sock.makefile("r", encoding="utf-8")
+        self._rfile = self._sock.makefile("rb")
         self._lock = threading.Lock()
         self._base_timeout = timeout
         self._request_timeout = request_timeout
+        #: does the server take int64 frames?  ``None`` until asked
+        self._frames: bool | None = None
 
     # ------------------------------------------------------------------ #
-    def _fault_point(self, line: str) -> None:
+    def _fault_point(self, message: bytes) -> None:
         """Client-side fault seams (no-ops unless a plan is installed):
         ``timeout`` storms, dropped connections, and truncated sends."""
         plan = faults.active()
@@ -536,10 +651,10 @@ class ServiceClient:
             self._sock.close()
             raise ConnectionError("injected wire drop")
         if plan.should_fire("partial-line"):
-            # really put a truncated line on the wire so the server's
-            # torn-stream handling is exercised, then die mid-send
-            encoded = line.encode("utf-8")
-            self._sock.sendall(encoded[: max(1, len(encoded) // 2)])
+            # really put a truncated request (line plus any frames) on the
+            # wire so the server's torn-stream handling is exercised, then
+            # die mid-send
+            self._sock.sendall(message[: max(1, len(message) // 2)])
             self._sock.close()
             raise ConnectionError("injected partial-line drop")
 
@@ -550,8 +665,17 @@ class ServiceClient:
         round-trip; expiry raises :class:`TimeoutError` and the connection
         is no longer usable (the reply stream may be desynchronized).
         """
-        line = json.dumps(payload) + "\n"
-        self._fault_point(line)
+        return self._send(payload, (), timeout)
+
+    def _send(self, payload: dict, frames=(), timeout: float | None = None) -> dict:
+        """:meth:`request` with ``frames`` sent after the line; a reply
+        frame comes back decoded under ``output``."""
+        message = b"".join((json.dumps(payload).encode("utf-8"), b"\n", *frames))
+        self._fault_point(message)
+        return self._exchange(message, payload.get("op"), timeout)
+
+    def _exchange(self, message: bytes, op: str | None, timeout: float | None = None) -> dict:
+        """Send one encoded message; read and decode its reply."""
         deadline = timeout if timeout is not None else self._request_timeout
         # deliberate: the lock IS the request pipeline — it serializes the
         # send/recv pair so concurrent callers cannot interleave replies
@@ -559,24 +683,57 @@ class ServiceClient:
             if deadline is not None:
                 self._sock.settimeout(deadline)
             try:
-                self._sock.sendall(line.encode("utf-8"))  # reprolint: disable=lock-discipline
-                reply = self._rfile.readline()  # reprolint: disable=lock-discipline
+                # one send per message, frames included (module docstring)
+                self._sock.sendall(message)  # reprolint: disable=lock-discipline
+                line = self._rfile.readline()  # reprolint: disable=lock-discipline
+                if not line:
+                    raise ConnectionError("server closed the connection")
+                reply = json.loads(line)
+                count = reply.get("output_i64")
+                if count is not None:
+                    size = count * _I64
+                    frame = self._rfile.read(size)  # reprolint: disable=lock-discipline
+                    if len(frame) < size:
+                        raise ConnectionError("server closed the connection mid-frame")
             except socket.timeout as exc:
-                raise TimeoutError(
-                    f"no reply within {deadline}s for op {payload.get('op')!r}"
-                ) from exc
+                raise TimeoutError(f"no reply within {deadline}s for op {op!r}") from exc
             finally:
                 if deadline is not None:
                     self._sock.settimeout(self._base_timeout)
-        if not reply:
-            raise ConnectionError("server closed the connection")
-        return json.loads(reply)
+        if count is not None:
+            del reply["output_i64"]
+            reply["output"] = _i64_records(frame)
+        return reply
 
-    def _checked(self, payload: dict, timeout: float | None = None) -> dict:
-        reply = self.request(payload, timeout)
+    def _checked(self, payload: dict, frames=()) -> dict:
+        reply = self._send(payload, frames)
         if not reply.get("ok"):
             raise ServiceError(reply.get("error", "request failed"), reply)
         return reply
+
+    def _framing(self) -> bool:
+        """Does the server take int64 frames?  Asked with one ``ping`` at
+        the first request on this connection that carries records.
+
+        The ping skips the fault seams: it is no caller's request, so a
+        seeded fault plan's decisions fall on the same requests whether or
+        not a connection has asked yet."""
+        if self._frames is None:
+            reply = self._exchange(b'{"op": "ping"}\n', "ping")
+            frames = "i64" in (reply.get("frames") or ())
+            with self._lock:
+                self._frames = frames
+        return self._frames
+
+    def _records(self, records: list, frames: list) -> dict:
+        """The fields that carry ``records``: ``data_i64`` with the frame
+        appended to ``frames`` when the server takes frames and the records
+        are all int64, else a JSON ``data`` array."""
+        frame = _i64_frame(records) if self._framing() else None
+        if frame is None:
+            return {"data": records}
+        frames.append(frame)
+        return {"data_i64": len(records)}
 
     # ------------------------------------------------------------------ #
     def ping(self) -> bool:
@@ -593,25 +750,24 @@ class ServiceClient:
         check_sorted: bool = False,
     ) -> int:
         """Submit one job; return its ticket id."""
+        frames: list[bytes] = []
         return self._checked(
             {
                 "op": "submit",
-                "data": list(data),
+                **self._records(list(data), frames),
                 "priority": priority,
                 "algorithm": algorithm,
                 "k": k,
                 "label": label,
                 "check_sorted": check_sorted,
-            }
+            },
+            frames,
         )["ticket"]
 
     def submit_many(self, datasets, priority: float = 0) -> list[int]:
-        return self._checked(
-            {
-                "op": "submit_many",
-                "jobs": [{"data": list(d), "priority": priority} for d in datasets],
-            }
-        )["tickets"]
+        frames: list[bytes] = []
+        jobs = [{**self._records(list(d), frames), "priority": priority} for d in datasets]
+        return self._checked({"op": "submit_many", "jobs": jobs}, frames)["tickets"]
 
     def result(
         self, ticket: int, timeout: float | None = None, *, keep: bool = False
@@ -629,6 +785,8 @@ class ServiceClient:
             payload["timeout"] = timeout
         if keep:
             payload["keep"] = True
+        if self._framing():
+            payload["frames"] = True
         return self._checked(payload)
 
     def gather(self, tickets, timeout: float | None = None) -> list[dict]:

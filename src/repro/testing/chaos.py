@@ -11,10 +11,11 @@ wall-clock field (``rejoin_seconds``) is timing-dependent by nature and is
 excluded from determinism comparisons (:data:`NONDETERMINISTIC_KEYS`).
 
 The point of the drills is to keep the failure paths *continuously
-exercised*: worker respawn, connection-drop retries, torn-line server
-hardening, slow-host tolerance, timeout storms, and the coordinator's
-probation/rejoin machinery each get a dedicated storm that CI replays on
-every push (``chaos --seed 0``).
+exercised*: worker respawn, connection-drop retries, the server's
+hardening against torn lines and torn int64 frames, slow-host tolerance,
+timeout storms, and the coordinator's probation/rejoin machinery each get
+a dedicated storm that CI replays on every push (``chaos --seed 0``).
+Every drill that sorts checks each output against ``sorted(input)``.
 """
 
 from __future__ import annotations
@@ -32,34 +33,29 @@ NONDETERMINISTIC_KEYS = ("rejoin_seconds",)
 _PARAMS = MachineParams(M=64, B=8, omega=8)
 
 
-def _sorted_ok(output) -> bool:
-    return all(output[i] <= output[i + 1] for i in range(len(output) - 1))
-
-
 # --------------------------------------------------------------------------- #
 # in-process service drills
 # --------------------------------------------------------------------------- #
 def _drill_worker_death(seed: int) -> dict:
     """Kill pool workers mid-job; every fired death must surface as exactly
-    one failed job (thread pools) while the other jobs stay correct."""
+    one failed job (thread pools) while the other jobs return
+    ``sorted(input)``."""
     jobs = 24
     with SortEngine(_PARAMS, workers=2) as engine:
         service = engine.service("thread")
         with faults.inject(seed=seed, rates={"worker-death": 0.3}) as plan:
-            futures = [
-                service.submit(random_permutation(64, seed=seed + i))
-                for i in range(jobs)
-            ]
+            inputs = [random_permutation(64, seed=seed + i) for i in range(jobs)]
+            futures = [service.submit(data) for data in inputs]
             failures = 0
-            unsorted = 0
-            for future in futures:
+            wrong = 0
+            for data, future in zip(inputs, futures):
                 exc = future.exception()
                 if isinstance(exc, faults.InjectedFault):
                     failures += 1
                 elif exc is not None:
                     raise exc
-                elif not _sorted_ok(future.result().output):
-                    unsorted += 1
+                elif future.result().output != sorted(data):
+                    wrong += 1
             fired = plan.fired("worker-death")
         stats = service.stats()
     return {
@@ -67,11 +63,11 @@ def _drill_worker_death(seed: int) -> dict:
         "jobs": jobs,
         "fired": fired,
         "failures": failures,
-        "unsorted": unsorted,
+        "wrong": wrong,
         "completed": stats["completed"],
         # `completed` counts every finished job, failed ones included;
         # records_sorted only moves on successes
-        "ok": failures == fired and unsorted == 0
+        "ok": failures == fired and wrong == 0
         and stats["completed"] == jobs,
     }
 
@@ -106,9 +102,9 @@ def _client_recovering(server, fn, *, max_attempts: int = 200):
 
 def _wire_storm(seed: int, name: str, rates: dict) -> dict:
     """Shared body for the client-side wire storms: N sorts through a real
-    socket while the plan drops connections / tears lines / injects
-    timeouts; every job must still land, and the server must stay healthy
-    enough to answer a clean ping afterwards."""
+    socket while the plan drops connections / tears requests / injects
+    timeouts; every job must still land as ``sorted(input)``, and the
+    server must stay healthy enough to answer a clean ping afterwards."""
     from ..service import EngineServer, ServiceClient, SortService
 
     jobs = 12
@@ -117,7 +113,7 @@ def _wire_storm(seed: int, name: str, rates: dict) -> dict:
         try:
             with EngineServer(service).start() as server:
                 with faults.inject(seed=seed, rates=rates, max_fires=10) as plan:
-                    unsorted = 0
+                    wrong = 0
                     reconnects = 0
                     for i in range(jobs):
                         data = random_permutation(48, seed=seed + i)
@@ -125,8 +121,8 @@ def _wire_storm(seed: int, name: str, rates: dict) -> dict:
                             server, lambda c, d=data: c.sort(d)
                         )
                         reconnects += r
-                        if not _sorted_ok(output):
-                            unsorted += 1
+                        if output != sorted(data):
+                            wrong += 1
                     fired = {site: plan.fired(site) for site in rates}
                 # after the storm: a fresh, fault-free client must see a
                 # healthy server (the handler pool survived every tear)
@@ -141,10 +137,10 @@ def _wire_storm(seed: int, name: str, rates: dict) -> dict:
         "jobs": jobs,
         **{f"fired_{site}": count for site, count in sorted(fired.items())},
         "reconnects": reconnects,
-        "unsorted": unsorted,
+        "wrong": wrong,
         "healthy_after": healthy,
         "completed": completed,
-        "ok": healthy and unsorted == 0 and completed >= jobs,
+        "ok": healthy and wrong == 0 and completed >= jobs,
     }
 
 

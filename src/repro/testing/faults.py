@@ -41,7 +41,7 @@ from ..analysis.locksan import wrap_lock
 SITES = (
     "worker-death",  # a pool worker process dies mid-job (OOM kill)
     "wire-drop",     # the client's TCP connection drops before a request
-    "partial-line",  # a truncated request line reaches the server, then EOF
+    "partial-line",  # half a request (line and frames) reaches the server, then EOF
     "slow-host",     # a server stalls before handling a request
     "timeout",       # a client request times out before reaching the wire
 )

@@ -134,6 +134,25 @@ class TestLockset:
         assert all(f.line != 19 for f in result.findings)
         assert len(result.findings) == 1  # the transitive one survives
 
+    def test_read_under_lock_is_blocking_and_waivable(self):
+        # a client reading a reply frame while it holds its pipeline lock
+        src = (
+            "import threading\n"
+            "class Client:\n"
+            "    def __init__(self, rfile):\n"
+            "        self._lock = threading.Lock()\n"
+            "        self._rfile = rfile\n"
+            "    def frame(self, size):\n"
+            "        with self._lock:\n"
+            "            return self._rfile.read(size)\n"
+        )
+        result = analyze_lockset(project(client_py=src))
+        assert len(result.findings) == 1
+        assert result.findings[0].line == 8
+        assert "blocking call `read(...)`" in result.findings[0].message
+        waived = {"src/repro/service/client.py": {8: {"lock-discipline"}}}
+        assert analyze_lockset(project(client_py=src), waived).findings == []
+
 
 def pairing_of(src: str, **kwargs):
     return analyze_pairing(ast.parse(src), **kwargs)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import socket
+import struct
 import threading
 
 import pytest
@@ -91,6 +92,79 @@ class TestHostileByteStreams:
                 sock.makefile("r").readline()
         with ServiceClient(*server.address) as client:
             assert client.ping()
+
+
+def _frame(*records: int) -> bytes:
+    return struct.pack(f"<{len(records)}q", *records)
+
+
+class TestHostileFrames:
+    """Raw clients that announce int64 frames (``data_i64``) and then send
+    something else than the announced bytes."""
+
+    #: counts that are not a non-negative int, or pass the cap
+    BAD_COUNTS = [-1, True, 1.5, "3", MAX_LINE_BYTES // 8 + 1]
+
+    def test_torn_frame_then_close_leaves_server_healthy(self, served):
+        server, _ = served
+        with _raw(server) as sock:
+            # announces 100 records, sends 50, then stops sending
+            sock.sendall(b'{"op": "submit", "data_i64": 100}\n' + _frame(*range(50)))
+            sock.shutdown(socket.SHUT_WR)
+            # the server hangs up without a reply, as for a torn line
+            assert sock.makefile("rb").readline() == b""
+        with ServiceClient(*server.address) as client:
+            assert client.ping()
+            assert client.sort([3, 1, 2]) == [1, 2, 3]
+
+    @pytest.mark.parametrize("payload", [
+        *({"op": "submit", "data_i64": count} for count in BAD_COUNTS),
+        *({"op": "submit_many", "jobs": [{"data_i64": 2}, {"data_i64": count}]}
+          for count in BAD_COUNTS),
+        # each frame fits the cap, both together do not
+        {"op": "submit_many", "jobs": [{"data_i64": MAX_LINE_BYTES // 16 + 1}] * 2},
+    ])
+    def test_bad_frame_count_is_refused_and_connection_closed(self, served, payload):
+        server, service = served
+        with _raw(server) as sock:
+            reply = _roundtrip(sock, json.dumps(payload).encode() + b"\n")
+            assert reply["ok"] is False and "frame" in reply["error"]
+            assert sock.makefile("r").readline() == ""
+        assert service.stats()["submitted"] == 0  # nothing was dispatched
+        with ServiceClient(*server.address) as client:
+            assert client.ping()
+
+    def test_rejected_framed_submit_keeps_the_stream_in_sync(self, served):
+        server, _ = served
+        with _raw(server) as sock:
+            rfile = sock.makefile("rb")
+            sock.sendall(b'{"op": "submit", "data_i64": 3, "priority": "high"}\n'
+                         + _frame(3, 1, 2))
+            reply = json.loads(rfile.readline())
+            assert reply["ok"] is False and "priority" in reply["error"]
+            # the frame was read before the rejection: the next line is ours
+            sock.sendall(b'{"op": "ping"}\n')
+            assert json.loads(rfile.readline())["pong"] is True
+            # a framed submit on the same socket still sorts, little-endian
+            sock.sendall(b'{"op": "submit", "data_i64": 3}\n' + _frame(3, -2**63, 2))
+            ticket = json.loads(rfile.readline())["ticket"]
+            sock.sendall(b'{"op": "result", "ticket": %d}\n' % ticket)
+            assert json.loads(rfile.readline())["output"] == [-2**63, 2, 3]
+
+    def test_json_only_client_collects_framed_submission_as_json(self, served):
+        server, _ = served
+        with ServiceClient(*server.address) as client:
+            ticket = client.submit([5, 3, 4])
+        with _raw(server) as sock:
+            rfile = sock.makefile("rb")
+            sock.sendall(b'{"op": "result", "ticket": %d}\n' % ticket)
+            reply = json.loads(rfile.readline())
+            assert reply["output"] == [3, 4, 5] and "output_i64" not in reply
+            # no frame trails the line: the next reply is the ping's
+            sock.sendall(b'{"op": "ping"}\n')
+            assert json.loads(rfile.readline()) == {
+                "ok": True, "pong": True, "frames": ["i64"]
+            }
 
 
 class TestOverloadReply:
