@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 from ..analysis.locksan import wrap_lock
 from ..core.shard_merge import shard_merge
-from ..models.external_memory import AEMachine, MemoryGuard
+from ..models.external_memory import AEMachine, MemoryGuard, collector_paused
 from ..models.params import MachineParams
 from ..planner.cost_model import plan_cluster_shards
 from ..service.backoff import backoff_delay
@@ -476,19 +476,23 @@ class ClusterCoordinator:
         # merge the sorted shards on a real AEM machine: shards load free
         # (their I/O was billed remotely), the k-way merge is billed here
         machine = AEMachine(self.params)
-        arrays = [
-            machine.from_list(rec["output"], name=f"shard{i}")
-            for i, rec in enumerate(records)
-        ]
         guard = MemoryGuard()
-        merged = shard_merge(machine, arrays, guard)
+        # the shard and merged arrays are freed before the pause ends (see
+        # engine.external_sort_report)
+        with collector_paused():
+            arrays = [
+                machine.from_list(rec["output"], name=f"shard{i}")
+                for i, rec in enumerate(records)
+            ]
+            output = shard_merge(machine, arrays, guard).peek_list()
+            del arrays
         with self._lock:
             scatter_retries = self._retries - retries_before
         report = SortReport(
             algorithm=f"cluster-scatter(hosts={len(live)})+shardmerge",
             n=n,
             params=self.params,
-            output=merged.peek_list(),
+            output=output,
             counter=machine.counter,
             memory_high_water=guard.high_water,
             extras={

@@ -87,22 +87,29 @@ class RedBlackTree:
     # insertion
     # ------------------------------------------------------------------ #
     def insert(self, key, value=None) -> None:
-        """Insert ``key``; O(log n) reads, O(1) amortized writes."""
+        """Insert ``key``; O(log n) reads, O(1) amortized writes.
+
+        The descent reads one node per level and charges them all in one
+        update, a duplicate's descent included."""
         parent = None
         node = self.root
+        depth = 0
         while node is not None:
-            self._read()
+            depth += 1
             parent = node
-            if key == node.key:
+            node_key = node.key
+            if key == node_key:
+                self._read(depth)
                 raise ValueError(f"duplicate key {key!r} (keys must be unique, §2)")
-            node = node.left if key < node.key else node.right
+            node = node.left if key < node_key else node.right
+        self._read(depth)
         fresh = _Node(key, value, parent)
         # one write for the new node, one for the parent pointer update
-        self._write()
         if parent is None:
+            self._write()
             self.root = fresh
         else:
-            self._write()
+            self._write(2)
             if key < parent.key:
                 parent.left = fresh
             else:
@@ -111,8 +118,11 @@ class RedBlackTree:
         self._insert_fixup(fresh)
 
     def _insert_fixup(self, z: _Node) -> None:
+        # tallied and charged once at the end: one read per step up, one
+        # write per recolored node (rotations charge their own writes)
+        reads = recolored = 0
         while z.parent is not None and z.parent.color == RED:
-            self._read()  # examine parent/grandparent colors
+            reads += 1  # examine parent/grandparent colors
             gp = z.parent.parent
             assert gp is not None  # red parent implies a (black) grandparent
             if z.parent is gp.left:
@@ -122,8 +132,7 @@ class RedBlackTree:
                     z.parent.color = BLACK
                     uncle.color = BLACK
                     gp.color = RED
-                    self._write(3)
-                    self.recolorings += 3
+                    recolored += 3
                     z = gp
                 else:
                     if z is z.parent.right:
@@ -131,8 +140,7 @@ class RedBlackTree:
                         self._rotate_left(z)
                     z.parent.color = BLACK
                     gp.color = RED
-                    self._write(2)
-                    self.recolorings += 2
+                    recolored += 2
                     self._rotate_right(gp)
             else:
                 uncle = gp.left
@@ -140,8 +148,7 @@ class RedBlackTree:
                     z.parent.color = BLACK
                     uncle.color = BLACK
                     gp.color = RED
-                    self._write(3)
-                    self.recolorings += 3
+                    recolored += 3
                     z = gp
                 else:
                     if z is z.parent.left:
@@ -149,13 +156,16 @@ class RedBlackTree:
                         self._rotate_right(z)
                     z.parent.color = BLACK
                     gp.color = RED
-                    self._write(2)
-                    self.recolorings += 2
+                    recolored += 2
                     self._rotate_left(gp)
         if self.root is not None and self.root.color == RED:
             self.root.color = BLACK
-            self._write()
-            self.recolorings += 1
+            recolored += 1
+        if reads:
+            self._read(reads)
+        if recolored:
+            self._write(recolored)
+            self.recolorings += recolored
 
     # ------------------------------------------------------------------ #
     # rotations: 3 nodes mutated => 3 writes each
@@ -200,14 +210,20 @@ class RedBlackTree:
     # traversal
     # ------------------------------------------------------------------ #
     def keys_in_order(self) -> Iterator:
-        """Yield keys in sorted order; charges one read per node visited."""
+        """Yield keys in sorted order; charges one read per node visited.
+
+        Each leftward run of pushes is charged in one update before the
+        next key is yielded, so the totals at every yield are per-node."""
         stack: list[_Node] = []
         node = self.root
         while stack or node is not None:
+            pushed = 0
             while node is not None:
-                self._read()
+                pushed += 1
                 stack.append(node)
                 node = node.left
+            if pushed:
+                self._read(pushed)
             node = stack.pop()
             yield node.key
             node = node.right

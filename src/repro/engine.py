@@ -68,7 +68,7 @@ from .core.buffer_tree import BufferTree
 from .core.ram_sort import RAM_SORTS
 from .core.selection_sort import selection_sort
 from .models.counters import CostCounter
-from .models.external_memory import AEMachine, ExtArray, MemoryGuard
+from .models.external_memory import AEMachine, ExtArray, MemoryGuard, collector_paused
 from .models.params import MachineParams
 
 
@@ -145,14 +145,18 @@ def external_sort_report(
 
         k = choose_k(params, n=len(data))
     machine = AEMachine(params)
-    arr = machine.from_list(data, name="input")
     guard = MemoryGuard()
-    out = spec.run(machine, arr, k, guard)
+    # the input and output arrays are temporaries: their blocks are freed
+    # before the pause ends, so no collection has them to traverse after it
+    with collector_paused():
+        arr = machine.from_list(data, name="input")
+        output = spec.run(machine, arr, k, guard).peek_list()
+        del arr
     return SortReport(
         algorithm=spec.label(k),
         n=len(data),
         params=params,
-        output=out.peek_list(),
+        output=output,
         counter=machine.counter,
         memory_high_water=guard.high_water,
         extras=spec.extras(k),

@@ -18,6 +18,8 @@ This module provides the executable machine the §4 algorithms run against:
   primary memory, with a high-water mark; in strict mode it raises when the
   declared capacity is exceeded.  Tests use it to check the "primary memory
   size (M + 2B + ...)" clauses of Lemma 4.1 / Theorem 4.3 / Theorem 4.5.
+* :func:`collector_paused` — keeps CPython's cyclic garbage collector off
+  while an external sort runs (it finds nothing there and costs time).
 
 Transfers move *copies*: mutating a block obtained from ``read_block`` does
 not change secondary memory until it is written back, exactly as in the model.
@@ -25,7 +27,10 @@ not change secondary memory until it is written back, exactly as in the model.
 
 from __future__ import annotations
 
+import gc
 import math
+import os
+import threading
 from collections.abc import Iterable, Iterator
 
 from .counters import CostCounter
@@ -80,6 +85,86 @@ class MemoryGuard:
     def reset(self) -> None:
         self.in_use = 0
         self.high_water = 0
+
+
+class _CollectorPause:
+    """The process-wide pause behind :func:`collector_paused`: a depth count
+    under one lock.  The first entry records whether collection was on and
+    turns it off; the last exit turns it back on only if it was on."""
+
+    def __init__(self) -> None:
+        self._reset()
+
+    def _reset(self) -> None:
+        # imported here: repro.analysis imports this module at load time
+        from ..analysis.locksan import wrap_lock
+
+        self._lock = wrap_lock(threading.Lock(), "CollectorPause._lock")
+        self._depth = 0
+        #: collection was on when the outermost pause began, and is owed back
+        self._resume = False
+
+    def __enter__(self) -> "_CollectorPause":
+        with self._lock:
+            if self._depth == 0:
+                self._resume = gc.isenabled()
+                gc.disable()
+            self._depth += 1
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        with self._lock:
+            if self._depth == 0:
+                return  # forked inside this thread's pause: the child resumed
+            self._depth -= 1
+            if self._depth == 0 and self._resume:
+                gc.enable()
+                self._resume = False
+
+    def _after_fork_in_child(self) -> None:
+        # the child has one thread: pauses of the parent's other threads
+        # never exit here, and their lock may have been held at the fork
+        resume = self._resume
+        self._reset()
+        if resume:
+            gc.enable()
+
+
+def collector_paused() -> _CollectorPause:
+    """Context manager: CPython's cyclic garbage collector stays off inside.
+
+    **Premise.**  The AEM kernels build no reference cycles: with collection
+    off, ``gc.collect()`` finds 0 unreachable objects after every external
+    sort, ``shard_merge`` and service job.  A collection inside a kernel
+    therefore frees nothing, yet it traverses every live block list — a
+    200k-record sort keeps about 20k of them, which set off 20–29
+    collections per run.  The engine's external sorts and the cluster
+    coordinator's merge step run inside this pause; nothing else does.
+    Both free their arrays before the pause ends, so the allocation count
+    is back under the collector's threshold and no collection follows.
+
+    **Threads.**  One process-wide depth count under one lock (a per-call
+    save and restore races: a thread that reads "off" while another is
+    paused would never turn collection back on).  The first entry records
+    :func:`gc.isenabled` and disables collection; the last exit re-enables
+    it only if it was on, so a caller that turned it off keeps it off.
+    Collection stays off while any kernel runs in any thread; cyclic
+    garbage made meanwhile outside the kernels is collected after the last
+    one exits.  An exception inside restores the state like a normal exit.
+
+    **Fork.**  A child forked while some thread is paused (``SortService``
+    respawns process workers with ``multiprocessing`` while threads run)
+    inherits a disabled collector, a count that would never return to 0 and
+    possibly a held lock.  An ``os.register_at_fork`` hook resets the child:
+    depth 0, a fresh lock, and collection back on if the pause had found it
+    on.
+
+    **Not the RAM plan.**  The §3 red-black tree keeps parent pointers (a
+    node and its parent point at each other), so a RAM-model sort of ``n``
+    records leaves its ``n`` tree nodes as cyclic garbage; pausing it would
+    only defer that garbage.
+    """
+    return _PAUSE
 
 
 class ExtArray:
@@ -197,14 +282,12 @@ class AEMachine:
         """
         arr = self.allocate(name)
         B = self.params.B
-        buf: list = []
-        items = list(data)
-        for start in range(0, len(items), B):
-            buf = items[start : start + B]
-            arr._blocks.append(list(buf))
-            if charge:
-                self.counter.charge_block_write()
+        items = data if isinstance(data, list) else list(data)
+        # each block is a slice, i.e. a copy: a list input is never aliased
+        arr._blocks = [items[i : i + B] for i in range(0, len(items), B)]
         arr.length = len(items)
+        if charge:
+            self.counter.charge_writes(len(arr._blocks))
         return arr
 
     # ------------------------------------------------------------------ #
@@ -505,3 +588,11 @@ class BlockWriter:
     def __exit__(self, exc_type, exc, tb) -> None:
         if exc_type is None:
             self.close()
+
+
+# one per process, like the collector it switches.  Made last: creating its
+# lock imports repro.analysis, whose iosan imports AEMachine and BlockWriter
+# from this module
+_PAUSE = _CollectorPause()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_PAUSE._after_fork_in_child)

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.ram_sort import RAM_SORTS, bst_sort, heapsort, mergesort, quicksort
+from repro.datastructures.rb_tree import RedBlackTree
 from repro.workloads import (
+    make_scenario,
     nearly_sorted,
     random_permutation,
     reverse_sorted,
@@ -90,3 +92,61 @@ class TestTheorem3Shape:
         _, c_bst = bst_sort(data)
         _, c_ms = mergesort(data)
         assert c_ms.element_cost(1) < 2.5 * c_bst.element_cost(1)
+
+
+class TestRedBlackChargesPinned:
+    """The red-black tree charges each descent, each fixup and each
+    leftward traversal run in one counter update; the totals must stay the
+    per-node totals, so they are pinned here."""
+
+    @pytest.mark.parametrize(
+        "n, reads, writes",
+        [(500, 5293, 3489), (1000, 11649, 7138), (2000, 25250, 13904)],
+    )
+    def test_bst_sort_counters(self, n, reads, writes):
+        data = make_scenario("uniform", n, seed=3)
+        out, counter = bst_sort(data)
+        assert out == sorted(data)
+        assert (counter.element_reads, counter.element_writes) == (reads, writes)
+
+    @pytest.mark.parametrize(
+        "n, inserted, rotations, recolorings",
+        [
+            (500, (4293, 2989), 277, 1159),
+            (1000, (9649, 6138), 604, 2327),
+            (2000, (21250, 11904), 1100, 4605),
+        ],
+    )
+    def test_tree_counters(self, n, inserted, rotations, recolorings):
+        tree = RedBlackTree()
+        for key in make_scenario("uniform", n, seed=3):
+            tree.insert(key)
+        c = tree.counter
+        assert (c.element_reads, c.element_writes) == inserted
+        assert (tree.rotations, tree.recolorings) == (rotations, recolorings)
+        tree.check_invariants()
+
+    def test_duplicate_descent_is_charged_before_raising(self):
+        tree = RedBlackTree()
+        for key in [5, 3, 8, 1, 4, 7, 9]:
+            tree.insert(key)
+        before = tree.counter.snapshot()
+        with pytest.raises(ValueError, match="duplicate key 4"):
+            tree.insert(4)
+        delta = tree.counter - before
+        assert (delta.element_reads, delta.element_writes) == (3, 0)
+        assert len(tree) == 7
+
+    def test_traversal_charges_before_each_yield(self):
+        tree = RedBlackTree()
+        for key in range(20):
+            tree.insert(key)
+        base = tree.counter.element_reads
+        keys = tree.keys_in_order()
+        seen = []
+        for _ in range(6):
+            next(keys)
+            seen.append(tree.counter.element_reads - base)
+        assert seen == [4, 4, 5, 5, 7, 7]
+        assert list(keys) == list(range(6, 20))
+        assert tree.counter.element_reads - base == 20

@@ -355,6 +355,26 @@ class TestSuppressionEdgeCases:
         assert filter_baseline(after, load_baseline(str(baseline))) == []
 
 
+@pytest.fixture(scope="class")
+def memoized_lint_paths():
+    """Lint each distinct argument set once per class: three of TestCLI's
+    tests lint the whole corpus (one of them twice), and every such call
+    returns the same findings.  Each caller gets a fresh list."""
+    real = reprolint.lint_paths
+    memo: dict = {}
+
+    def memoized(paths, root=".", rules=None):
+        key = (tuple(paths), root, None if rules is None else tuple(rules))
+        if key not in memo:
+            memo[key] = real(paths, root=root, rules=rules)
+        return list(memo[key])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reprolint, "lint_paths", memoized)
+        yield
+
+
+@pytest.mark.usefixtures("memoized_lint_paths")
 class TestCLI:
     def test_corpus_exits_one(self, capsys):
         rc = main([CORPUS, "--root", REPO])
