@@ -16,7 +16,7 @@ import time
 
 from conftest import run_once
 
-from repro import MachineParams, SortJob, kernel_mode, run_batch
+from repro import MachineParams, SortJob, run_batch
 from repro.service import SortService
 from repro.workloads import make_scenario
 
@@ -97,43 +97,6 @@ def bench_persistent_pool_vs_run_batch(benchmark):
             "speedup": round(service_jps / max(batch_jps, 1e-9), 2),
             "service_records_per_sec": service_stats["records_per_sec"],
             "service_avg_job_seconds": service_stats["avg_job_seconds"],
-        }
-    )
-
-
-def bench_service_throughput_kernel_delta(benchmark):
-    """Service-level records/sec with the vectorized kernels vs the
-    ``slow_reference`` mode — the kernel layer's delta as the SortService
-    dashboard sees it."""
-    jobs = _job_set(count=8, n=4_000)
-
-    def one_mode(mode):
-        with kernel_mode(mode):
-            with SortService(PARAMS, workers=4, executor="thread") as svc:
-                report = svc.gather(svc.submit_many(jobs, check_sorted=True))
-                stats = svc.stats()
-        assert not report.failures
-        return report, stats
-
-    def both():
-        fast_report, fast = one_mode("vectorized")
-        slow_report, slow = one_mode("slow_reference")
-        # scheduling changed nothing model-level: identical aggregates
-        assert fast_report.total_reads == slow_report.total_reads
-        assert fast_report.total_writes == slow_report.total_writes
-        return fast, slow
-
-    fast, slow = run_once(benchmark, both)
-    assert fast["records_sorted"] == slow["records_sorted"]
-    delta = fast["records_per_sec"] / max(slow["records_per_sec"], 1e-9)
-    # the vectorized kernels must not make the service slower; wall-clock is
-    # noisy under thread scheduling, so hold a conservative floor
-    assert delta >= 0.8, f"vectorized kernels slowed the service: {delta:.2f}x"
-    benchmark.extra_info.update(
-        {
-            "vectorized_records_per_sec": fast["records_per_sec"],
-            "slow_reference_records_per_sec": slow["records_per_sec"],
-            "kernel_throughput_delta": round(delta, 2),
         }
     )
 

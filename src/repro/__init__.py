@@ -29,10 +29,7 @@ from .core import (
     aem_mergesort,
     aem_samplesort,
     bst_sort,
-    get_default_kernel,
-    kernel_mode,
     selection_sort,
-    set_default_kernel,
 )
 from .models import (
     AEMachine,
@@ -111,13 +108,10 @@ __all__ = [
     "aem_samplesort",
     "bst_sort",
     "calibrate",
-    "get_default_kernel",
-    "kernel_mode",
     "plan_sort",
     "rank_plans",
     "run_batch",
     "selection_sort",
-    "set_default_kernel",
     "sort_auto",
     "sort_external",
     "sort_ram",

@@ -817,18 +817,15 @@ def _callee_name(call: ast.Call) -> str | None:
 
 
 def _entry_pairs(call: ast.Call) -> Iterable[tuple[str, str]]:
-    """(kernel, symbol) pairs out of one register_kernel_entry call."""
-    name = None
-    if call.args and isinstance(call.args[0], ast.Constant) \
-            and isinstance(call.args[0].value, str):
-        name = call.args[0].value
-    if name is None:
+    """The (kernel, symbol) pair of one register_kernel_entry call, when
+    its name and ``entry=`` are literals."""
+    if not (call.args and isinstance(call.args[0], ast.Constant)
+            and isinstance(call.args[0].value, str)):
         return
     for kw in call.keywords:
-        if kw.arg in ("vectorized", "slow_reference") \
-                and isinstance(kw.value, ast.Constant) \
+        if kw.arg == "entry" and isinstance(kw.value, ast.Constant) \
                 and isinstance(kw.value.value, str) and ":" in kw.value.value:
-            yield name, kw.value.value.rsplit(":", 1)[1]
+            yield call.args[0].value, kw.value.value.rsplit(":", 1)[1]
 
 
 def summarize_source(path: str, tree: ast.AST) -> ModuleChargeSummary:

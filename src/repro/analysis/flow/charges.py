@@ -127,7 +127,7 @@ def _slow_regions(fn_node: ast.AST) -> list[list[ast.stmt]]:
     ``mode == SLOW_REFERENCE`` / ``is`` → the body; ``!=`` / ``is not`` →
     the orelse, or — when the (fast) body terminates — the remainder of
     the enclosing block; unknown comparison shapes exempt both branches
-    (lenient, matching the old syntactic rule's generosity).
+    (lenient).
     """
     regions: list[list[ast.stmt]] = []
 
@@ -175,23 +175,35 @@ def _slow_regions(fn_node: ast.AST) -> list[list[ast.stmt]]:
     return regions
 
 
+def _slow_function(fn_node: ast.AST) -> bool:
+    """A function named for the slow kernel is a reference path as a whole."""
+    name = fn_node.name.lower()
+    return "slow" in name or "reference" in name
+
+
+def _region_ids(regions: list[list[ast.stmt]]) -> set[int]:
+    return {id(sub) for region in regions for stmt in region for sub in ast.walk(stmt)}
+
+
+def slow_exempt(fn_node: ast.AST, node: ast.AST) -> bool:
+    """The slow-reference exemption without the dominance step: ``node``
+    (inside ``fn_node``) is exempt when the function is named for the slow
+    kernel or ``node`` lies in one of its :func:`_slow_regions`.  The
+    ``loop-charge`` lint rule's exemption."""
+    return _slow_function(fn_node) or id(node) in _region_ids(_slow_regions(fn_node))
+
+
 class _FnFacts:
     """Everything the two checks need about one function, computed once."""
 
     def __init__(self, info, cfg: FunctionCFG):
         self.info = info
         self.cfg = cfg
-        fn_name = info.node.name.lower()
-        self.fn_is_slow = "slow" in fn_name or "reference" in fn_name
+        self.fn_is_slow = _slow_function(info.node)
 
         regions = _slow_regions(info.node)
-        self.slow_ids: set[int] = set()
-        slow_head_stmts: set[int] = set()
-        for region in regions:
-            slow_head_stmts.add(id(region[0]))
-            for stmt in region:
-                for sub in ast.walk(stmt):
-                    self.slow_ids.add(id(sub))
+        self.slow_ids = _region_ids(regions)
+        slow_head_stmts = {id(region[0]) for region in regions}
         self.slow_heads: list[int] = []
         for node in cfg.nodes:
             if node.stmt is not None and id(node.stmt) in slow_head_stmts:

@@ -23,6 +23,7 @@ from .flow import (
     analyze_pairing,
     build_project_index,
 )
+from .flow.charges import slow_exempt
 from .flow.lockset import LOCK_CTORS
 from .reprolint import Finding, LintContext, ModuleSource, rule
 
@@ -98,19 +99,18 @@ def check_uncharged_io(module: ModuleSource, ctx: LintContext):
 # --------------------------------------------------------------------------- #
 # loop-charge
 # --------------------------------------------------------------------------- #
-def _under_slow_reference(module: ModuleSource, node: ast.AST) -> bool:
-    """True when the call sits in a deliberate record-at-a-time path: a
-    branch guarded on SLOW_REFERENCE or a function named for the slow
-    kernel.  Those paths charge per record *by contract* (they must be
-    I/O-identical to the historical implementation)."""
-    for anc in module.ancestors(node):
-        if isinstance(anc, ast.If) and "SLOW_REFERENCE" in module.segment(anc.test):
-            return True
-        if isinstance(anc, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            name = anc.name.lower()
-            if "slow" in name or "reference" in name:
-                return True
-    return False
+def _reference_exempt(module: ModuleSource, node: ast.AST) -> bool:
+    """True when the call sits in a deliberate record-at-a-time path, as
+    the ``flow-charge`` analysis defines one (minus its dominance step):
+    the outermost enclosing function is named for the slow kernel, or the
+    call lies in one of its ``SLOW_REFERENCE`` regions.  Those paths charge
+    per record *by contract* (they must be I/O-identical to the historical
+    implementation)."""
+    fns = [
+        anc for anc in module.ancestors(node)
+        if isinstance(anc, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    return bool(fns) and slow_exempt(fns[-1], node)
 
 
 @rule(
@@ -132,7 +132,7 @@ def check_loop_charge(module: ModuleSource, ctx: LintContext):
         in_loop = any(
             isinstance(anc, (ast.For, ast.While)) for anc in module.ancestors(node)
         )
-        if not in_loop or _under_slow_reference(module, node):
+        if not in_loop or _reference_exempt(module, node):
             continue
         yield Finding(
             rule="loop-charge",
@@ -287,75 +287,48 @@ def _entry_symbol(spec: str) -> str | None:
 
 @rule(
     "kernel-parity",
-    "every register_kernel_entry call must declare both a vectorized and a "
-    "slow_reference entry point, each pinned in tests/test_kernel_parity.py",
+    "every register_kernel_entry call must name its entry point as an "
+    'entry="module:symbol" literal pinned in tests/test_kernel_parity.py',
 )
 def check_kernel_parity(module: ModuleSource, ctx: LintContext):
     parity_text = ctx.read_file(_PARITY_TEST_FILE)
     for node in ast.walk(module.tree):
         if not (isinstance(node, ast.Call) and _call_name(node) == "register_kernel_entry"):
             continue
-        kwargs = {kw.arg: kw.value for kw in node.keywords if kw.arg}
-        for required in ("vectorized", "slow_reference"):
-            value = kwargs.get(required)
-            if value is None:
-                yield Finding(
-                    rule="kernel-parity",
-                    path=module.virtual_path,
-                    line=node.lineno,
-                    col=node.col_offset,
-                    message=(
-                        f"register_kernel_entry without a `{required}=` "
-                        "entry point — every kernel ships both modes"
-                    ),
-                )
-                continue
-            if not (isinstance(value, ast.Constant) and isinstance(value.value, str)):
-                yield Finding(
-                    rule="kernel-parity",
-                    path=module.virtual_path,
-                    line=value.lineno,
-                    col=value.col_offset,
-                    message=(
-                        f"`{required}=` must be a string literal "
-                        '("module:symbol") so the parity pin is statically '
-                        "checkable"
-                    ),
-                )
-                continue
-            symbol = _entry_symbol(value.value)
-            if symbol is None:
-                yield Finding(
-                    rule="kernel-parity",
-                    path=module.virtual_path,
-                    line=value.lineno,
-                    col=value.col_offset,
-                    message=(
-                        f"`{required}={value.value!r}` is not of the form "
-                        '"module:symbol"'
-                    ),
-                )
-                continue
-            if parity_text is None:
-                yield Finding(
-                    rule="kernel-parity",
-                    path=module.virtual_path,
-                    line=node.lineno,
-                    col=node.col_offset,
-                    message=f"parity test file {_PARITY_TEST_FILE} not found",
-                )
-            elif symbol not in parity_text:
-                yield Finding(
-                    rule="kernel-parity",
-                    path=module.virtual_path,
-                    line=value.lineno,
-                    col=value.col_offset,
-                    message=(
-                        f"kernel entry point `{symbol}` has no pin in "
-                        f"{_PARITY_TEST_FILE} — add a byte-identical "
-                        "vectorized/slow_reference parity test"
-                    ),
-                )
+        value = next((kw.value for kw in node.keywords if kw.arg == "entry"), None)
+        literal = isinstance(value, ast.Constant) and isinstance(value.value, str)
+        symbol = _entry_symbol(value.value) if literal else None
+        if value is None:
+            where, message = node, (
+                "register_kernel_entry without an `entry=` entry point — "
+                "every kernel names the callable that serves both modes"
+            )
+        elif not literal:
+            where, message = value, (
+                '`entry=` must be a string literal ("module:symbol") so the '
+                "parity pin is statically checkable"
+            )
+        elif symbol is None:
+            where, message = value, (
+                f'`entry={value.value!r}` is not of the form "module:symbol"'
+            )
+        elif parity_text is None:
+            where, message = node, f"parity test file {_PARITY_TEST_FILE} not found"
+        elif symbol not in parity_text:
+            where, message = value, (
+                f"kernel entry point `{symbol}` has no pin in "
+                f"{_PARITY_TEST_FILE} — add a byte-identical "
+                "vectorized/slow_reference parity test"
+            )
+        else:
+            continue
+        yield Finding(
+            rule="kernel-parity",
+            path=module.virtual_path,
+            line=where.lineno,
+            col=where.col_offset,
+            message=message,
+        )
 
 
 # --------------------------------------------------------------------------- #

@@ -20,14 +20,7 @@ from .aem_mergesort import aem_mergesort
 from .aem_samplesort import aem_samplesort
 from .buffer_tree import BufferTree
 from .em_utils import em_two_way_mergesort
-from .kernels import (
-    KERNEL_ENTRIES,
-    SLOW_REFERENCE,
-    VECTORIZED,
-    get_default_kernel,
-    kernel_mode,
-    set_default_kernel,
-)
+from .kernels import KERNEL_ENTRIES, SLOW_REFERENCE, VECTORIZED
 from .parallel_samplesort import parallel_samplesort
 from .ram_sort import RAM_SORTS, bst_sort, heapsort, mergesort, quicksort
 from .selection_sort import selection_sort
@@ -45,13 +38,10 @@ __all__ = [
     "aem_samplesort",
     "bst_sort",
     "em_two_way_mergesort",
-    "get_default_kernel",
     "heapsort",
-    "kernel_mode",
     "mergesort",
     "parallel_samplesort",
     "quicksort",
     "selection_sort",
-    "set_default_kernel",
     "shard_merge",
 ]

@@ -24,17 +24,21 @@ bounds (the paper's closing remark of §4.3).
 from __future__ import annotations
 
 import bisect
-import heapq
 import math
 
 from ..models.external_memory import AEMachine, BlockWriter, ExtArray, MemoryGuard
 from .buffer_tree import BufferTree
-from .kernels import SLOW_REFERENCE, register_kernel_entry, resolve_kernel, take_smallest
+from .kernels import (
+    SLOW_REFERENCE,
+    heap_smallest,
+    register_kernel_entry,
+    resolve_kernel,
+    take_smallest,
+)
 
 register_kernel_entry(
     "heapsort",
-    vectorized="repro.core.aem_heapsort:aem_heapsort",
-    slow_reference="repro.core.aem_heapsort:aem_heapsort",  # same entry point, kernel="slow_reference"
+    entry="repro.core.aem_heapsort:aem_heapsort",
     contract="Theorem 4.10",
 )
 
@@ -180,13 +184,7 @@ class AEMPriorityQueue:
         # deletion pair.
         self._seal_beta_writer()
         if self.kernel == SLOW_REFERENCE:
-            smallest: list = []  # max-heap via negation
-            for rec in self._iter_valid_beta():
-                if len(smallest) < take:
-                    heapq.heappush(smallest, _Neg(rec))
-                elif rec < smallest[0].value:
-                    heapq.heapreplace(smallest, _Neg(rec))
-            batch = sorted(item.value for item in smallest)
+            batch = heap_smallest(self._iter_valid_beta(), take)
         else:
             # block-granular: the shared bounded-selection kernel over the
             # validity-filtered beta blocks (exact take-smallest multiset,
@@ -369,16 +367,6 @@ class AEMPriorityQueue:
         self._beta_max = new_max
         self._pairs = []
         self._extractions_since_rebuild = 0
-
-
-class _Neg:
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def __lt__(self, other: "_Neg") -> bool:
-        return self.value > other.value
 
 
 # ---------------------------------------------------------------------- #

@@ -81,8 +81,7 @@ from .selection_sort import selection_sort
 
 register_kernel_entry(
     "mergesort",
-    vectorized="repro.core.aem_mergesort:aem_mergesort",
-    slow_reference="repro.core.aem_mergesort:aem_mergesort",  # same entry point, kernel="slow_reference"
+    entry="repro.core.aem_mergesort:aem_mergesort",
     contract="Theorem 4.3",
 )
 

@@ -34,8 +34,7 @@ from .selection_sort import selection_sort
 
 register_kernel_entry(
     "samplesort",
-    vectorized="repro.core.aem_samplesort:aem_samplesort",
-    slow_reference="repro.core.aem_samplesort:aem_samplesort",  # same entry point, kernel="slow_reference"
+    entry="repro.core.aem_samplesort:aem_samplesort",
     contract="Theorem 4.5",
 )
 

@@ -52,12 +52,11 @@ import math
 
 from ..models.external_memory import AEMachine, BlockWriter, ExtArray
 from .kernels import SLOW_REFERENCE, register_kernel_entry, resolve_kernel
-from .selection_sort import selection_phases
+from .selection_sort import reference_phases, selection_phases
 
 register_kernel_entry(
     "buffer-tree",
-    vectorized="repro.core.buffer_tree:BufferTree",
-    slow_reference="repro.core.buffer_tree:BufferTree",  # same entry point, kernel="slow_reference"
+    entry="repro.core.buffer_tree:BufferTree",
     contract="Theorem 4.10",
 )
 
@@ -275,7 +274,9 @@ class BufferTree:
         if buf is None or count == 0:
             return iter(())
         prefix_len = min(count, self.buffer_limit)
-        sorted_prefix = _external_prefix_sort(self.machine, buf, prefix_len)
+        sorted_prefix = _external_prefix_sort(
+            self.machine, buf, prefix_len, self.kernel
+        )
         tail = _skip_stream(self.machine, buf, prefix_len)
         return _merge_streams(self.machine.scan(sorted_prefix), tail)
 
@@ -293,7 +294,7 @@ class BufferTree:
             return iter(())
         prefix_len = min(count, self.buffer_limit)
         sorted_prefix = _external_prefix_sort(
-            self.machine, buf, prefix_len, kernel=self.kernel
+            self.machine, buf, prefix_len, self.kernel
         )
         tail = _skip_stream_blocks(self.machine, buf, prefix_len)
         return merge_sorted_block_streams(
@@ -764,7 +765,7 @@ class BufferTree:
 # streaming helpers
 # ---------------------------------------------------------------------- #
 def _external_prefix_sort(
-    machine: AEMachine, buf: ExtArray, prefix_len: int, kernel: str = SLOW_REFERENCE
+    machine: AEMachine, buf: ExtArray, prefix_len: int, kernel: str
 ) -> ExtArray:
     """Lemma 4.2 selection sort over the first ``prefix_len`` records of
     ``buf`` (repeated scans of the prefix region; output written once).
@@ -772,60 +773,16 @@ def _external_prefix_sort(
     Stable: equal records (a key and its delete marker, or a re-inserted
     key) leave in scan order, which is their arrival order.
     """
-    import heapq
-
-    params = machine.params
     out = machine.writer(name="bufsort")
-    M = params.M
-    if kernel != SLOW_REFERENCE:
-        # block-granular selection phases over the (truncated) prefix
-        # blocks; each phase boundary is (last emitted, how many equal
-        # records are out), the stable order of the reference's pairs
+    M = machine.params.M
+    if kernel == SLOW_REFERENCE:
+        reference_phases(machine, buf, prefix_len, M, out)
+    else:
+        # block-granular selection phases over the (truncated) prefix blocks
         selection_phases(
             lambda: _prefix_blocks(machine, buf, prefix_len), prefix_len, M, out
         )
-        return out.close()
-    emitted = 0
-    last_max = None  # largest (record, scan position) pair emitted so far
-    while emitted < prefix_len:
-        working: list = []
-        seen = 0
-        for bi in range(buf.num_blocks):
-            if seen >= prefix_len:
-                break
-            if buf.block_len(bi) == 0:  # empty placeholder: no transfer
-                continue
-            block = machine.read_block(buf, bi, copy=False)
-            for rec in block:
-                if seen >= prefix_len:
-                    break
-                # the §2 position index: equal records order by position
-                pair = (rec, seen)
-                seen += 1
-                if last_max is not None and pair <= last_max:
-                    continue
-                if len(working) < M:
-                    heapq.heappush(working, _NegKey(pair))
-                elif pair < working[0].value:
-                    heapq.heapreplace(working, _NegKey(pair))
-        batch = sorted(item.value for item in working)
-        if not batch:
-            raise AssertionError("prefix sort stalled")
-        for rec, _ in batch:
-            out.append(rec)
-        emitted += len(batch)
-        last_max = batch[-1]
     return out.close()
-
-
-class _NegKey:
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def __lt__(self, other: "_NegKey") -> bool:
-        return self.value > other.value
 
 
 def _prefix_blocks(machine: AEMachine, arr: ExtArray, prefix_len: int):

@@ -22,8 +22,7 @@ from .kernels import SLOW_REFERENCE, register_kernel_entry, resolve_kernel
 
 register_kernel_entry(
     "em2way",
-    vectorized="repro.core.em_utils:em_two_way_mergesort",
-    slow_reference="repro.core.em_utils:em_two_way_mergesort",  # same entry point, kernel="slow_reference"
+    entry="repro.core.em_utils:em_two_way_mergesort",
     contract="Section 4.2 (2-way EM mergesort)",
 )
 

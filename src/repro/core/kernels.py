@@ -24,29 +24,13 @@ sort and the buffer tree's prefix sort) select ``(record, scan position)``
 pairs, so equal records leave in scan order as they do in the vectorized
 kernel.
 
-Selecting a mode
-----------------
-Every sort entry point takes ``kernel=None`` which resolves against the
-process-wide default (``"vectorized"``):
-
->>> from repro.core.kernels import kernel_mode, set_default_kernel
->>> with kernel_mode("slow_reference"):
-...     report = engine.sort(data)          # record-at-a-time everywhere
->>> set_default_kernel("vectorized")        # the default
-
-The mode is deliberately a plain module global (not thread-local): the AEM
-machine is a single-threaded simulation, and benchmark harnesses flip the
-whole process between modes to measure the kernel layer itself.  A module
-global does not cross a ``fork``/``spawn`` on its own, so the
-:class:`~repro.service.SortService` process pool ships the submitting
-process's default along explicitly — every job message to a worker process
-carries it — which keeps ``kernel_mode(...)`` A/B measurements honest under
-``executor="process"``.
+Every sort entry point takes ``kernel=None``, which means ``"vectorized"``;
+pass ``kernel="slow_reference"`` to run the reference.
 """
 
 from __future__ import annotations
 
-import contextlib
+import heapq
 
 #: the block-granular fast path (default)
 VECTORIZED = "vectorized"
@@ -55,51 +39,23 @@ SLOW_REFERENCE = "slow_reference"
 
 _MODES = (VECTORIZED, SLOW_REFERENCE)
 
-_default_kernel = VECTORIZED
-
-
-def get_default_kernel() -> str:
-    """The process-wide kernel mode used when a sort passes ``kernel=None``."""
-    return _default_kernel
-
-
-def set_default_kernel(mode: str) -> str:
-    """Set the process-wide default kernel mode; returns the previous one."""
-    global _default_kernel
-    if mode not in _MODES:
-        raise ValueError(f"unknown kernel mode {mode!r}; choose from {_MODES}")
-    previous = _default_kernel
-    _default_kernel = mode
-    return previous
-
 
 def resolve_kernel(kernel: str | None) -> str:
-    """Validate an explicit ``kernel=`` argument or fall back to the default."""
+    """Validate a ``kernel=`` argument; ``None`` means the vectorized path."""
     if kernel is None:
-        return _default_kernel
+        return VECTORIZED
     if kernel not in _MODES:
         raise ValueError(f"unknown kernel mode {kernel!r}; choose from {_MODES}")
     return kernel
 
 
-@contextlib.contextmanager
-def kernel_mode(mode: str):
-    """Context manager: run a block with the given default kernel mode."""
-    previous = set_default_kernel(mode)
-    try:
-        yield mode
-    finally:
-        set_default_kernel(previous)
-
-
 #: declarative registry of every sort path that dispatches on the kernel
-#: mode: ``name -> {"vectorized": "module:callable", "slow_reference":
-#: "module:callable"}``.  Populated at import time by each kernel-path
+#: mode: ``name -> "module:callable"``, the entry point whose ``kernel=``
+#: argument selects the mode.  Populated at import time by each kernel-path
 #: module via :func:`register_kernel_entry`.
-KERNEL_ENTRIES: dict[str, dict[str, str]] = {}
+KERNEL_ENTRIES: dict[str, str] = {}
 
-#: cost-contract metadata, parallel to :data:`KERNEL_ENTRIES` so the mode
-#: dict keeps its exact ``{vectorized, slow_reference}`` shape:
+#: cost-contract metadata, parallel to :data:`KERNEL_ENTRIES`:
 #: ``name -> theorem label`` matching the kernel's ``declare_contract``
 #: declaration in :mod:`repro.analysis.boundcheck`.  Populated by the
 #: ``contract=`` argument of :func:`register_kernel_entry`; the
@@ -107,17 +63,14 @@ KERNEL_ENTRIES: dict[str, dict[str, str]] = {}
 KERNEL_CONTRACTS: dict[str, str] = {}
 
 
-def register_kernel_entry(name: str, *, vectorized: str,
-                          slow_reference: str,
+def register_kernel_entry(name: str, *, entry: str,
                           contract: str | None = None) -> None:
-    """Declare one kernel-dispatched sort path and its mode pair.
+    """Declare one kernel-dispatched sort path.
 
-    ``vectorized`` and ``slow_reference`` are ``"module:callable"``
-    references to the entry point serving each mode (usually the same
-    callable, selected via its ``kernel=`` argument).  The declaration is
-    the contract the ``kernel-parity`` lint rule enforces statically: every
-    registered entry must name a ``slow_reference`` counterpart, and the
-    vectorized callable must be pinned by ``tests/test_kernel_parity.py``.
+    ``entry`` is the ``"module:callable"`` reference to the entry point that
+    serves both modes through its ``kernel=`` argument.  The declaration is
+    the contract the ``kernel-parity`` lint rule enforces statically: the
+    entry point must be pinned by ``tests/test_kernel_parity.py``.
 
     ``contract`` is the paper-bound label (e.g. ``"Theorem 4.3"``) binding
     this kernel to its cost contract in
@@ -129,15 +82,7 @@ def register_kernel_entry(name: str, *, vectorized: str,
     Arguments must be string literals so the rules can check them without
     importing anything.
     """
-    if not vectorized or not slow_reference:
-        raise ValueError(
-            f"kernel entry {name!r} must name both a vectorized and a "
-            "slow_reference implementation"
-        )
-    KERNEL_ENTRIES[name] = {
-        VECTORIZED: vectorized,
-        SLOW_REFERENCE: slow_reference,
-    }
+    KERNEL_ENTRIES[name] = entry
     if contract is not None:
         KERNEL_CONTRACTS[name] = contract
     else:
@@ -172,9 +117,9 @@ def take_smallest(blocks, take: int, lo=None, skip: int = 0) -> list:
     half-working-set margin, so the amortized cost is O(log) per surviving
     candidate and the scratch stays <= 1.5 * ``take`` records.  The result
     is the exact ``take``-smallest multiset — every record the running
-    cutoff drops provably cannot be among the final ``take`` — matching the
-    record-at-a-time bounded max-heap of the Lemma 4.2 reference
-    implementations.
+    cutoff drops provably cannot be among the final ``take`` — matching
+    :func:`heap_smallest`, the record-at-a-time bounded max-heap of the
+    reference implementations.
     """
     working: list = []
     cutoff = None  # the take-th smallest seen so far, once known
@@ -211,3 +156,28 @@ def take_smallest(blocks, take: int, lo=None, skip: int = 0) -> list:
     working.sort()
     del working[take:]
     return working
+
+
+def heap_smallest(records, take: int) -> list:
+    """The record-at-a-time reference for :func:`take_smallest` without a
+    boundary: the ``take`` smallest of ``records``, ascending, kept in a
+    bounded max-heap one record at a time."""
+    heap: list = []
+    for rec in records:
+        if len(heap) < take:
+            heapq.heappush(heap, _Neg(rec))
+        elif rec < heap[0].value:
+            heapq.heapreplace(heap, _Neg(rec))
+    return sorted(item.value for item in heap)
+
+
+class _Neg:
+    """Max-heap adapter: orders by descending value under heapq's min-heap."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+    def __lt__(self, other: "_Neg") -> bool:
+        return self.value > other.value

@@ -39,8 +39,7 @@ from .selection_sort import selection_sort
 
 register_kernel_entry(
     "parallel-samplesort",
-    vectorized="repro.core.parallel_samplesort:parallel_samplesort",
-    slow_reference="repro.core.parallel_samplesort:parallel_samplesort",  # same entry point, kernel="slow_reference"
+    entry="repro.core.parallel_samplesort:parallel_samplesort",
     contract="Theorem 4.5",
 )
 

@@ -31,12 +31,12 @@ lemma's exact bounds on every input.
 
 from __future__ import annotations
 
-import heapq
 import math
 
 from ..models.external_memory import AEMachine, ExtArray, MemoryGuard
 from .kernels import (
     SLOW_REFERENCE,
+    heap_smallest,
     register_kernel_entry,
     resolve_kernel,
     take_smallest,
@@ -44,8 +44,7 @@ from .kernels import (
 
 register_kernel_entry(
     "selection",
-    vectorized="repro.core.selection_sort:selection_sort",
-    slow_reference="repro.core.selection_sort:selection_sort",  # same entry point, kernel="slow_reference"
+    entry="repro.core.selection_sort:selection_sort",
     contract="Lemma 4.2",
 )
 
@@ -68,9 +67,7 @@ def selection_sort(
     default) or the record-at-a-time reference (``"slow_reference"``); both
     produce identical blocks and identical counters.
     """
-    if resolve_kernel(kernel) == SLOW_REFERENCE:
-        return _selection_sort_slow(machine, arr, guard)
-
+    slow = resolve_kernel(kernel) == SLOW_REFERENCE
     params = machine.params
     n = arr.length
     out_writer = machine.writer(name=f"selsort({arr.name})")
@@ -83,7 +80,12 @@ def selection_sort(
     guard.acquire(params.M + 2 * params.B)
 
     try:
-        selection_phases(lambda: machine.scan_blocks(arr), n, params.M, out_writer)
+        if slow:
+            reference_phases(machine, arr, n, params.M, out_writer)
+        else:
+            selection_phases(
+                lambda: machine.scan_blocks(arr), n, params.M, out_writer
+            )
     finally:
         guard.release(params.M + 2 * params.B)
     return out_writer.close()
@@ -118,70 +120,50 @@ def selection_phases(scan, n: int, M: int, out_writer) -> None:
         lo = last
 
 
-def _selection_sort_slow(
-    machine: AEMachine,
-    arr: ExtArray,
-    guard: MemoryGuard | None = None,
-) -> ExtArray:
-    """Record-at-a-time reference implementation (parity baseline)."""
-    params = machine.params
-    n = arr.length
-    out_writer = machine.writer(name=f"selsort({arr.name})")
-    if n == 0:
-        return out_writer.close()
+def reference_phases(
+    machine: AEMachine, arr: ExtArray, n: int, M: int, out_writer
+) -> None:
+    """The record-at-a-time Lemma 4.2 phase loop over ``arr``'s first ``n``
+    records: the parity oracle for :func:`selection_phases`, shared by the
+    reference selection sort and the buffer tree's reference prefix sort.
 
-    if guard is None:
-        guard = MemoryGuard()
-    # M-record working set + load block + store buffer
-    guard.acquire(params.M + 2 * params.B)
-
-    last_max = None  # largest (record, position) pair emitted so far
+    Each phase scans the prefix one record at a time and keeps, in a
+    bounded max-heap (in-memory work is free in the model), the ``M``
+    smallest ``(record, scan position)`` pairs past the last pair emitted:
+    the §2 position index, so the cutoff advances through duplicate runs.
+    """
+    last_max = None  # largest (record, scan position) pair emitted so far
     emitted = 0
-    try:
-        while emitted < n:
-            # One scan: collect the M smallest (record, position) pairs >
-            # last_max — the §2 position-index uniquification, so the
-            # cutoff advances through duplicate runs.  In-memory work is
-            # free in the model; we use a bounded max-heap.
-            working: list = []  # max-heap via negated keys
-            pos = 0
-            for bi in range(arr.num_blocks):
-                if arr.block_len(bi) == 0:  # empty placeholder: nothing to transfer
-                    continue
-                block = machine.read_block(arr, bi, copy=False)
-                for rec in block:
-                    pair = (rec, pos)
-                    pos += 1
-                    if last_max is not None and pair <= last_max:
-                        continue
-                    if len(working) < params.M:
-                        heapq.heappush(working, _Neg(pair))
-                    elif pair < working[0].value:
-                        heapq.heapreplace(working, _Neg(pair))
-            batch = sorted(item.value for item in working)
-            if not batch:
-                raise AssertionError(
-                    "selection phase found no records although output is incomplete"
-                )
-            for rec, _ in batch:
-                out_writer.append(rec)
-            emitted += len(batch)
-            last_max = batch[-1]
-    finally:
-        guard.release(params.M + 2 * params.B)
-    return out_writer.close()
+    while emitted < n:
+        batch = heap_smallest(_pairs_past(machine, arr, n, last_max), M)
+        if not batch:
+            raise AssertionError(
+                "selection phase found no records although output is incomplete"
+            )
+        for rec, _ in batch:
+            out_writer.append(rec)
+        emitted += len(batch)
+        last_max = batch[-1]
 
 
-class _Neg:
-    """Max-heap adapter: orders by descending value under heapq's min-heap."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def __lt__(self, other: "_Neg") -> bool:
-        return self.value > other.value
+def _pairs_past(machine: AEMachine, arr: ExtArray, n: int, last_max):
+    """One charged record-at-a-time scan of ``arr``'s first ``n`` records,
+    yielding the ``(record, scan position)`` pairs greater than
+    ``last_max``.  Blocks past the prefix are not read."""
+    pos = 0
+    for bi in range(arr.num_blocks):
+        if pos >= n:
+            return
+        if arr.block_len(bi) == 0:  # empty placeholder: nothing to transfer
+            continue
+        for rec in machine.read_block(arr, bi, copy=False):
+            if pos >= n:
+                return
+            pair = (rec, pos)
+            pos += 1
+            if last_max is not None and pair <= last_max:
+                continue
+            yield pair
 
 
 def predicted_reads(n: int, M: int, B: int) -> int:

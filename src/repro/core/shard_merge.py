@@ -31,8 +31,7 @@ from .kernels import SLOW_REFERENCE, register_kernel_entry, resolve_kernel
 
 register_kernel_entry(
     "shardmerge",
-    vectorized="repro.core.shard_merge:shard_merge",
-    slow_reference="repro.core.shard_merge:shard_merge",  # same entry point, kernel="slow_reference"
+    entry="repro.core.shard_merge:shard_merge",
     contract="Section 4.1 (k-way shard merge)",
 )
 

@@ -74,7 +74,6 @@ from collections.abc import Iterable, Sequence
 from concurrent.futures import CancelledError
 
 from ..analysis.locksan import wrap_condition
-from ..core.kernels import get_default_kernel, set_default_kernel
 from ..models.params import MachineParams
 from ..planner.batch import BatchReport, JobFailure, SortJob, execute_and_check
 from ..planner.plan_cache import PlanCache
@@ -189,11 +188,9 @@ def persistent_worker_loop(conn, constants=None, warm_entries=None) -> None:
 
     Protocol (lockstep request/response over ``conn``):
 
-    * ``("job", index, job, check_sorted, kernel)`` → ``("ok", report, dh,
-      dm)`` or ``("err", picklable_exception, dh, dm)`` where ``dh``/``dm``
-      are this job's plan-cache hit/miss deltas and ``kernel`` is the
-      submitting process's block-kernel mode (module globals do not cross
-      processes, so every job message carries it);
+    * ``("job", index, job, check_sorted)`` → ``("ok", report, dh, dm)``
+      or ``("err", picklable_exception, dh, dm)`` where ``dh``/``dm`` are
+      this job's plan-cache hit/miss deltas;
     * ``("seed", entries)`` → ``("seeded", installed, 0, 0)`` — install a
       parent :meth:`PlanCache.snapshot` into the worker-local cache;
     * ``("stop",)`` → exit.
@@ -212,8 +209,7 @@ def persistent_worker_loop(conn, constants=None, warm_entries=None) -> None:
         if msg[0] == "seed":
             conn.send(("seeded", cache.seed(msg[1]), 0, 0))
             continue
-        _kind, index, job, check_sorted, kernel = msg
-        set_default_kernel(kernel)
+        _kind, index, job, check_sorted = msg
         hits0, misses0 = cache.hits, cache.misses
         try:
             reply = ("ok", execute_and_check(
@@ -758,10 +754,7 @@ class SortService:
                 # respawn — exactly what an OOM kill looks like
                 proc.kill()
             try:
-                # ship the submitting process's block-kernel mode with the
-                # job — module globals do not cross the process boundary
-                conn.send(("job", entry.index, entry.job, entry.check_sorted,
-                           get_default_kernel()))
+                conn.send(("job", entry.index, entry.job, entry.check_sorted))
                 status, payload, dh, dm = conn.recv()
             except (EOFError, OSError, BrokenPipeError) as exc:
                 # the worker process died mid-job: fail ONLY this future,

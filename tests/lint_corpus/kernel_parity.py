@@ -1,5 +1,5 @@
 # reprolint: path=src/repro/core/corpus_kernel_parity.py
-"""Planted violations: kernel-parity (5 findings).
+"""Planted violations: kernel-parity (4 findings).
 
 Every register call here also lacks a ``contract=`` label; that is the
 missing-cost-contract rule's territory (see ``missing_contract.py``), so
@@ -11,30 +11,25 @@ from repro.core.kernels import register_kernel_entry
 _DYNAMIC = "repro.core.phantom:phantom_sort"
 
 # VIOLATION: `phantom_sort` has no pin in tests/test_kernel_parity.py
-# (two findings — once per mode)
 register_kernel_entry(  # reprolint: disable=missing-cost-contract
     "phantom",
-    vectorized="repro.core.phantom:phantom_sort",
-    slow_reference="repro.core.phantom:phantom_sort",
+    entry="repro.core.phantom:phantom_sort",
 )
 
-# VIOLATION: no slow_reference entry point declared
+# VIOLATION: no entry point declared
 register_kernel_entry(  # reprolint: disable=missing-cost-contract
-    "halfbaked", vectorized="repro.core.x:aem_mergesort")
+    "halfbaked")
 
 # VIOLATION: not a string literal — statically uncheckable
 register_kernel_entry(  # reprolint: disable=missing-cost-contract
-    "shifty", vectorized=_DYNAMIC,
-    slow_reference="repro.core.x:aem_mergesort")
+    "shifty", entry=_DYNAMIC)
 
 # VIOLATION: not of the form "module:symbol"
 register_kernel_entry(  # reprolint: disable=missing-cost-contract
-    "formless", vectorized="repro.core.aem_mergesort",
-    slow_reference="repro.core.x:aem_mergesort")
+    "formless", entry="repro.core.aem_mergesort")
 
-# OK: both modes, both pinned (aem_mergesort is imported by the parity test)
+# OK: pinned (aem_mergesort is imported by the parity test)
 register_kernel_entry(  # reprolint: disable=missing-cost-contract
     "wholesome",
-    vectorized="repro.core.aem_mergesort:aem_mergesort",
-    slow_reference="repro.core.aem_mergesort:aem_mergesort",
+    entry="repro.core.aem_mergesort:aem_mergesort",
 )

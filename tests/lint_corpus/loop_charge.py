@@ -1,5 +1,5 @@
 # reprolint: path=src/repro/core/corpus_loop_charge.py
-"""Planted violations: loop-charge (2 findings).
+"""Planted violations: loop-charge (4 findings).
 
 ``aem_mergesort`` below shares its name with a contracted entry symbol so
 every helper here is charge-map-reachable — orphan-charge (exercised by
@@ -15,6 +15,9 @@ def aem_mergesort(machine, arr):
     per_record_emit(machine, list(arr))
     batched_scan(machine, arr)
     dual_kernel(machine, arr, SLOW_REFERENCE)
+    fast_else_branch(machine, arr, SLOW_REFERENCE)
+    fast_negated_guard(machine, arr, SLOW_REFERENCE)
+    after_fast_return(machine, arr, SLOW_REFERENCE)
     _merge_slow_reference(machine, arr)
     waived(machine, arr)
 
@@ -46,6 +49,31 @@ def dual_kernel(machine, arr, kernel):
             machine.counter.charge_block_read()
     else:
         machine.counter.charge_reads(arr.num_blocks)
+
+
+def fast_else_branch(machine, arr, kernel):
+    if kernel == SLOW_REFERENCE:
+        machine.counter.charge_reads(arr.num_blocks)
+    else:
+        for bi in range(arr.num_blocks):
+            # VIOLATION: the else branch is the vectorized path
+            machine.counter.charge_block_read()
+
+
+def fast_negated_guard(machine, arr, kernel):
+    if kernel != SLOW_REFERENCE:
+        for bi in range(arr.num_blocks):
+            # VIOLATION: the body of a `!=` guard is the vectorized path
+            machine.counter.charge_block_read()
+
+
+def after_fast_return(machine, arr, kernel):
+    if kernel != SLOW_REFERENCE:
+        machine.counter.charge_reads(arr.num_blocks)
+        return
+    # OK: after the fast path returns, only the reference runs
+    for bi in range(arr.num_blocks):
+        machine.counter.charge_block_read()
 
 
 def _merge_slow_reference(machine, arr):

@@ -1,7 +1,7 @@
 # reprolint: path=src/repro/core/corpus_missing_contract.py
 """Planted violations: missing-cost-contract (4 findings).
 
-Every register call pins ``aem_mergesort`` in both modes so kernel-parity
+Every register call pins ``aem_mergesort`` as its entry so kernel-parity
 stays silent — each finding below is the contract rule's alone.
 """
 
@@ -10,38 +10,33 @@ CONTRACT = "Theorem 4.3"
 # VIOLATION: no contract= label at all
 register_kernel_entry(
     "contractless",
-    vectorized="repro.core.aem_mergesort:aem_mergesort",
-    slow_reference="repro.core.aem_mergesort:aem_mergesort",
+    entry="repro.core.aem_mergesort:aem_mergesort",
 )
 
 # VIOLATION: contract label is not a string literal — statically uncheckable
 register_kernel_entry(
     "computed-contract",
-    vectorized="repro.core.aem_mergesort:aem_mergesort",
-    slow_reference="repro.core.aem_mergesort:aem_mergesort",
+    entry="repro.core.aem_mergesort:aem_mergesort",
     contract=CONTRACT,
 )
 
 # VIOLATION: `phantomsort` has no declare_contract(...) in boundcheck.py
 register_kernel_entry(
     "phantomsort",
-    vectorized="repro.core.aem_mergesort:aem_mergesort",
-    slow_reference="repro.core.aem_mergesort:aem_mergesort",
+    entry="repro.core.aem_mergesort:aem_mergesort",
     contract="Theorem 9.9",
 )
 
 # VIOLATION: label mismatch — mergesort's declared theorem is 4.3, not 4.5
 register_kernel_entry(
     "mergesort",
-    vectorized="repro.core.aem_mergesort:aem_mergesort",
-    slow_reference="repro.core.aem_mergesort:aem_mergesort",
+    entry="repro.core.aem_mergesort:aem_mergesort",
     contract="Theorem 4.5",
 )
 
 # OK: literal label matching the declared theorem for this kernel
 register_kernel_entry(
     "samplesort",
-    vectorized="repro.core.aem_mergesort:aem_mergesort",
-    slow_reference="repro.core.aem_mergesort:aem_mergesort",
+    entry="repro.core.aem_mergesort:aem_mergesort",
     contract="Theorem 4.5",
 )

@@ -10,8 +10,11 @@ from repro.core.buffer_tree import (
     BufferTree,
     _Delete,
     _external_prefix_sort,
+    _prefix_blocks,
     _skip_stream,
+    _skip_stream_blocks,
 )
+from repro.core.kernels import SLOW_REFERENCE, VECTORIZED
 from repro.models import AEMachine, MachineParams
 from repro.workloads import random_permutation
 
@@ -20,36 +23,53 @@ def make_machine(M=16, B=4, omega=4) -> AEMachine:
     return AEMachine(MachineParams(M=M, B=B, omega=omega))
 
 
+def concat_layout(machine: AEMachine, *parts):
+    """Fragments concatenated without re-blocking: a partial block inside,
+    and an empty placeholder block for each empty part."""
+    arrays = []
+    for part in parts:
+        arr = machine.from_list(part)
+        if not part:
+            machine.write_block(arr, 0, [])
+        arrays.append(arr)
+    return machine.concat(arrays)
+
+
+def prefix_sort(build, prefix_len: int):
+    """``_external_prefix_sort`` under both kernels, each on a fresh machine
+    holding the buffer ``build(machine)``.  Asserts identical output
+    blocks, reads and writes; returns the sorted records and the counter."""
+    results = {}
+    for kernel in (VECTORIZED, SLOW_REFERENCE):
+        machine = make_machine()
+        out = _external_prefix_sort(machine, build(machine), prefix_len, kernel)
+        results[kernel] = (out._blocks, machine.counter.as_dict())
+    assert results[VECTORIZED] == results[SLOW_REFERENCE]
+    blocks, counter = results[VECTORIZED]
+    return [rec for block in blocks for rec in block], counter
+
+
 class TestExternalPrefixSort:
     def test_sorts_prefix_only(self):
-        machine = make_machine()
-        buf = machine.from_list([5, 3, 8, 1, 9, 2, 7, 4])
-        out = _external_prefix_sort(machine, buf, prefix_len=4)
-        assert out.peek_list() == [1, 3, 5, 8]
+        out, _ = prefix_sort(lambda m: m.from_list([5, 3, 8, 1, 9, 2, 7, 4]), 4)
+        assert out == [1, 3, 5, 8]
 
     def test_prefix_across_partial_blocks(self):
-        machine = make_machine()
         # two fragments with a partial block in the middle (concat layout)
-        a = machine.from_list([9, 7])
-        b = machine.from_list([8, 1, 2])
-        buf = machine.concat([a, b])
-        out = _external_prefix_sort(machine, buf, prefix_len=3)
-        assert out.peek_list() == [7, 8, 9]
+        out, counter = prefix_sort(lambda m: concat_layout(m, [9, 7], [8, 1, 2]), 3)
+        assert out == [7, 8, 9]
+        assert counter["block_reads"] == 2  # the partial block + the straddler
 
     def test_full_buffer(self):
-        machine = make_machine()
         data = random_permutation(100, seed=1)
-        buf = machine.from_list(data)
-        out = _external_prefix_sort(machine, buf, prefix_len=100)
-        assert out.peek_list() == sorted(data)
+        out, _ = prefix_sort(lambda m: m.from_list(data), 100)
+        assert out == sorted(data)
 
     def test_write_bound(self):
         """Lemma 4.2 shape: each prefix record written exactly once."""
-        machine = make_machine()
         data = random_permutation(64, seed=2)
-        buf = machine.from_list(data)
-        _external_prefix_sort(machine, buf, prefix_len=64)
-        assert machine.counter.block_writes == 64 // 4
+        _, counter = prefix_sort(lambda m: m.from_list(data), 64)
+        assert counter["block_writes"] == 64 // 4
 
     @given(
         data=st.lists(st.integers(), unique=True, min_size=1, max_size=120),
@@ -58,10 +78,34 @@ class TestExternalPrefixSort:
     @settings(max_examples=30, deadline=None)
     def test_property(self, data, cut):
         cut = min(cut, len(data))
+        out, _ = prefix_sort(lambda m: m.from_list(data), cut)
+        assert out == sorted(data[:cut])
+
+    def test_equal_records_leave_in_scan_order(self):
+        # a key and its delete marker tie: arrival order must survive the
+        # phase boundary, which falls inside the run of 5s (M = 16)
+        ops = [5] * 10 + [_Delete(5)] + [5] * 10 + [3, 9]
+        out, _ = prefix_sort(lambda m: m.from_list(ops), len(ops))
+        assert out == sorted(ops)
+        assert [i for i, op in enumerate(out) if type(op) is _Delete] == [11]
+
+
+class TestPrefixBlocks:
+    @pytest.mark.parametrize("prefix_len", [0, 1, 2, 3, 5, 9])
+    @pytest.mark.parametrize("layout", [
+        [[0, 1], [2, 3, 4, 5, 6, 7, 8]],
+        [[0, 1], [], [2, 3, 4, 5, 6, 7, 8]],
+    ])
+    def test_blocks_cover_the_prefix_only(self, layout, prefix_len):
+        """Truncated at the straddling block, one read per block yielded,
+        empty placeholder blocks skipped without a read."""
         machine = make_machine()
-        buf = machine.from_list(data)
-        out = _external_prefix_sort(machine, buf, prefix_len=cut)
-        assert out.peek_list() == sorted(data[:cut])
+        arr = concat_layout(machine, *layout)
+        reads = machine.counter.block_reads
+        blocks = list(_prefix_blocks(machine, arr, prefix_len))
+        assert [rec for block in blocks for rec in block] == list(range(prefix_len))
+        assert all(blocks)
+        assert machine.counter.block_reads - reads == len(blocks)
 
 
 class TestSkipStream:
@@ -90,6 +134,28 @@ class TestSkipStream:
         b = machine.from_list([3, 4, 5, 6, 7])
         arr = machine.concat([a, b])
         assert list(_skip_stream(machine, arr, skip=4)) == [4, 5, 6, 7]
+
+    @pytest.mark.parametrize("skip", range(0, 11))
+    @pytest.mark.parametrize("layout", [
+        [list(range(10))],  # full blocks and a partial tail
+        [[0, 1, 2], [3, 4, 5, 6, 7, 8, 9]],  # concat: a partial block inside
+        [[0], [1, 2], [3, 4, 5, 6, 7], [8, 9]],
+        [[0, 1, 2], [], [3, 4, 5, 6, 7, 8, 9], []],  # empty placeholders
+    ])
+    def test_block_variant_matches_record_stream(self, layout, skip):
+        """``_skip_stream_blocks`` yields non-empty chunks whose
+        concatenation is ``_skip_stream``'s records, with the same reads."""
+        machine = make_machine()
+        records = list(_skip_stream(machine, concat_layout(machine, *layout), skip))
+        reads = machine.counter.block_reads
+        machine = make_machine()
+        chunks = list(
+            _skip_stream_blocks(machine, concat_layout(machine, *layout), skip)
+        )
+        assert all(chunks), "empty chunk yielded"
+        assert [rec for chunk in chunks for rec in chunk] == records
+        assert records == list(range(skip, 10))
+        assert machine.counter.block_reads == reads
 
 
 class TestMultiwaySplit:

@@ -23,6 +23,7 @@ them only on purpose, when a change is meant to move the counters::
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import importlib
 import json
@@ -32,13 +33,14 @@ from unittest import mock
 
 import pytest
 
-from repro import AEMachine, MachineParams, SortEngine, kernel_mode
+from repro import AEMachine, MachineParams, SortEngine
 from repro.core.buffer_tree import BufferTree
 from repro.core.kernels import SLOW_REFERENCE, VECTORIZED
 from repro.workloads import make_scenario
 
 # the package re-exports the function under the module's name
 heapsort_module = importlib.import_module("repro.core.aem_heapsort")
+engine_module = importlib.import_module("repro.engine")
 
 GOLDEN = Path(__file__).parent / "golden" / "buffer_tree.json"
 
@@ -163,8 +165,11 @@ def stream_case(M: int, B: int, k: int, seed: int, kernel: str) -> list:
     one entry per report."""
     rng = random.Random(seed)
     held: dict = {}  # key -> live copies
-    with kernel_mode(kernel):
+    # the session builds its own tree; hand that tree the kernel
+    tree_in_mode = functools.partial(BufferTree, kernel=kernel)
+    with mock.patch.object(engine_module, "BufferTree", tree_in_mode):
         session = SortEngine(MachineParams(M=M, B=B, omega=4)).stream(k=k)
+        assert session.tree.kernel == kernel
         for _ in range(2500):
             r = rng.random()
             if r < 0.7 or not held:

@@ -11,18 +11,23 @@ buffer tree (plus the selection sort, the sample-sorting 2-way EM mergesort
 and the parallel sample sort that ride on the same primitives).
 """
 
+import importlib
 import random
 
 import pytest
 
-from repro import MachineParams, AEMachine, kernel_mode, set_default_kernel
-from repro.core import get_default_kernel
+from repro import MachineParams, AEMachine
 from repro.core.aem_heapsort import aem_heapsort
 from repro.core.aem_mergesort import aem_mergesort
 from repro.core.aem_samplesort import aem_samplesort
 from repro.core.buffer_tree import BufferTree
 from repro.core.em_utils import em_two_way_mergesort
-from repro.core.kernels import SLOW_REFERENCE, VECTORIZED, resolve_kernel
+from repro.core.kernels import (
+    KERNEL_ENTRIES,
+    SLOW_REFERENCE,
+    VECTORIZED,
+    resolve_kernel,
+)
 from repro.core.parallel_samplesort import parallel_samplesort
 from repro.core.selection_sort import selection_sort
 
@@ -166,37 +171,30 @@ class TestParallelSamplesortParity:
 
 class TestKernelModeSwitch:
     def test_default_is_vectorized(self):
-        assert get_default_kernel() == VECTORIZED
         assert resolve_kernel(None) == VECTORIZED
 
-    def test_context_manager_scopes_the_mode(self):
-        assert get_default_kernel() == VECTORIZED
-        with kernel_mode(SLOW_REFERENCE):
-            assert get_default_kernel() == SLOW_REFERENCE
-            assert resolve_kernel(None) == SLOW_REFERENCE
-        assert get_default_kernel() == VECTORIZED
-
-    def test_context_manager_restores_on_error(self):
-        with pytest.raises(RuntimeError):
-            with kernel_mode(SLOW_REFERENCE):
-                raise RuntimeError("boom")
-        assert get_default_kernel() == VECTORIZED
-
-    def test_set_default_kernel_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown kernel mode"):
-            set_default_kernel("turbo")
+    def test_resolve_kernel_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown kernel mode"):
             resolve_kernel("turbo")
 
-    def test_mode_governs_unannotated_calls(self):
-        # identical results either way, so only the counters prove which
-        # path ran — the modes are I/O-invisible by construction; here we
-        # just check the switch round-trips through a real sort
-        data = _data(500, seed=2)
-        with kernel_mode(SLOW_REFERENCE):
-            machine = AEMachine(PARAMS)
-            out = aem_mergesort(machine, machine.from_list(data), k=2)
-        assert out.peek_list() == sorted(data)
+    @pytest.mark.parametrize("name", sorted(KERNEL_ENTRIES))
+    def test_every_entry_rejects_unknown_mode(self, name):
+        """A typo such as ``kernel="slow"`` must fail at every registered
+        entry point instead of silently running the vectorized path."""
+        module, symbol = KERNEL_ENTRIES[name].split(":")
+        entry = getattr(importlib.import_module(module), symbol)
+        machine = AEMachine(PARAMS)
+        data = _data(100)
+        if name == "parallel-samplesort":
+            args = (PARAMS, data)
+        elif name == "buffer-tree":
+            args = (machine,)
+        elif name == "shardmerge":
+            args = (machine, [machine.from_list(sorted(data))])
+        else:
+            args = (machine, machine.from_list(data))
+        with pytest.raises(ValueError, match="unknown kernel mode 'turbo'"):
+            entry(*args, kernel="turbo")
 
 
 class TestDuplicateKeyParity:
@@ -312,34 +310,3 @@ class TestPriorityQueueInsertBlock:
         bulk = run(True)
         looped = run(False)
         assert bulk == looped
-
-
-class TestKernelModeAcrossProcesses:
-    def test_process_batch_carries_the_submitting_mode(self):
-        """A kernel_mode(...) block around a process-executor batch must
-        govern the worker processes, not silently fall back to the parent's
-        import-time default (module globals do not cross fork/spawn)."""
-        from repro import SortJob, run_batch
-
-        jobs = [
-            SortJob(data=list(range(300, 0, -1)), params=PARAMS, label=f"j{i}")
-            for i in range(4)
-        ]
-        with kernel_mode(SLOW_REFERENCE):
-            slow = run_batch(jobs, max_workers=2, executor="process",
-                             check_sorted=True)
-        fast = run_batch(jobs, max_workers=2, executor="process",
-                         check_sorted=True)
-        assert not slow.failures and not fast.failures
-        # I/O-invisibility means the aggregates agree — the real check is
-        # that both modes executed without error end to end in the workers
-        assert slow.total_reads == fast.total_reads
-        assert slow.total_writes == fast.total_writes
-
-    def test_persistent_worker_carries_per_job_mode(self):
-        from repro.service import SortService
-
-        with kernel_mode(SLOW_REFERENCE):
-            with SortService(PARAMS, workers=1, executor="process") as svc:
-                rep = svc.submit(list(range(200, 0, -1))).result()
-        assert rep.is_sorted()

@@ -147,11 +147,16 @@ class TestCorpus:
 
     def test_loop_charge_fires_and_exempts_slow_paths(self):
         findings = lint_corpus_file("loop_charge.py")
-        assert rules_of(findings) == ["loop-charge"] * 2
-        # the SLOW_REFERENCE branch and the *_slow_reference function hold
-        # identical loops that must NOT fire
+        assert rules_of(findings) == ["loop-charge"] * 4
+        # the SLOW_REFERENCE branch, the loop after a fast path's `return`
+        # and the *_slow_reference function hold identical loops that must
+        # NOT fire; the vectorized branches of both guard shapes must
         assert all("charge_block_read" in f.message or "charge_write" in f.message
                    for f in findings)
+        with open(os.path.join(CORPUS, "loop_charge.py"), encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        planted = {i + 2 for i, line in enumerate(lines) if "# VIOLATION" in line}
+        assert {f.line for f in findings} == planted
 
     def test_lock_discipline_fires(self):
         # the blocking call under the lock is flow-lockset's finding; the
@@ -167,10 +172,10 @@ class TestCorpus:
 
     def test_kernel_parity_fires(self):
         findings = lint_corpus_file("kernel_parity.py")
-        assert rules_of(findings) == ["kernel-parity"] * 5
+        assert rules_of(findings) == ["kernel-parity"] * 4
         messages = " | ".join(f.message for f in findings)
         assert "phantom_sort" in messages
-        assert "slow_reference=" in messages
+        assert "entry=" in messages
         assert "string literal" in messages
         assert "module:symbol" in messages
 
@@ -380,13 +385,13 @@ class TestCLI:
         rc = main([CORPUS, "--root", REPO])
         out = capsys.readouterr().out
         assert rc == 1
-        assert "reprolint: 31 findings" in out
+        assert "reprolint: 32 findings" in out
 
     def test_json_format(self, capsys):
         rc = main([CORPUS, "--root", REPO, "--format", "json"])
         assert rc == 1
         payload = json.loads(capsys.readouterr().out)
-        assert len(payload) == 31
+        assert len(payload) == 32
         assert {"rule", "path", "line", "col", "message"} <= set(payload[0])
 
     def test_single_rule_selection(self, capsys):
@@ -474,18 +479,19 @@ class TestCLI:
 
 
 class TestKernelRegistryCompleteness:
-    def test_every_kernel_registered_with_both_modes(self):
+    def test_every_kernel_registered_once(self):
         import repro.core  # noqa: F401 — registration side effects
 
-        from repro.core.kernels import KERNEL_ENTRIES, SLOW_REFERENCE, VECTORIZED
+        from repro.core.kernels import KERNEL_ENTRIES
 
         expected = {
             "mergesort", "samplesort", "heapsort", "selection",
             "em2way", "buffer-tree", "parallel-samplesort", "shardmerge",
         }
         assert set(KERNEL_ENTRIES) == expected
-        for name, modes in KERNEL_ENTRIES.items():
-            assert set(modes) == {VECTORIZED, SLOW_REFERENCE}, name
+        for name, spec in KERNEL_ENTRIES.items():
+            module, _, symbol = spec.partition(":")
+            assert module.startswith("repro.core.") and symbol, (name, spec)
 
     def test_registered_symbols_are_pinned_in_parity_tests(self):
         import repro.core  # noqa: F401
@@ -494,10 +500,9 @@ class TestKernelRegistryCompleteness:
 
         parity = open(os.path.join(REPO, "tests", "test_kernel_parity.py"),
                       encoding="utf-8").read()
-        for name, modes in KERNEL_ENTRIES.items():
-            for spec in modes.values():
-                symbol = spec.rsplit(":", 1)[1]
-                assert symbol in parity, (name, symbol)
+        for name, spec in KERNEL_ENTRIES.items():
+            symbol = spec.rsplit(":", 1)[1]
+            assert symbol in parity, (name, symbol)
 
     def test_registered_entry_points_import(self):
         import importlib
@@ -506,8 +511,7 @@ class TestKernelRegistryCompleteness:
 
         from repro.core.kernels import KERNEL_ENTRIES
 
-        for modes in KERNEL_ENTRIES.values():
-            for spec in modes.values():
-                mod_name, symbol = spec.rsplit(":", 1)
-                mod = importlib.import_module(mod_name)
-                assert hasattr(mod, symbol), spec
+        for spec in KERNEL_ENTRIES.values():
+            mod_name, symbol = spec.rsplit(":", 1)
+            mod = importlib.import_module(mod_name)
+            assert hasattr(mod, symbol), spec

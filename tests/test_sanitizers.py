@@ -12,7 +12,6 @@ import pytest
 
 from repro.analysis import iosan, locksan
 from repro.core import aem_heapsort, aem_mergesort, BufferTree
-from repro.core.kernels import kernel_mode
 from repro.models import AEMachine, CostCounter, MachineParams
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -221,12 +220,12 @@ class TestIosanParity:
 
     @pytest.mark.parametrize("kernel", ["vectorized", "slow_reference"])
     def test_heapsort_and_buffer_tree_run_clean(self, kernel, params):
-        with iosan.iosan(), kernel_mode(kernel):
+        with iosan.iosan():
             machine = AEMachine(params)
-            out = aem_heapsort(machine, machine.from_list(DATA))
+            out = aem_heapsort(machine, machine.from_list(DATA), kernel=kernel)
             assert out.peek_list() == sorted(DATA)
             machine2 = AEMachine(params)
-            tree = BufferTree(machine2)
+            tree = BufferTree(machine2, kernel=kernel)
             tree.insert_many(DATA)
             assert tree.drain_sorted() == sorted(DATA)
 
