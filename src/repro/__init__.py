@@ -18,47 +18,95 @@ Quickstart
 [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]
 >>> machine.counter.block_cost(params.omega) > 0
 True
+
+What ``import repro`` loads
+---------------------------
+This file only.  Each name in ``__all__`` is imported from its submodule the
+first time it is used (PEP 562, through :func:`_lazy_exports`), and so are
+the names of ``repro.analysis``, ``repro.models``, ``repro.planner`` and
+``repro.service``.  A sort therefore loads the engine, the kernels, the
+models and the planner's cost model, and none of the service, the cluster,
+the experiments or the analysis tooling: with bytecode caching off, every
+module imported is compiled afresh in each new process.  ``repro.core``
+stays eager, so that importing any kernel registers all of them in
+``KERNEL_ENTRIES``.
 """
 
-from .api import SortReport, sort_auto, sort_external, sort_ram
-from .engine import EXTERNAL_SORTS, SortEngine, StreamSession
-from .core import (
-    AEMPriorityQueue,
-    BufferTree,
-    aem_heapsort,
-    aem_mergesort,
-    aem_samplesort,
-    bst_sort,
-    selection_sort,
-)
-from .models import (
-    AEMachine,
-    CacheSim,
-    CostCounter,
-    DepthTracker,
-    InstrumentedArray,
-    MachineParams,
-    MemoryGuard,
-    SimArray,
-)
-from .planner import (
-    BatchReport,
-    CostConstants,
-    PlanCache,
-    SortJob,
-    SortPlan,
-    calibrate,
-    plan_sort,
-    rank_plans,
-    run_batch,
-)
-from .service import (
-    EngineServer,
-    ServiceClient,
-    SortFuture,
-    SortService,
-    WorkerDiedError,
-)
+
+def _lazy_exports(package: str, table: dict[str, tuple[str, ...]]):
+    """PEP 562 ``(__getattr__, __dir__)`` for ``package`` over ``table``.
+
+    ``table`` reads like the import block it replaces: ``{".engine":
+    ("SortEngine",)}`` stands for ``from .engine import SortEngine``, and
+    ``{".": ("iosan",)}`` for ``from . import iosan`` (the submodule itself).
+    A name's submodule is imported the first time the name is looked up;
+    the value is then stored on the package, so later lookups are plain
+    attribute reads.
+    """
+    import importlib
+    import sys
+
+    source_of = {name: source for source, names in table.items() for name in names}
+
+    def __getattr__(name: str):
+        try:
+            source = source_of[name]
+        except KeyError:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}") from None
+        if source == ".":
+            value = importlib.import_module(f".{name}", package)
+        else:
+            value = getattr(importlib.import_module(source, package), name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(set(vars(sys.modules[package])) | source_of.keys())
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    ".api": ("SortReport", "sort_auto", "sort_external", "sort_ram"),
+    ".engine": ("EXTERNAL_SORTS", "SortEngine", "StreamSession"),
+    ".core": (
+        "AEMPriorityQueue",
+        "BufferTree",
+        "aem_heapsort",
+        "aem_mergesort",
+        "aem_samplesort",
+        "bst_sort",
+        "selection_sort",
+    ),
+    ".models": (
+        "AEMachine",
+        "CacheSim",
+        "CostCounter",
+        "DepthTracker",
+        "InstrumentedArray",
+        "MachineParams",
+        "MemoryGuard",
+        "SimArray",
+    ),
+    ".planner": (
+        "BatchReport",
+        "CostConstants",
+        "PlanCache",
+        "SortJob",
+        "SortPlan",
+        "calibrate",
+        "plan_sort",
+        "rank_plans",
+        "run_batch",
+    ),
+    ".service": (
+        "EngineServer",
+        "ServiceClient",
+        "SortFuture",
+        "SortService",
+        "WorkerDiedError",
+    ),
+})
 
 __version__ = "1.0.0"
 

@@ -69,20 +69,13 @@ import time
 from .analysis.ktuning import sweep_k
 from .analysis.tables import format_table
 from .engine import SortEngine
-from .experiments import ALL_EXPERIMENTS
 from .models.params import MachineParams
-from .planner import (
-    CostConstants,
-    SortJob,
-    compare_rankings,
-    fit_constants,
-    measure_samples,
-    rank_plans,
-)
 from .workloads import SCENARIOS, make_scenario, random_permutation
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
+    from .experiments import ALL_EXPERIMENTS
+
     wanted = [w.upper() for w in args.ids] or list(ALL_EXPERIMENTS)
     unknown = [w for w in wanted if w not in ALL_EXPERIMENTS]
     if unknown:
@@ -134,11 +127,17 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_constants(path: str | None) -> CostConstants | None:
-    return CostConstants.load(path) if path else None
+def _load_constants(path: str | None):
+    if not path:
+        return None
+    from .planner import CostConstants
+
+    return CostConstants.load(path)
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
+    from .planner import rank_plans
+
     params = MachineParams(M=args.M, B=args.B, omega=args.omega)
     ranked = rank_plans(args.n, params, k_max=args.k_max,
                         constants=_load_constants(args.constants))
@@ -162,6 +161,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
+    from .planner import SortJob
+
     params = MachineParams(M=args.M, B=args.B, omega=args.omega)
     mix = [s.strip() for s in args.mix.split(",") if s.strip()]
     unknown = [s for s in mix if s not in SCENARIOS]
@@ -205,6 +206,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
+    from .planner import compare_rankings, fit_constants, measure_samples
+
     params = MachineParams(M=args.M, B=args.B, omega=args.omega)
     sizes = tuple(int(s) for s in args.sizes.split(",") if s.strip())
     if not sizes:

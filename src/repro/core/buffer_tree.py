@@ -806,11 +806,14 @@ def _skip_stream(machine: AEMachine, arr: ExtArray, skip: int):
     """Stream ``arr`` skipping its first ``skip`` records.
 
     Blocks wholly inside the skipped prefix are *not* read (their record
-    counts are metadata); the straddling block is read once.
+    counts are metadata); the straddling block is read once.  Empty
+    placeholder blocks are not read either, as in :meth:`AEMachine.scan`.
     """
     offset = 0
     for bi in range(arr.num_blocks):
         blk_len = arr.block_len(bi)
+        if blk_len == 0:  # empty placeholder: nothing to transfer
+            continue
         if offset + blk_len <= skip:
             offset += blk_len
             continue
@@ -827,13 +830,14 @@ def _skip_stream_blocks(machine: AEMachine, arr: ExtArray, skip: int):
     offset = 0
     for bi in range(arr.num_blocks):
         blk_len = arr.block_len(bi)
+        if blk_len == 0:  # empty placeholder: nothing to transfer
+            continue
         if offset + blk_len <= skip:
             offset += blk_len
             continue
         block = machine.read_block(arr, bi, copy=False)
         start = max(0, skip - offset)
-        if start < blk_len:
-            yield block[start:] if start else block
+        yield block[start:] if start else block
         offset += blk_len
 
 

@@ -11,19 +11,23 @@ Four executable models, all charging a shared
   (LRU / read-write LRU / offline Belady) behind cache-oblivious algorithms.
 """
 
-from .asymmetric_ram import InstrumentedArray
-from .counters import CostCounter, PhaseRecorder
-from .external_memory import (
-    AEMachine,
-    BlockReader,
-    BlockWriter,
-    ExtArray,
-    MemoryBudgetExceeded,
-    MemoryGuard,
-)
-from .ideal_cache import CacheSim, SimArray, SimView, simulate_trace
-from .params import MEDIUM, SMALL, TINY, MachineParams, parameter_grid
-from .pram import DepthTracker
+from .. import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    ".asymmetric_ram": ("InstrumentedArray",),
+    ".counters": ("CostCounter", "PhaseRecorder"),
+    ".external_memory": (
+        "AEMachine",
+        "BlockReader",
+        "BlockWriter",
+        "ExtArray",
+        "MemoryBudgetExceeded",
+        "MemoryGuard",
+    ),
+    ".ideal_cache": ("CacheSim", "SimArray", "SimView", "simulate_trace"),
+    ".params": ("MEDIUM", "SMALL", "TINY", "MachineParams", "parameter_grid"),
+    ".pram": ("DepthTracker",),
+})
 
 __all__ = [
     "AEMachine",

@@ -96,7 +96,8 @@ class _CollectorPause:
         self._reset()
 
     def _reset(self) -> None:
-        # imported here: repro.analysis imports this module at load time
+        # imported here: repro.models sits below repro.analysis, whose
+        # iosan imports this module at load time
         from ..analysis.locksan import wrap_lock
 
         self._lock = wrap_lock(threading.Lock(), "CollectorPause._lock")

@@ -25,29 +25,33 @@ legacy :func:`repro.api.sort_auto` / :func:`run_batch` shims and the
 subcommands) is a thin wrapper over these modules.
 """
 
-from .batch import BatchReport, JobFailure, SortJob, execute_batch, run_batch
-from .calibration import (
-    CALIBRATABLE_ALGORITHMS,
-    CalibrationSample,
-    CostConstants,
-    RankingComparison,
-    calibrate,
-    compare_rankings,
-    fit_constants,
-    measure_samples,
-)
-from .cost_model import (
-    PLANNABLE_ALGORITHMS,
-    ClusterShardPlan,
-    PlanCandidate,
-    SortPlan,
-    plan_cluster_shards,
-    plan_sort,
-    predict_candidate,
-    predict_shard_merge_io,
-    rank_plans,
-)
-from .plan_cache import PlanCache
+from .. import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    ".batch": ("BatchReport", "JobFailure", "SortJob", "execute_batch", "run_batch"),
+    ".calibration": (
+        "CALIBRATABLE_ALGORITHMS",
+        "CalibrationSample",
+        "CostConstants",
+        "RankingComparison",
+        "calibrate",
+        "compare_rankings",
+        "fit_constants",
+        "measure_samples",
+    ),
+    ".cost_model": (
+        "PLANNABLE_ALGORITHMS",
+        "ClusterShardPlan",
+        "PlanCandidate",
+        "SortPlan",
+        "plan_cluster_shards",
+        "plan_sort",
+        "predict_candidate",
+        "predict_shard_merge_io",
+        "rank_plans",
+    ),
+    ".plan_cache": ("PlanCache",),
+})
 
 __all__ = [
     "BatchReport",

@@ -21,17 +21,21 @@ jobs.  Its reports are tested against the sequential
 :func:`~repro.planner.batch.execute_batch` reference.
 """
 
-from .backoff import Deadline, backoff_delay, backoff_delays
-from .futures import CANCELLED, FINISHED, PENDING, RUNNING, SortFuture, wait
-from .scheduler import (
-    ADMISSION_POLICIES,
-    PRIORITY_CONTROL,
-    QueueFullError,
-    SortService,
-    WorkerDiedError,
-    default_pool_width,
-)
-from .server import EngineServer, ServiceClient, ServiceError
+from .. import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    ".backoff": ("Deadline", "backoff_delay", "backoff_delays"),
+    ".futures": ("CANCELLED", "FINISHED", "PENDING", "RUNNING", "SortFuture", "wait"),
+    ".scheduler": (
+        "ADMISSION_POLICIES",
+        "PRIORITY_CONTROL",
+        "QueueFullError",
+        "SortService",
+        "WorkerDiedError",
+        "default_pool_width",
+    ),
+    ".server": ("EngineServer", "ServiceClient", "ServiceError"),
+})
 
 __all__ = [
     "ADMISSION_POLICIES",

@@ -249,6 +249,13 @@ class _Handler(socketserver.StreamRequestHandler):
         return True
 
 
+#: seconds between the accept loop's checks for a shutdown request:
+#: :meth:`EngineServer.close` and the ``shutdown`` op return within this.
+#: ``socketserver``'s default, 0.5 s, would make every close wait that
+#: long; the price is an idle server waking 50 times a second
+_POLL_INTERVAL = 0.02
+
+
 class _TCPServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
@@ -317,7 +324,10 @@ class EngineServer:
 
     def start(self) -> "EngineServer":
         thread = threading.Thread(
-            target=self._server.serve_forever, daemon=True, name="sort-serve"
+            target=self._server.serve_forever,
+            args=(_POLL_INTERVAL,),
+            daemon=True,
+            name="sort-serve",
         )
         with self._lock:
             self._thread = thread
@@ -325,7 +335,7 @@ class EngineServer:
         return self
 
     def serve_forever(self) -> None:
-        self._server.serve_forever()
+        self._server.serve_forever(_POLL_INTERVAL)
 
     def close(self) -> None:
         """Stop the listener (idempotent).  The service is left to its

@@ -1,5 +1,6 @@
 """White-box tests for the buffer tree's streaming/splitting machinery."""
 
+import itertools
 import random
 
 import pytest
@@ -144,10 +145,16 @@ class TestSkipStream:
     ])
     def test_block_variant_matches_record_stream(self, layout, skip):
         """``_skip_stream_blocks`` yields non-empty chunks whose
-        concatenation is ``_skip_stream``'s records, with the same reads."""
+        concatenation is ``_skip_stream``'s records, with the same reads:
+        one per non-empty block at or past the skip point (an empty
+        placeholder is not read, as in ``AEMachine.scan``)."""
         machine = make_machine()
-        records = list(_skip_stream(machine, concat_layout(machine, *layout), skip))
+        arr = concat_layout(machine, *layout)
+        records = list(_skip_stream(machine, arr, skip))
         reads = machine.counter.block_reads
+        lengths = [arr.block_len(bi) for bi in range(arr.num_blocks)]
+        ends = itertools.accumulate(lengths)
+        assert reads == sum(1 for n, end in zip(lengths, ends) if n and end > skip)
         machine = make_machine()
         chunks = list(
             _skip_stream_blocks(machine, concat_layout(machine, *layout), skip)

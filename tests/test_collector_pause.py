@@ -55,8 +55,8 @@ def collector_on():
 @pytest.fixture(autouse=True)
 def recorded_pause_lock():
     """Run each test with the pause's lock under locksan's lock-order
-    recorder (the lock is made at import, before ``REPRO_LOCKSAN=1``
-    switches the recorder on, so it is made again here)."""
+    recorder (the lock is made at import, and without ``REPRO_LOCKSAN=1``
+    the recorder was off then, so it is made again here)."""
     was = locksan.locksan_enabled()
     locksan.enable()
     locksan.reset()
