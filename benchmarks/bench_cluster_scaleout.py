@@ -16,15 +16,15 @@ bench reconstructs the **data-parallel critical path**::
 
 i.e. the wall this coordinator would see if each host had its own core:
 coordinator serial work + wire + the slowest shard.  Raw single-core walls
-are committed alongside in ``BENCH_cluster_scaleout.json`` — nothing is
-hidden — and the assertion holds N=4 to >= 1.7x the N=1 critical-path
+are committed alongside in ``BENCH_bench_cluster_scaleout.json`` — nothing
+is hidden — and the assertion holds N=4 to >= 1.7x the N=1 critical-path
 records/sec.
 """
 
 import os
 import time
 
-from conftest import emit_bench_json, run_once
+from conftest import run_once
 
 from repro import MachineParams
 from repro.cluster import LocalCluster
@@ -89,23 +89,18 @@ def bench_cluster_scaleout(benchmark):
         f"N=4 scatter-gather reached only {speedup:.2f}x the N=1 "
         f"critical-path throughput (target {TARGET_SPEEDUP}x): {curve}"
     )
-    headline = {
-        "n": N_RECORDS,
-        "speedup_4_vs_1": round(speedup, 2),
-        "speedup_2_vs_1": round(
-            curve[2]["records_per_sec"] / curve[1]["records_per_sec"], 2
-        ),
-        "records_per_sec": {str(n): curve[n]["records_per_sec"] for n in FLEETS},
-    }
-    benchmark.extra_info.update(headline)
-    emit_bench_json(
-        "cluster_scaleout",
+    benchmark.extra_info.update(
         {
-            **headline,
+            "n": N_RECORDS,
+            "speedup_4_vs_1": round(speedup, 2),
+            "speedup_2_vs_1": round(
+                curve[2]["records_per_sec"] / curve[1]["records_per_sec"], 2
+            ),
+            "records_per_sec": {str(n): curve[n]["records_per_sec"] for n in FLEETS},
             "metric": "critical-path records/sec: n / (wall - sum(shard_cpu)"
             " + max(shard_cpu)); raw walls committed per fleet",
             "host_cpus": os.cpu_count(),
             "machine": str(PARAMS),
             "fleets": [curve[n] for n in FLEETS],
-        },
+        }
     )

@@ -10,19 +10,19 @@ records what each admission policy does with the excess:
 * ``shed-lowest`` — overflow evicts the worst pending job, so high-priority
   work keeps flowing while low-priority work is sacrificed.
 
-Headline numbers land in ``BENCH_overload_slo.json``: per-policy p50/p95/p99
-completion latency (submit → done-callback, milliseconds) and goodput
-(completed jobs/s) against the offered rate.  The SLO claim asserted here is
-structural, not a wall-clock number: every policy keeps goodput positive
-under 2x overload, the bounding policies actually exercise their overflow
-path, and ``block`` completes every job it admits.
+Headline numbers land in ``BENCH_bench_overload_slo.json``: per-policy
+p50/p95/p99 completion latency (submit → done-callback, milliseconds) and
+goodput (completed jobs/s) against the offered rate.  The SLO claim
+asserted here is structural, not a wall-clock number: every policy keeps
+goodput positive under 2x overload, the bounding policies actually
+exercise their overflow path, and ``block`` completes every job it admits.
 """
 
 import threading
 import time
 from concurrent.futures import CancelledError
 
-from conftest import emit_bench_json, run_once
+from conftest import run_once
 
 from repro import MachineParams
 from repro.service import QueueFullError, SortService
@@ -158,12 +158,12 @@ def bench_overload_slo(benchmark):
         rows["shed-lowest"]
     )
 
-    info = {
-        "workers": WORKERS,
-        "max_queue": MAX_QUEUE,
-        "overload_factor": OVERLOAD,
-        "capacity_jps": round(capacity, 2),
-        "policies": rows,
-    }
-    benchmark.extra_info.update(info)
-    emit_bench_json("overload_slo", {"extra_info": info})
+    benchmark.extra_info.update(
+        {
+            "workers": WORKERS,
+            "max_queue": MAX_QUEUE,
+            "overload_factor": OVERLOAD,
+            "capacity_jps": round(capacity, 2),
+            "policies": rows,
+        }
+    )

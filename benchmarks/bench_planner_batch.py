@@ -15,7 +15,7 @@ import os
 
 from conftest import run_once
 
-from repro import MachineParams, SortJob, run_batch
+from repro import MachineParams, SortEngine, SortJob
 from repro.planner.calibration import calibrate, compare_rankings
 from repro.workloads import make_scenario
 
@@ -34,10 +34,16 @@ def _cpu_bound_jobs(count=12, n=40_000):
     ]
 
 
+def _batch(jobs, executor):
+    """One batch on a fresh engine's pool of the default width."""
+    with SortEngine(PARAMS, executor=executor) as engine:
+        return engine.batch(jobs)
+
+
 def bench_batch_process_scaling(benchmark):
     jobs = _cpu_bound_jobs()
-    process = run_once(benchmark, run_batch, jobs, executor="process")
-    thread = run_batch(jobs, executor="thread")
+    process = run_once(benchmark, _batch, jobs, "process")
+    thread = _batch(jobs, "thread")
     assert not thread.failures and not process.failures
     # model-level aggregates are executor-independent
     assert process.total_reads == thread.total_reads
@@ -54,12 +60,8 @@ def bench_batch_process_scaling(benchmark):
         for _ in range(2):
             if best_process > best_thread:
                 break
-            best_process = max(
-                best_process, run_batch(jobs, executor="process").records_per_second
-            )
-            best_thread = max(
-                best_thread, run_batch(jobs, executor="thread").records_per_second
-            )
+            best_process = max(best_process, _batch(jobs, "process").records_per_second)
+            best_thread = max(best_thread, _batch(jobs, "thread").records_per_second)
         assert best_process > best_thread, (
             f"process {best_process:.0f} rec/s did not beat "
             f"thread {best_thread:.0f} rec/s on {cores} cores (best of 3)"

@@ -67,8 +67,8 @@ def _lazy_exports(package: str, table: dict[str, tuple[str, ...]]):
 
 
 __getattr__, __dir__ = _lazy_exports(__name__, {
-    ".api": ("SortReport", "sort_auto", "sort_external", "sort_ram"),
-    ".engine": ("EXTERNAL_SORTS", "SortEngine", "StreamSession"),
+    ".api": ("SortReport",),
+    ".engine": ("EXTERNAL_SORTS", "SortEngine", "StreamSession", "sort_ram"),
     ".core": (
         "AEMPriorityQueue",
         "BufferTree",
@@ -97,7 +97,6 @@ __getattr__, __dir__ = _lazy_exports(__name__, {
         "calibrate",
         "plan_sort",
         "rank_plans",
-        "run_batch",
     ),
     ".service": (
         "EngineServer",
@@ -158,10 +157,7 @@ __all__ = [
     "calibrate",
     "plan_sort",
     "rank_plans",
-    "run_batch",
     "selection_sort",
-    "sort_auto",
-    "sort_external",
     "sort_ram",
     "__version__",
 ]

@@ -10,7 +10,7 @@ Subcommands
     Print the Appendix-A k sweep for a machine.
 ``plan --n N [--M M] [--B B] [--omega W] [--constants FILE]``
     Rank every algorithm by exact predicted asymmetric I/O cost (the
-    cost-model planner behind ``sort_auto``) without executing anything;
+    cost-model planner behind ``engine.sort``) without executing anything;
     ``--constants`` loads a calibrated-constants JSON from ``calibrate``.
 ``batch --jobs J --n N [--mix S1,S2,...] [--executor thread|process]
 [--workers W] [--constants FILE] [--check]``
@@ -44,7 +44,7 @@ Subcommands
     ``shardmerge``), route a stream of small jobs to the least-loaded
     host, print per-host and aggregate cluster stats, then drain-shutdown
     the fleet.  ``--check`` additionally asserts parity with a
-    single-engine ``sort_auto`` run.
+    single-engine ``engine.sort`` run.
 
 ``chaos [--seed N] [--drills D1,D2,...] [--twice]``
     Run the deterministic fault-injection drills (worker death, wire
@@ -332,7 +332,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                 with SortEngine(params) as engine:
                     ref = engine.sort(data)
                 if rep.output != ref.output:
-                    print("ERROR: cluster output differs from single-engine sort_auto")
+                    print("ERROR: cluster output differs from single-engine engine.sort")
                     return 1
             print(
                 format_table(
@@ -802,7 +802,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cluster.add_argument("--seed", type=int, default=0)
     p_cluster.add_argument("--check", action="store_true",
                            help="verify outputs and parity with single-engine "
-                                "sort_auto")
+                                "engine.sort")
     p_cluster.set_defaults(fn=_cmd_cluster)
 
     p_cert = sub.add_parser(

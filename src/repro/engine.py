@@ -1,10 +1,8 @@
 """The :class:`SortEngine` session façade: one object, every entry point.
 
-The public surface had grown call-by-call — ``sort_external`` / ``sort_ram``
-/ ``sort_auto`` / ``run_batch`` / ``calibrate`` each re-threaded ``params``,
-``constants=``, ``cache=`` and executor knobs — and none of them could accept
-records *incrementally*.  ``SortEngine`` is the canonical entry point that
-owns the configuration once:
+``SortEngine`` is the one way to sort on a machine.  It owns the
+configuration once, so no call re-threads ``params``, ``constants=``,
+``cache=`` or executor knobs:
 
 * one :class:`~repro.models.params.MachineParams` (the machine every call
   runs on unless a batch job pins its own),
@@ -14,7 +12,7 @@ owns the configuration once:
 * one optional :class:`~repro.planner.calibration.CostConstants` so every
   ranking uses the same calibrated leading constants (refreshable in place
   via :meth:`SortEngine.calibrate`),
-* the default batch executor (``"thread"`` or ``"process"``) and pool width.
+* the batch executor (``"thread"`` or ``"process"``) and pool width.
 
 Entry points
 ------------
@@ -40,11 +38,9 @@ Entry points
     ``close()`` — or partially via ``pop_min(m)`` (top-m extraction without
     a full flush).
 
-The legacy module-level calls (``sort_external`` & co. in :mod:`repro.api`,
-``run_batch`` in :mod:`repro.planner.batch`) are thin backward-compatible
-shims over a throwaway engine instance.  The asynchronous
-submission surface (futures, priorities, the socket server) lives in
-:mod:`repro.service`.
+The one machine-free call is :func:`sort_ram`, the §3 Asymmetric RAM sort
+at element granularity.  The asynchronous submission surface (futures,
+priorities, the socket server) lives in :mod:`repro.service`.
 
 Uniform external-sort registry
 ------------------------------
@@ -124,7 +120,7 @@ EXTERNAL_SORTS: dict[str, ExternalSortSpec] = {
 
 
 # ---------------------------------------------------------------------- #
-# machine-independent report builders (shared by the engine and the shims)
+# report builders behind SortEngine.sort (and, for the AEM sorts, certify)
 # ---------------------------------------------------------------------- #
 def external_sort_report(
     data: Sequence,
@@ -135,11 +131,7 @@ def external_sort_report(
     """Run one registry sort on a fresh AEM machine and report block costs."""
     from .api import SortReport
 
-    spec = EXTERNAL_SORTS.get(algorithm)
-    if spec is None:
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; choose from {sorted(EXTERNAL_SORTS)}"
-        )
+    spec = EXTERNAL_SORTS[algorithm]
     if spec.takes_k and k is None:
         from .analysis.ktuning import choose_k
 
@@ -165,8 +157,11 @@ def external_sort_report(
     )
 
 
-def ram_sort_report(data: Sequence, algorithm: str = "bst-rb"):
-    """Sort in the Asymmetric RAM model (§3), element granularity."""
+def sort_ram(data: Sequence, algorithm: str = "bst-rb"):
+    """Sort ``data`` in the Asymmetric RAM model (§3), element granularity:
+    no machine, so no engine.  ``algorithm`` is one of :data:`RAM_SORTS`
+    (``bst-rb``, ``bst-treap``, ``bst-avl``, ``quicksort``, ``mergesort``,
+    ``heapsort``, ...)."""
     from .api import SortReport
 
     if algorithm not in RAM_SORTS:
@@ -198,7 +193,7 @@ def ram_on_machine_report(
     """
     if len(data) > params.M:
         raise ValueError(f"ram sort requires n <= M, got n={len(data)} > M={params.M}")
-    report = ram_sort_report(data, algorithm=algorithm)
+    report = sort_ram(data, algorithm=algorithm)
     report.params = params
     blocks = math.ceil(len(data) / params.B)
     report.counter.charge_block_read(blocks)
@@ -224,8 +219,9 @@ class SortEngine:
         The shared :class:`PlanCache`; one is created when ``None``.  All
         paths — one-shot, batch, streaming — consult this single cache.
     executor / workers:
-        Default batch backend (``"thread"`` or ``"process"``) and pool
-        width, overridable per :meth:`batch` call.
+        The backend (``"thread"`` or ``"process"``) and width of the pool
+        :meth:`batch` runs on; :meth:`service` builds pools of other
+        shapes on request.
     """
 
     def __init__(
@@ -293,6 +289,7 @@ class SortEngine:
         ``extras["plan"]``); a registry name pins the external sort; ``"ram"``
         pins the in-memory plan, executed with ``ram_algorithm`` (any
         :data:`~repro.core.ram_sort.RAM_SORTS` entry) at block granularity.
+        Any other name raises ``ValueError`` listing every accepted value.
         """
         if algorithm == "auto":
             plan = self.plan(len(data), algorithms=algorithms)
@@ -307,6 +304,11 @@ class SortEngine:
             return report
         if algorithm == "ram":
             return ram_on_machine_report(data, self.params, algorithm=ram_algorithm)
+        if algorithm not in EXTERNAL_SORTS:
+            raise ValueError(
+                f"unknown algorithm {algorithm!r}; choose from "
+                f"{sorted(['auto', 'ram', *EXTERNAL_SORTS])}"
+            )
         return external_sort_report(data, self.params, algorithm=algorithm, k=k)
 
     # ------------------------------------------------------------------ #
@@ -316,7 +318,6 @@ class SortEngine:
         self,
         executor: str | None = None,
         workers: int | None = None,
-        warm_cache=None,
         *,
         max_queue: int | None = None,
         admission: str = "reject",
@@ -327,21 +328,16 @@ class SortEngine:
         live across :meth:`batch` calls and direct submissions alike).
 
         ``executor`` / ``workers`` default to the engine's configuration;
-        ``warm_cache`` pre-seeds planning when the pool is first built (use
-        :meth:`~repro.service.SortService.warm` to reheat a live pool).
-        ``max_queue`` bounds the pending queue; ``admission`` picks the
-        overload policy (``"reject"`` / ``"block"`` / ``"shed-lowest"``,
-        see :class:`~repro.service.SortService`).  Admission knobs are part
-        of the cache key — a bounded and an unbounded service for the same
-        pool shape are distinct pools.
+        :meth:`~repro.service.SortService.warm` seeds a live pool's
+        planning.  ``max_queue`` bounds the pending queue; ``admission``
+        picks the overload policy (``"reject"`` / ``"block"`` /
+        ``"shed-lowest"``, see :class:`~repro.service.SortService`).
+        Admission knobs are part of the cache key — a bounded and an
+        unbounded service for the same pool shape are distinct pools.
         """
         from .service import SortService
 
         executor = executor if executor is not None else self.executor
-        if executor not in ("thread", "process"):
-            raise ValueError(
-                f"unknown executor {executor!r}; choose 'thread' or 'process'"
-            )
         if workers is None:
             workers = self.workers
         key = (executor, workers, max_queue, admission, block_timeout)
@@ -351,14 +347,11 @@ class SortEngine:
                 self,
                 workers=workers,
                 executor=executor,
-                warm_cache=warm_cache,
                 max_queue=max_queue,
                 admission=admission,
                 block_timeout=block_timeout,
             )
             self._services[key] = svc
-        elif warm_cache is not None:
-            svc.warm(warm_cache)
         return svc
 
     def cluster(
@@ -368,7 +361,6 @@ class SortEngine:
         retries: int = 2,
         connect_retries: int = 25,
         timeout: float | None = None,
-        warm_cache=None,
     ):
         """The engine's persistent
         :class:`~repro.cluster.ClusterCoordinator` over the given
@@ -376,10 +368,9 @@ class SortEngine:
         symmetric with :meth:`service` for the distributed case.
 
         ``hosts`` is an iterable of ``(host, port)`` pairs (or a
-        :class:`~repro.cluster.ClusterSpec`, whose knobs then win).
-        ``warm_cache`` replays a plan-cache snapshot's sizes on every host
-        when passed (first build *and* reuse — rewarming a live fleet is
-        cheap and idempotent).  Coordinators are closed by
+        :class:`~repro.cluster.ClusterSpec`, whose knobs then win);
+        :meth:`~repro.cluster.ClusterCoordinator.warm` replays a plan-cache
+        snapshot's sizes on every host.  Coordinators are closed by
         :meth:`close` / the engine's context manager; the remote servers
         belong to their owners and keep running.
         """
@@ -399,19 +390,9 @@ class SortEngine:
         if coord is None:
             coord = ClusterCoordinator(spec, self.params)
             self._clusters[key] = coord
-        if warm_cache is not None:
-            coord.warm(warm_cache)
         return coord
 
-    def batch(
-        self,
-        jobs: Sequence,
-        *,
-        check_sorted: bool = False,
-        executor: str | None = None,
-        workers: int | None = None,
-        warm_cache=None,
-    ):
+    def batch(self, jobs: Sequence, *, check_sorted: bool = False):
         """Execute many jobs through the engine's cache and constants.
 
         This is ``submit_many`` + ``gather`` on the engine's persistent
@@ -424,34 +405,21 @@ class SortEngine:
         ``jobs`` items are :class:`~repro.planner.batch.SortJob`\\ s (a bare
         data sequence is wrapped into an adaptive job on the engine's
         machine; a job with ``params=None`` inherits the engine's machine).
-        ``executor`` / ``workers`` default to the engine's configuration;
-        ``warm_cache`` pre-seeds planning (per-worker in process mode) with
-        a parent cache's hot entries.
+        The pool has the engine's ``executor`` and ``workers``.
         """
         import time as _time
 
         from .planner.batch import BatchReport
 
-        executor = executor if executor is not None else self.executor
-        if executor not in ("thread", "process"):
-            raise ValueError(
-                f"unknown executor {executor!r}; choose 'thread' or 'process'"
-            )
-        if workers is not None and workers < 1:
-            raise ValueError(f"max_workers must be >= 1 or None, got {workers}")
         jobs = list(jobs)
         if not jobs:
-            return BatchReport(executor=executor)
-        # workers=None maps to ONE shared default-width pool (keyed
-        # (executor, None)) rather than a pool per distinct batch size —
-        # otherwise batches of varying lengths would each leave a live pool
-        # behind on a long-lived engine
-        svc = self.service(executor=executor, workers=workers, warm_cache=warm_cache)
+            return BatchReport(executor=self.executor)
+        svc = self.service()
         t0 = _time.perf_counter()
         # round-robin pinning in process mode gives each worker-local cache
         # a fixed job stream, so per-worker plan stats are deterministic
         futures = svc.submit_many(
-            jobs, check_sorted=check_sorted, round_robin=(executor == "process")
+            jobs, check_sorted=check_sorted, round_robin=(self.executor == "process")
         )
         report = svc.gather(futures)
         report.wall_seconds = _time.perf_counter() - t0

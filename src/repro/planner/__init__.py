@@ -20,7 +20,6 @@ factors.  This subsystem turns those closed forms into an executable planner:
   pool.
 
 The :class:`repro.engine.SortEngine` session façade (and through it the
-legacy :func:`repro.api.sort_auto` / :func:`run_batch` shims and the
 ``python -m repro plan`` / ``batch`` / ``calibrate`` / ``stream`` CLI
 subcommands) is a thin wrapper over these modules.
 """
@@ -28,7 +27,7 @@ subcommands) is a thin wrapper over these modules.
 from .. import _lazy_exports
 
 __getattr__, __dir__ = _lazy_exports(__name__, {
-    ".batch": ("BatchReport", "JobFailure", "SortJob", "execute_batch", "run_batch"),
+    ".batch": ("BatchReport", "JobFailure", "SortJob", "execute_batch"),
     ".calibration": (
         "CALIBRATABLE_ALGORITHMS",
         "CalibrationSample",
@@ -76,5 +75,4 @@ __all__ = [
     "predict_candidate",
     "predict_shard_merge_io",
     "rank_plans",
-    "run_batch",
 ]

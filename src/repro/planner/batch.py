@@ -5,15 +5,16 @@ Production traffic is many sort requests, not one; a batch is a list of
 aggregate into a :class:`BatchReport` throughput summary (jobs/s,
 records/s, total asymmetric I/O cost, per-family mix).
 
-Jobs default to adaptive planning (:func:`repro.api.sort_auto`); a job may
-pin ``algorithm`` (and ``k``) to force a specific strategy.  One failing job
-does not abort the batch — failures are captured per job and reported.
+Jobs default to adaptive planning (``SortEngine.sort(algorithm="auto")``);
+a job may pin ``algorithm`` (and ``k``) to force a specific strategy.  One
+failing job does not abort the batch — failures are captured per job and
+reported.
 
 Every batch path runs each job through :func:`execute_and_check` on its own
 simulated machine, so reads / writes / cost do not depend on scheduling:
 
-* :meth:`repro.engine.SortEngine.batch` and the :func:`run_batch` shim run
-  the jobs on a persistent :class:`~repro.service.SortService` pool —
+* :meth:`repro.engine.SortEngine.batch` runs the jobs on a persistent
+  :class:`~repro.service.SortService` pool —
   thread workers sharing one :class:`PlanCache`, or worker processes with
   one cache each (``executor="process"``, the CPU-bound scale-out path);
 * :func:`execute_batch` runs them sequentially in submission order with one
@@ -45,8 +46,9 @@ class SortJob:
     cleanly across the process-pool boundary.
 
     ``params`` may be left ``None`` when the job runs through
-    :meth:`~repro.engine.SortEngine.batch`, which fills in the engine's
-    machine; the module-level :func:`run_batch` requires it.
+    :meth:`~repro.engine.SortEngine.batch` or a
+    :class:`~repro.service.SortService`, which fill in their engine's
+    machine; the sequential :func:`execute_batch` requires it.
     """
 
     data: Sequence
@@ -200,9 +202,9 @@ def execute_batch(jobs: Sequence[SortJob], check_sorted: bool = False) -> BatchR
     through :func:`execute_and_check` with one fresh :class:`PlanCache`,
     capturing failures per job.
 
-    No pool: :meth:`~repro.engine.SortEngine.batch` (and :func:`run_batch`)
-    run batches on a :class:`~repro.service.SortService`, and their reports
-    are tested against this one.
+    No pool: :meth:`~repro.engine.SortEngine.batch` runs batches on a
+    :class:`~repro.service.SortService`, and its reports are tested against
+    this one.
     """
     report = BatchReport()
     cache = PlanCache()
@@ -215,50 +217,3 @@ def execute_batch(jobs: Sequence[SortJob], check_sorted: bool = False) -> BatchR
     report.plan_hits, report.plan_misses = cache.hits, cache.misses
     report.wall_seconds = time.perf_counter() - t0
     return report
-
-
-def run_batch(
-    jobs: Sequence[SortJob],
-    max_workers: int | None = None,
-    check_sorted: bool = False,
-    executor: str = "thread",
-    plan_cache: PlanCache | None = None,
-    constants=None,
-    warm_cache=None,
-) -> BatchReport:
-    """Backward-compatible shim: build a throwaway
-    :class:`~repro.engine.SortEngine` and run ``jobs`` through
-    :meth:`~repro.engine.SortEngine.batch` (which submits through a
-    :class:`~repro.service.SortService` pool and gathers the futures).
-
-    Every job must carry its own ``params`` here (the engine default used to
-    fill in ``params=None`` jobs is taken from the first job's machine).
-    ``warm_cache`` pre-seeds the batch's planning (per-worker in process
-    mode) with a parent cache's hot entries.  Prefer a long-lived engine —
-    or a :class:`~repro.service.SortService` directly — when issuing many
-    batches: both keep the worker pool, one plan cache and one set of
-    calibrated constants alive across all of them, where this shim tears
-    everything down per call.
-    """
-    if executor not in ("thread", "process"):
-        raise ValueError(f"unknown executor {executor!r}; choose 'thread' or 'process'")
-    if max_workers is not None and max_workers < 1:
-        raise ValueError(f"max_workers must be >= 1 or None, got {max_workers}")
-    if not jobs:
-        return BatchReport(executor=executor)
-    from ..engine import SortEngine
-
-    anchor = next((job.params for job in jobs if job.params is not None), None)
-    if anchor is None:
-        raise ValueError("run_batch requires at least one job with machine params")
-    engine = SortEngine(
-        anchor,
-        constants=constants,
-        cache=plan_cache,
-        executor=executor,
-        workers=max_workers,
-    )
-    try:
-        return engine.batch(jobs, check_sorted=check_sorted, warm_cache=warm_cache)
-    finally:
-        engine.close()

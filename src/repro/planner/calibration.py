@@ -15,8 +15,8 @@ least squares through the origin
 
 and packages the result as an immutable :class:`CostConstants` that
 :func:`~repro.planner.cost_model.predict_candidate` (and everything above it:
-``rank_plans`` / ``plan_sort`` / ``sort_auto`` / ``run_batch``) accepts via
-the optional ``constants=`` parameter.  Unlisted families fall back to the
+``rank_plans`` / ``plan_sort`` / ``SortEngine``) accepts via the optional
+``constants=`` parameter.  Unlisted families fall back to the
 unit constant, so a partially-fitted table is always safe to use.
 
 ``CostConstants`` is hashable (a frozen tuple of entries), which lets it

@@ -15,10 +15,10 @@ persistent, heavily-trafficked deployment needs:
   newline-delimited-JSON line protocol over a local socket, plus
   :class:`ServiceClient` for Python callers.
 
-``engine.batch()`` and the ``run_batch`` shim are thin clients of this
-layer (``submit_many`` + ``gather``): it is the only pool that runs batch
-jobs.  Its reports are tested against the sequential
-:func:`~repro.planner.batch.execute_batch` reference.
+``engine.batch()`` is a thin client of this layer (``submit_many`` +
+``gather``): it is the only pool that runs batch jobs.  Its reports are
+tested against the sequential :func:`~repro.planner.batch.execute_batch`
+reference.
 """
 
 from .. import _lazy_exports

@@ -20,9 +20,8 @@ turns the engine into a job service:
   the worker and later submissions run normally;
 * :meth:`SortService.gather` folds a list of futures back into the familiar
   :class:`~repro.planner.batch.BatchReport`, which is how
-  :meth:`repro.engine.SortEngine.batch` (and the ``run_batch`` shim) are
-  expressed: ``submit_many`` + ``gather`` over a service the engine keeps
-  alive between calls.  This is the only pool that runs batch jobs.
+  :meth:`repro.engine.SortEngine.batch` is expressed: ``submit_many`` +
+  ``gather`` over a service the engine keeps alive between calls.  This is the only pool that runs batch jobs.
 
 Cost-model note: every job runs
 :func:`repro.planner.batch.execute_and_check` on its own simulated machine,

@@ -295,6 +295,9 @@ class EngineServer:
         self._tickets: dict[int, SortFuture] = {}
         self._lock = wrap_lock(threading.Lock(), "EngineServer._lock")
         self._thread: threading.Thread | None = None
+        #: a serve loop has begun (``start`` or ``serve_forever``): only
+        #: then does ``close`` wait for one to stop
+        self._serving = False
         if ticket_ttl is not None and ticket_ttl < 0:
             raise ValueError(f"ticket_ttl must be >= 0, got {ticket_ttl}")
         if max_tickets is not None and max_tickets < 1:
@@ -331,19 +334,26 @@ class EngineServer:
         )
         with self._lock:
             self._thread = thread
+            self._serving = True
         thread.start()
         return self
 
     def serve_forever(self) -> None:
+        with self._lock:
+            self._serving = True
         self._server.serve_forever(_POLL_INTERVAL)
 
     def close(self) -> None:
         """Stop the listener (idempotent).  The service is left to its
         owner — the CLI shuts it down, embedded users may keep it."""
-        self._server.shutdown()
-        self._server.server_close()
         with self._lock:
+            serving = self._serving
             thread, self._thread = self._thread, None
+        # socketserver's shutdown() waits for a serve loop to exit, so on a
+        # server that never served it would wait forever
+        if serving:
+            self._server.shutdown()
+        self._server.server_close()
         if thread is not None:
             thread.join(timeout=5)
 

@@ -1,25 +1,27 @@
-"""Tests for the high-level sort façade."""
+"""Tests for the sort reports of pinned external sorts and the §3 RAM sort."""
 
 import pytest
 
-from repro import CostCounter, MachineParams, SortReport, sort_external, sort_ram
+from repro import CostCounter, MachineParams, SortEngine, SortReport, sort_ram
 from repro.workloads import random_permutation
 
 PARAMS = MachineParams(M=64, B=8, omega=8)
+#: pinned external sorts never consult the plan cache, so one engine serves all
+ENGINE = SortEngine(PARAMS)
 
 
 class TestSortExternal:
     @pytest.mark.parametrize("alg", ["mergesort", "samplesort", "heapsort", "selection"])
     def test_algorithms(self, alg):
         data = random_permutation(800, seed=1)
-        rep = sort_external(data, PARAMS, algorithm=alg, k=2)
+        rep = ENGINE.sort(data, algorithm=alg, k=2)
         assert rep.is_sorted()
         assert rep.output == sorted(data)
         assert rep.n == 800
         assert rep.reads > 0 and rep.writes > 0
 
     def test_default_k_from_ktuning(self):
-        rep = sort_external(random_permutation(500, seed=2), PARAMS)
+        rep = ENGINE.sort(random_permutation(500, seed=2), algorithm="mergesort")
         assert rep.extras["k"] >= 1
         assert f"k={rep.extras['k']}" in rep.algorithm
 
@@ -30,48 +32,47 @@ class TestSortExternal:
         from repro.analysis.ktuning import choose_k
 
         for n in (500, 20_000):
-            rep = sort_external(random_permutation(n, seed=2), PARAMS)
+            rep = ENGINE.sort(random_permutation(n, seed=2), algorithm="mergesort")
             assert rep.extras["k"] == choose_k(PARAMS, n=n)
         # concrete values so a silent fallback to choose_k(params) regresses
         # loudly: the n-blind rule of thumb says 2 for omega=8, but the
         # level-budget recipe picks 1 at n=500 and 7 at n=20000
-        assert sort_external(random_permutation(500, seed=2), PARAMS).extras["k"] == 1
-        assert sort_external(random_permutation(20_000, seed=2), PARAMS).extras["k"] == 7
+        for n, k in ((500, 1), (20_000, 7)):
+            rep = ENGINE.sort(random_permutation(n, seed=2), algorithm="mergesort")
+            assert rep.extras["k"] == k
 
     def test_selection_label_has_no_k(self):
         # regression: selection (Lemma 4.2) has no branching factor — the
         # label and extras must not carry one (k fragments batch aggregation)
-        rep = sort_external(random_permutation(300, seed=8), PARAMS,
-                            algorithm="selection", k=5)
+        rep = ENGINE.sort(random_permutation(300, seed=8), algorithm="selection", k=5)
         assert rep.algorithm == "aem-selection"
         assert rep.extras == {}
         assert rep.family == "selection"
         assert rep.is_sorted()
 
     def test_family_is_canonical(self):
-        rep = sort_external(random_permutation(200, seed=6), PARAMS,
-                            algorithm="mergesort", k=3)
+        rep = ENGINE.sort(random_permutation(200, seed=6), algorithm="mergesort", k=3)
         assert rep.family == "mergesort"
         assert rep.algorithm == "aem-mergesort(k=3)"
 
     def test_cost_uses_machine_omega(self):
-        rep = sort_external(random_permutation(300, seed=3), PARAMS, k=1)
+        rep = ENGINE.sort(random_permutation(300, seed=3), algorithm="mergesort", k=1)
         assert rep.cost() == rep.reads + 8 * rep.writes
         assert rep.cost(omega=2) == rep.reads + 2 * rep.writes
 
     def test_memory_high_water_reported(self):
-        rep = sort_external(random_permutation(1000, seed=4), PARAMS, algorithm="mergesort", k=2)
+        rep = ENGINE.sort(random_permutation(1000, seed=4), algorithm="mergesort", k=2)
         assert 0 < rep.memory_high_water <= PARAMS.M + 2 * PARAMS.B
 
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError):
-            sort_external([1], PARAMS, algorithm="bogosort")
+            ENGINE.sort([1], algorithm="bogosort")
 
     @pytest.mark.parametrize("alg", ["mergesort", "samplesort", "heapsort", "selection"])
     @pytest.mark.parametrize("n", [0, 1, 8, 9])  # 0, 1, B, B+1
     def test_edge_sizes(self, alg, n):
         data = list(range(n - 1, -1, -1))
-        rep = sort_external(data, PARAMS, algorithm=alg, k=2)
+        rep = ENGINE.sort(data, algorithm=alg, k=2)
         assert rep.output == sorted(data)
         assert rep.n == n
         if n == 0:
@@ -108,11 +109,11 @@ class TestSortReportAccounting:
         assert rep.cost(omega=2) == 10 + 2 * 3
 
     def test_empty_external_sort_reports_zero(self):
-        rep = sort_external([], PARAMS, algorithm="mergesort", k=1)
+        rep = ENGINE.sort([], algorithm="mergesort", k=1)
         assert rep.reads == 0 and rep.writes == 0 and rep.cost() == 0
 
     def test_cost_consistent_with_reads_writes(self):
-        rep = sort_external(random_permutation(100, seed=9), PARAMS, k=2)
+        rep = ENGINE.sort(random_permutation(100, seed=9), algorithm="mergesort", k=2)
         assert rep.cost() == rep.reads + PARAMS.omega * rep.writes
         assert rep.reads == rep.counter.block_reads
         assert rep.writes == rep.counter.block_writes

@@ -3,7 +3,7 @@ measured-vs-predicted ranking acceptance criterion."""
 
 import pytest
 
-from repro import CostConstants, MachineParams, calibrate, rank_plans, sort_auto, sort_external
+from repro import CostConstants, MachineParams, SortEngine, calibrate, rank_plans
 from repro.planner.calibration import (
     CALIBRATABLE_ALGORITHMS,
     CalibrationSample,
@@ -96,11 +96,9 @@ class TestConstantsInRanking:
 
     def test_sort_auto_threads_constants(self):
         heavy = CostConstants.from_mapping({"samplesort": (10.0, 10.0)})
-        rep = sort_auto(
+        rep = SortEngine(SMALL, constants=heavy).sort(
             make_scenario("uniform", 20_000, seed=2),
-            SMALL,
             algorithms=("mergesort", "samplesort"),
-            constants=heavy,
         )
         assert rep.family == "mergesort"
         assert rep.is_sorted()
@@ -127,9 +125,10 @@ class TestCalibratedRankingMatchesMeasurement:
             probe, SMALL, algorithms=CALIBRATABLE_ALGORITHMS, constants=constants
         )
         data = make_scenario("uniform", probe, seed=99)
+        engine = SortEngine(SMALL)
         measured = {}
         for cand in ranked:
-            rep = sort_external(data, SMALL, algorithm=cand.algorithm, k=cand.k)
+            rep = engine.sort(data, algorithm=cand.algorithm, k=cand.k)
             measured[cand.algorithm] = rep.cost()
         predicted_order = [c.algorithm for c in ranked]
         measured_order = sorted(measured, key=measured.get)

@@ -8,32 +8,15 @@ from repro import (
     PlanCache,
     SortEngine,
     SortJob,
-    run_batch,
-    sort_auto,
-    sort_external,
     sort_ram,
 )
 from repro.models import AEMachine, MemoryGuard
+from repro.planner.batch import execute_batch
 from repro.planner.cost_model import predict_stream_io
 from repro.workloads import random_permutation
 
 PARAMS = MachineParams(M=64, B=8, omega=8)
 TINY = MachineParams(M=16, B=4, omega=8)
-
-
-def report_tuple(rep):
-    """The observable surface two reports must share to count as equal."""
-    return (
-        rep.algorithm,
-        rep.n,
-        rep.params,
-        rep.output,
-        rep.reads,
-        rep.writes,
-        rep.family,
-        rep.granularity,
-        rep.extras.get("k"),
-    )
 
 
 class TestEngineConstruction:
@@ -91,68 +74,55 @@ class TestEngineSort:
         with pytest.raises(ValueError):
             SortEngine(PARAMS).sort([1], algorithm="bogosort")
 
+    def test_unknown_algorithm_lists_every_accepted_value(self):
+        with pytest.raises(ValueError, match="unknown algorithm") as err:
+            SortEngine(PARAMS).sort([1], algorithm="bogus")
+        for name in ("auto", "ram", *EXTERNAL_SORTS):
+            assert repr(name) in str(err.value)
+
 
 class TestLegacyShimParity:
-    """The module-level calls must return exactly what the pre-redesign
-    implementations returned (reference runs built from the raw algorithm
-    modules)."""
+    """Pinned sorts return exactly what the raw algorithm modules return on
+    a fresh machine."""
 
     def test_sort_external_matches_raw_machine_run(self):
         from repro.core.aem_mergesort import aem_mergesort
 
         data = random_permutation(700, seed=6)
-        shim = sort_external(data, PARAMS, algorithm="mergesort", k=3)
+        rep = SortEngine(PARAMS).sort(data, algorithm="mergesort", k=3)
         machine = AEMachine(PARAMS)
         guard = MemoryGuard()
         out = aem_mergesort(machine, machine.from_list(data, name="input"), 3, guard=guard)
-        assert shim.output == out.peek_list()
-        assert shim.reads == machine.counter.block_reads
-        assert shim.writes == machine.counter.block_writes
-        assert shim.memory_high_water == guard.high_water
-        assert shim.algorithm == "aem-mergesort(k=3)"
+        assert rep.output == out.peek_list()
+        assert rep.reads == machine.counter.block_reads
+        assert rep.writes == machine.counter.block_writes
+        assert rep.memory_high_water == guard.high_water
+        assert rep.algorithm == "aem-mergesort(k=3)"
 
     def test_sort_external_selection_matches_raw(self):
         from repro.core.selection_sort import selection_sort
 
         data = random_permutation(300, seed=7)
-        shim = sort_external(data, PARAMS, algorithm="selection", k=9)
+        rep = SortEngine(PARAMS).sort(data, algorithm="selection", k=9)
         machine = AEMachine(PARAMS)
         out = selection_sort(machine, machine.from_list(data, name="input"),
                              guard=MemoryGuard())
-        assert shim.output == out.peek_list()
-        assert shim.reads == machine.counter.block_reads
-        assert shim.writes == machine.counter.block_writes
-        assert shim.algorithm == "aem-selection"
-        assert shim.extras == {}
+        assert rep.output == out.peek_list()
+        assert rep.reads == machine.counter.block_reads
+        assert rep.writes == machine.counter.block_writes
+        assert rep.algorithm == "aem-selection"
+        assert rep.extras == {}
 
     def test_sort_ram_matches_raw(self):
         from repro.core.ram_sort import RAM_SORTS
 
         data = random_permutation(200, seed=8)
-        shim = sort_ram(data, algorithm="bst-rb")
+        rep = sort_ram(data, algorithm="bst-rb")
         out, counter = RAM_SORTS["bst-rb"](data)
-        assert shim.output == out
-        assert shim.reads == counter.element_reads
-        assert shim.writes == counter.element_writes
-        assert shim.granularity == "element"
-
-    @pytest.mark.parametrize("n", [40, 3000])  # ram route and external route
-    def test_sort_auto_equals_engine_sort(self, n):
-        data = random_permutation(n, seed=9)
-        shim = sort_auto(data, PARAMS)
-        eng = SortEngine(PARAMS).sort(data)
-        assert report_tuple(shim) == report_tuple(eng)
-        assert shim.extras["plan"] == eng.extras["plan"]
-
-    def test_run_batch_equals_engine_batch(self):
-        jobs = [SortJob(random_permutation(400, seed=i), PARAMS) for i in range(6)]
-        shim = run_batch(jobs, check_sorted=True)
-        eng = SortEngine(PARAMS).batch(jobs, check_sorted=True)
-        assert [report_tuple(r) for r in shim.reports] == [
-            report_tuple(r) for r in eng.reports
-        ]
-        assert shim.summary()["cost"] == eng.summary()["cost"]
-        assert not shim.failures and not eng.failures
+        assert rep.output == out
+        assert rep.reads == counter.element_reads
+        assert rep.writes == counter.element_writes
+        assert rep.granularity == "element"
 
 
 class TestUniformRegistry:
@@ -193,10 +163,8 @@ class TestRamAlgorithmThreading:
 
     @pytest.mark.parametrize("alg", ["bst-rb", "quicksort", "heapsort"])
     def test_ram_report_on_machine_accepts_algorithm(self, alg):
-        from repro.api import ram_report_on_machine
-
         data = random_permutation(40, seed=11)
-        rep = ram_report_on_machine(data, PARAMS, algorithm=alg)
+        rep = SortEngine(PARAMS).sort(data, algorithm="ram", ram_algorithm=alg)
         assert rep.algorithm == f"ram-{alg}"
         assert rep.granularity == "block"
         assert rep.output == sorted(data)
@@ -204,14 +172,12 @@ class TestRamAlgorithmThreading:
         assert rep.reads == rep.writes == 5
 
     def test_ram_report_rejects_oversized_input(self):
-        from repro.api import ram_report_on_machine
-
         with pytest.raises(ValueError, match="n <= M"):
-            ram_report_on_machine(list(range(PARAMS.M + 1)), PARAMS)
+            SortEngine(PARAMS).sort(list(range(PARAMS.M + 1)), algorithm="ram")
 
     def test_sort_auto_routes_ram_algorithm(self):
         data = random_permutation(30, seed=12)
-        rep = sort_auto(data, PARAMS, ram_algorithm="quicksort")
+        rep = SortEngine(PARAMS).sort(data, ram_algorithm="quicksort")
         assert rep.algorithm == "ram-quicksort"
         assert rep.extras["plan"]["chosen"]["algorithm"] == "ram"
 
@@ -237,15 +203,21 @@ class TestEngineBatch:
 
     def test_process_executor_matches_thread_aggregates(self):
         jobs = [SortJob(random_permutation(400, seed=i), PARAMS) for i in range(6)]
-        thread = SortEngine(PARAMS).batch(jobs)
-        process = SortEngine(PARAMS, executor="process", workers=2).batch(jobs)
+        with SortEngine(PARAMS) as engine:
+            thread = engine.batch(jobs)
+        with SortEngine(PARAMS, executor="process", workers=2) as engine:
+            process = engine.batch(jobs)
         assert thread.total_reads == process.total_reads
         assert thread.total_writes == process.total_writes
         assert thread.algorithm_mix() == process.algorithm_mix()
 
-    def test_run_batch_requires_some_params(self):
-        with pytest.raises(ValueError, match="machine params"):
-            run_batch([SortJob(data=[3, 1, 2])])
+    def test_sequential_batch_requires_job_params(self):
+        # no engine fills in a machine here: the job fails, named, and the
+        # batch goes on
+        report = execute_batch([SortJob(data=[3, 1, 2])])
+        assert report.jobs_completed == 0
+        assert [type(f.error) for f in report.failures] == [ValueError]
+        assert "machine params" in str(report.failures[0].error)
 
 
 class TestEngineCalibrate:
@@ -405,7 +377,7 @@ class TestStreamCostBounds:
         engine = SortEngine(PARAMS)
         with engine.stream() as s:
             s.push_many(data)
-        auto = sort_auto(data, PARAMS)
+        auto = engine.sort(data)
         assert s.report.output == auto.output == sorted(data)
         assert s.report.granularity == auto.granularity == "block"
         # streaming pays the online overhead but stays within a small

@@ -134,6 +134,10 @@ class TestEnvSpec:
         import repro
 
         src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        # the parent's environment (PYTHONDONTWRITEBYTECODE included) minus
+        # any REPRO_* setting of this process, plus the plan under test
+        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+        env.update(PYTHONPATH=src, REPRO_FAULTS="seed=9,wire-drop=0.5")
         out = subprocess.run(
             [
                 sys.executable,
@@ -142,11 +146,7 @@ class TestEnvSpec:
                 "plan = faults.active();"
                 "print(plan.seed, sorted(plan.rates.items()))",
             ],
-            env={
-                "PYTHONPATH": src,
-                "REPRO_FAULTS": "seed=9,wire-drop=0.5",
-                "PATH": os.environ.get("PATH", "/usr/bin:/bin"),
-            },
+            env=env,
             capture_output=True,
             text=True,
             timeout=60,

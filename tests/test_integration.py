@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import MachineParams, sort_external, sort_ram
+from repro import MachineParams, SortEngine, sort_ram
 from repro.core.co_sort import co_sort
 from repro.core.pram_sample_sort import pram_sample_sort
 from repro.models import CacheSim
@@ -24,11 +24,12 @@ def test_differential_all_sorters(data, seed):
     """
     expected = sorted(data)
     small = MachineParams(M=16, B=4, omega=4)
+    engine = SortEngine(small)
     outputs = {
         "ram-bst": sort_ram(data, "bst-rb").output,
-        "aem-merge": sort_external(data, small, "mergesort", k=2).output,
-        "aem-sample": sort_external(data, small, "samplesort", k=2).output,
-        "aem-heap": sort_external(data, small, "heapsort", k=2).output,
+        "aem-merge": engine.sort(data, "mergesort", k=2).output,
+        "aem-sample": engine.sort(data, "samplesort", k=2).output,
+        "aem-heap": engine.sort(data, "heapsort", k=2).output,
         "pram": pram_sample_sort(list(data), omega=4, seed=seed).output,
     }
     cache = CacheSim(small, policy="lru")
@@ -54,7 +55,7 @@ class TestAllSortersAgree:
 
     @pytest.mark.parametrize("alg", ["mergesort", "samplesort", "heapsort", "selection"])
     def test_external(self, data, expected, alg):
-        assert sort_external(data, PARAMS, algorithm=alg, k=2).output == expected
+        assert SortEngine(PARAMS).sort(data, algorithm=alg, k=2).output == expected
 
     @pytest.mark.parametrize(
         "alg", ["bst-rb", "bst-treap", "bst-avl", "quicksort", "mergesort", "heapsort"]
@@ -80,9 +81,9 @@ class TestCostModelCoherence:
         data = random_permutation(n, seed=100)
         improvement = {}
         for omega in (2, 32):
-            params = MachineParams(M=64, B=8, omega=omega)
+            engine = SortEngine(MachineParams(M=64, B=8, omega=omega))
             cost = {
-                k: sort_external(data, params, algorithm="mergesort", k=k).cost()
+                k: engine.sort(data, algorithm="mergesort", k=k).cost()
                 for k in (1, 4)
             }
             improvement[omega] = cost[1] / cost[4]
@@ -93,7 +94,7 @@ class TestCostModelCoherence:
         """omega only weights costs; it must not change transfer counts."""
         data = random_permutation(2000, seed=101)
         reps = [
-            sort_external(data, MachineParams(M=64, B=8, omega=w), "mergesort", k=4)
+            SortEngine(MachineParams(M=64, B=8, omega=w)).sort(data, "mergesort", k=4)
             for w in (2, 16)
         ]
         assert reps[0].reads == reps[1].reads
@@ -110,7 +111,7 @@ class TestCostModelCoherence:
 
     def test_external_and_ram_reports_comparable(self):
         data = random_permutation(800, seed=103)
-        ext = sort_external(data, PARAMS, "mergesort", k=2)
+        ext = SortEngine(PARAMS).sort(data, "mergesort", k=2)
         ram = sort_ram(data, "bst-rb")
         assert ext.output == ram.output
         # block-level traffic is ~B times smaller than word-level

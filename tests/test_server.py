@@ -2,6 +2,7 @@
 
 import json
 import socket
+import threading
 
 import pytest
 
@@ -280,6 +281,27 @@ class TestLifecycle:
         server.close()
         service.shutdown(drain=False)
         engine.close()
+
+    @pytest.mark.parametrize("stop", ["close", "with"])
+    def test_unstarted_server_closes_and_releases_its_port(self, stop):
+        # no serve loop ever ran, so close() has none to wait for
+        with SortService(PARAMS, workers=1) as service:
+            server = EngineServer(service)
+            host, port = server.address
+
+            def close_unstarted():
+                if stop == "close":
+                    server.close()
+                else:
+                    with server:
+                        pass
+
+            closer = threading.Thread(target=close_unstarted, daemon=True)
+            closer.start()
+            closer.join(timeout=1)
+            assert not closer.is_alive(), "close() of an unstarted server hung"
+        with socket.socket() as probe:
+            probe.bind((host, port))  # the listener's port is free again
 
     def test_client_retries_then_fails_cleanly(self):
         with pytest.raises(ConnectionError, match="cannot reach"):

@@ -1,5 +1,5 @@
 """Tests for the asynchronous SortService: futures, priority dispatch,
-persistent pools, worker-death isolation, and batch-shim parity."""
+persistent pools, worker-death isolation, and batch parity."""
 
 import os
 import threading
@@ -300,7 +300,7 @@ class TestShutdown:
 
 
 # ---------------------------------------------------------------------- #
-# batch shim parity: engine.batch == submit_many + gather == execute_batch
+# batch parity: engine.batch == submit_many + gather == execute_batch
 # ---------------------------------------------------------------------- #
 def batch_fingerprint(report):
     """The per-job content of a BatchReport: reports and failures."""

@@ -1,10 +1,10 @@
-"""Tests for batches on the process executor: ``run_batch`` /
-``engine.batch`` over the SortService worker-process pool, per-worker plan
-caches and cache warming."""
+"""Tests for batches on the process executor: ``engine.batch`` over the
+SortService worker-process pool, per-worker plan caches and cache
+warming."""
 
 import pytest
 
-from repro import MachineParams, PlanCache, SortJob, run_batch
+from repro import MachineParams, PlanCache, SortEngine, SortJob, SortService
 from repro.workloads import make_scenario, random_permutation
 
 SMALL = MachineParams(M=64, B=8, omega=8)
@@ -28,8 +28,10 @@ class TestProcessExecutor:
         # executors on the identical job list (same per-job simulation, only
         # scheduling differs)
         jobs = _mixed_jobs(12)
-        thread = run_batch(jobs, executor="thread")
-        process = run_batch(jobs, executor="process", max_workers=2)
+        with SortEngine(SMALL) as engine:
+            thread = engine.batch(jobs)
+        with SortEngine(SMALL, executor="process", workers=2) as engine:
+            process = engine.batch(jobs)
         assert not thread.failures and not process.failures
         assert process.total_reads == thread.total_reads
         assert process.total_writes == thread.total_writes
@@ -44,13 +46,15 @@ class TestProcessExecutor:
             SortJob(data=random_permutation(100 + i, seed=i), params=SMALL)
             for i in range(10)
         ]
-        report = run_batch(jobs, executor="process", max_workers=3)
+        with SortEngine(SMALL, executor="process", workers=3) as engine:
+            report = engine.batch(jobs)
         assert [r.n for r in report.reports] == [100 + i for i in range(10)]
 
     def test_failures_captured_per_job(self):
         good = SortJob(data=random_permutation(100, seed=0), params=SMALL)
         bad = SortJob(data=[3, 1, 2], params=SMALL, algorithm="bogosort", label="bad")
-        report = run_batch([good, bad, good], executor="process", max_workers=2)
+        with SortEngine(SMALL, executor="process", workers=2) as engine:
+            report = engine.batch([good, bad, good])
         assert report.jobs_completed == 2
         assert len(report.failures) == 1
         assert report.failures[0].index == 1
@@ -66,7 +70,8 @@ class TestProcessExecutor:
             SortJob(data=random_permutation(50, seed=1), params=SMALL,
                     algorithm="ram", label="fits"),
         ]
-        report = run_batch(jobs, executor="process", max_workers=2)
+        with SortEngine(SMALL, executor="process", workers=2) as engine:
+            report = engine.batch(jobs)
         assert report.jobs_completed == 1
         assert [f.label for f in report.failures] == ["too-big"]
         assert isinstance(report.failures[0].error, ValueError)
@@ -75,20 +80,29 @@ class TestProcessExecutor:
 
     def test_check_sorted_enforced_in_workers(self):
         jobs = [SortJob(data=random_permutation(300, seed=7), params=SMALL)]
-        report = run_batch(jobs, executor="process", max_workers=1, check_sorted=True)
+        with SortEngine(SMALL, executor="process", workers=1) as engine:
+            report = engine.batch(jobs, check_sorted=True)
         assert report.jobs_completed == 1 and not report.failures
 
     def test_unknown_executor_rejected(self):
         with pytest.raises(ValueError, match="unknown executor"):
-            run_batch(_mixed_jobs(2), executor="gpu")
+            SortEngine(SMALL, executor="gpu")
+        # engine.service() leaves the check to SortService
+        with SortEngine(SMALL) as engine:
+            with pytest.raises(ValueError, match="unknown executor"):
+                engine.service("gpu")
 
     def test_nonpositive_workers_rejected_by_both_backends(self):
         for executor in ("thread", "process"):
-            with pytest.raises(ValueError, match="max_workers"):
-                run_batch(_mixed_jobs(2), executor=executor, max_workers=0)
+            with pytest.raises(ValueError, match="workers"):
+                SortEngine(SMALL, executor=executor, workers=0)
+            with SortEngine(SMALL, executor=executor) as engine:
+                with pytest.raises(ValueError, match="workers"):
+                    engine.service(workers=0)
 
     def test_empty_batch(self):
-        report = run_batch([], executor="process")
+        with SortEngine(SMALL, executor="process") as engine:
+            report = engine.batch([])
         assert report.jobs_completed == 0 and report.executor == "process"
 
     def test_per_shard_plan_caches_report_hits(self):
@@ -98,7 +112,8 @@ class TestProcessExecutor:
             SortJob(data=random_permutation(400, seed=i), params=SMALL)
             for i in range(8)
         ]
-        report = run_batch(jobs, executor="process", max_workers=2)
+        with SortEngine(SMALL, executor="process", workers=2) as engine:
+            report = engine.batch(jobs)
         assert report.plan_misses == 2
         assert report.plan_hits == 6
         assert report.summary()["plan_hits"] == 6
@@ -106,31 +121,37 @@ class TestProcessExecutor:
 
 class TestWarmCache:
     def test_warm_entries_eliminate_shard_misses(self):
+        # SortService(warm_cache=): every process worker spawns seeded
         parent = PlanCache()
         parent.plan(400, SMALL)
         jobs = [
             SortJob(data=random_permutation(400, seed=i), params=SMALL)
             for i in range(8)
         ]
-        cold = run_batch(jobs, executor="process", max_workers=2)
-        warm = run_batch(jobs, executor="process", max_workers=2,
-                         warm_cache=parent)
+        with SortEngine(SMALL, executor="process", workers=2) as engine:
+            cold = engine.batch(jobs)
+        with SortService(SortEngine(SMALL), executor="process", workers=2,
+                         warm_cache=parent) as svc:
+            warm = svc.gather(svc.submit_many(jobs, round_robin=True))
         assert cold.plan_misses == 2 and cold.plan_hits == 6
         assert warm.plan_misses == 0 and warm.plan_hits == 8
+        assert warm.shard_plan_stats == [(4, 0), (4, 0)]
         # identical model aggregates either way — warmth saves planning
         # compute, never changes plans
         assert warm.total_cost() == cold.total_cost()
 
     def test_warm_cache_accepts_snapshot_entries(self):
-        # process mode: every worker spawns holding the snapshot entries
+        # process mode: warm() on a live pool seeds every worker before
+        # its next job
         parent = PlanCache()
         parent.plan(300, SMALL)
         jobs = [
             SortJob(data=random_permutation(300, seed=i), params=SMALL)
             for i in range(4)
         ]
-        report = run_batch(jobs, max_workers=2, executor="process",
-                           warm_cache=parent.snapshot())
+        with SortEngine(SMALL, executor="process", workers=2) as engine:
+            engine.service().warm(parent.snapshot())
+            report = engine.batch(jobs)
         assert report.plan_misses == 0 and report.plan_hits == 4
         assert report.shard_plan_stats == [(2, 0), (2, 0)]
 
@@ -142,8 +163,9 @@ class TestWarmCache:
             for i in range(3)
         ]
         shared = PlanCache()
-        report = run_batch(jobs, max_workers=2, executor="thread",
-                           plan_cache=shared, warm_cache=parent)
+        with SortEngine(SMALL, cache=shared, workers=2) as engine:
+            engine.service().warm(parent)
+            report = engine.batch(jobs)
         assert report.plan_misses == 0 and report.plan_hits == 3
         # the seed landed in the one cache every thread worker plans through
         assert len(shared) == 1
@@ -156,12 +178,14 @@ class TestPerShardStats:
             SortJob(data=random_permutation(400, seed=i), params=SMALL)
             for i in range(8)
         ]
-        report = run_batch(jobs, executor="process", max_workers=2)
+        with SortEngine(SMALL, executor="process", workers=2) as engine:
+            report = engine.batch(jobs)
         assert report.shard_plan_stats == [(3, 1), (3, 1)]
         assert report.summary()["plan_per_shard"] == "3/1,3/1"
 
     def test_thread_mode_reports_no_shard_breakdown(self):
         jobs = _mixed_jobs(4)
-        report = run_batch(jobs, executor="thread")
+        with SortEngine(SMALL) as engine:
+            report = engine.batch(jobs)
         assert report.shard_plan_stats == []
         assert report.summary()["plan_per_shard"] == "-"
