@@ -6,19 +6,26 @@ the per-shard sorts run in separate processes on inputs of ``n/N`` records
 while the coordinator pays only the splitter sample, the wire round-trips
 and one billed ``shardmerge`` pass.
 
-CI runners are often single-core, where N server processes timeshare one
-CPU and raw wall-clock cannot show parallel speedup no matter how good the
-scatter is.  The fleet therefore reports worker-measured per-shard CPU time
-(``thread_time`` inside each server — not inflated by timesharing) and the
-bench reconstructs the **data-parallel critical path**::
+Each fleet runs with the bench process pinned to one CPU
+(``os.sched_setaffinity``) before ``LocalCluster`` spawns its servers, which
+inherit the pin; the saved CPU set is restored afterwards.  The N server
+processes then timeshare one core on any host, so raw wall-clock cannot
+show parallel speedup no matter how good the scatter is.  The fleet
+therefore reports worker-measured per-shard CPU time (``thread_time``
+inside each server — not inflated by timesharing) and the bench
+reconstructs the **data-parallel critical path**::
 
     critical = wall - sum(shard_cpu) + max(shard_cpu)
 
 i.e. the wall this coordinator would see if each host had its own core:
-coordinator serial work + wire + the slowest shard.  Raw single-core walls
-are committed alongside in ``BENCH_bench_cluster_scaleout.json`` — nothing
-is hidden — and the assertion holds N=4 to >= 1.7x the N=1 critical-path
-records/sec.
+coordinator serial work + wire + the slowest shard.  The formula holds only
+while the shard sorts timeshare one core: on several cores they overlap,
+so ``sum(shard_cpu)`` exceeds the wall time they took and the formula
+subtracts time that was never spent, down to zero or below.  Hence the
+pin, and the check ``0 < critical <= wall`` on every fleet.  Raw pinned
+walls are committed alongside in ``BENCH_bench_cluster_scaleout.json`` with
+the pinned CPU set — nothing is hidden — and the assertion holds N=4 to
+>= 1.7x the N=1 critical-path records/sec.
 """
 
 import os
@@ -37,24 +44,36 @@ TARGET_SPEEDUP = 1.7
 
 
 def _one_fleet(servers: int, data) -> dict:
-    """Critical-path records/sec for one scatter-gather over ``servers``."""
-    with LocalCluster(servers, workers=2, params=PARAMS) as fleet:
-        coord = fleet.connect()
-        try:
-            t0 = time.perf_counter()
-            rep = coord.sort(data)
-            wall = time.perf_counter() - t0
-            assert rep.output[0] <= rep.output[-1] and rep.n == len(data)
-            stats = coord.stats()["aggregate"]
-            assert stats["retries"] == 0, "scale-out run saw host retries"
-            coord.shutdown()
-            fleet.wait()
-        finally:
-            coord.close()
+    """Critical-path records/sec for one scatter-gather over ``servers``,
+    with the bench and its servers pinned to one CPU."""
+    saved = os.sched_getaffinity(0)
+    pinned = {min(saved)}
+    os.sched_setaffinity(0, pinned)
+    try:
+        with LocalCluster(servers, workers=2, params=PARAMS) as fleet:
+            coord = fleet.connect()
+            try:
+                t0 = time.perf_counter()
+                rep = coord.sort(data)
+                wall = time.perf_counter() - t0
+                assert rep.output[0] <= rep.output[-1] and rep.n == len(data)
+                stats = coord.stats()["aggregate"]
+                assert stats["retries"] == 0, "scale-out run saw host retries"
+                coord.shutdown()
+                fleet.wait()
+            finally:
+                coord.close()
+    finally:
+        os.sched_setaffinity(0, saved)
     cpus = rep.extras["shard_cpu_seconds"]
     critical = wall - sum(cpus) + max(cpus)
+    assert 0 < critical <= wall, (
+        f"critical path {critical:.4f} s outside (0, wall {wall:.4f} s]: the "
+        f"shard sorts did not timeshare one CPU (shard cpu {cpus})"
+    )
     return {
         "servers": servers,
+        "pinned_cpus": sorted(pinned),
         "wall_seconds": round(wall, 4),
         "critical_seconds": round(critical, 4),
         "records_per_sec": round(len(data) / critical, 1),
@@ -100,6 +119,7 @@ def bench_cluster_scaleout(benchmark):
             "metric": "critical-path records/sec: n / (wall - sum(shard_cpu)"
             " + max(shard_cpu)); raw walls committed per fleet",
             "host_cpus": os.cpu_count(),
+            "pinned_cpus": curve[1]["pinned_cpus"],
             "machine": str(PARAMS),
             "fleets": [curve[n] for n in FLEETS],
         }

@@ -722,16 +722,18 @@ def certificate_record(cert: KernelCertificate) -> dict:
 
 def write_certificates(result: CertifyResult, out_dir: str) -> list[str]:
     """Emit CERT_<kernel>.json per certificate plus CERT_summary.json,
-    each validated against its schema before writing; returns the paths."""
+    each validated against its schema before writing; returns the paths.
+
+    A file that already holds its new record apart from the
+    ``generated_utc`` stamp is left untouched (same bytes, same mtime), so
+    a rerun that changes no result leaves a checkout clean."""
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for cert in result.certificates:
         record = certificate_record(cert)
         validate(record, CERT_SCHEMA)
         path = os.path.join(out_dir, f"CERT_{cert.kernel}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(record, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_record(path, record)
         paths.append(path)
     summary = {
         "cert": "summary",
@@ -742,11 +744,28 @@ def write_certificates(result: CertifyResult, out_dir: str) -> list[str]:
     }
     validate(summary, CERT_SUMMARY_SCHEMA)
     path = os.path.join(out_dir, "CERT_summary.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_record(path, summary)
     paths.append(path)
     return paths
+
+
+def _record_text(record: dict) -> str:
+    return json.dumps(record, indent=2, sort_keys=True) + "\n"
+
+
+def _write_record(path: str, record: dict) -> None:
+    """Write ``record`` to ``path`` unless the file's bytes already equal
+    the record written with the file's own ``generated_utc`` stamp."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            old = fh.read()
+        stamp = json.loads(old)["generated_utc"]
+    except (OSError, ValueError, TypeError, KeyError):
+        stamp = None
+    if stamp is not None and _record_text({**record, "generated_utc": stamp}) == old:
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(_record_text(record))
 
 
 # --------------------------------------------------------------------------- #

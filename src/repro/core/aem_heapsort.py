@@ -111,14 +111,17 @@ class AEMPriorityQueue:
         self.tree.insert(key)
 
     def insert_block(self, block) -> None:
-        """Route a whole block of records (§4.3.3 routing, batched where
-        that is provably identical to looped :meth:`insert`).
+        """Route a list of records (§4.3.3 routing, batched where that is
+        provably identical to looped :meth:`insert`).
 
         When both working sets are empty (heapsort's insert half: all
         records precede the first DELETE-MIN) every record routes to the
-        buffer tree and nothing can change that mid-block — no alpha means
-        no spills, no beta means no overflows — so the whole block lands
-        via one :meth:`BufferTree.insert_many` batch.  With a populated
+        buffer tree and nothing can change that mid-list — no alpha means
+        no spills, no beta means no overflows — so the whole list lands via
+        one :meth:`BufferTree.insert_many` batch, whatever its length.  The
+        list is simulator scratch: the model streams the records through
+        one load block and the root buffer's partial block, which is what
+        the queue's ``MemoryGuard`` declaration covers.  With a populated
         alpha/beta the routing thresholds are live state (a spill into an
         empty beta *raises* ``beta_max``; a beta overflow pushes records
         into the tree mid-stream), so records route one at a time, exactly
@@ -174,6 +177,16 @@ class AEMPriorityQueue:
         return batch
 
     def _refill_alpha(self) -> None:
+        """Move the ``M/4`` smallest valid beta records into alpha (Lemma
+        4.8), refilling beta from the tree first if it holds none.
+
+        The model makes one read-only pass over beta, keeping the smallest
+        records in the declared alpha working set.  The vectorized kernel
+        hands :func:`~repro.core.kernels.take_smallest` the valid records as
+        one flat list: up to ``2kM`` records of simulator scratch, which the
+        queue's ``MemoryGuard`` declaration (alpha plus four blocks) does
+        not count.
+        """
         if self._beta_valid == 0:
             self._refill_beta_from_tree()
         self.alpha_refills += 1
@@ -186,10 +199,10 @@ class AEMPriorityQueue:
         if self.kernel == SLOW_REFERENCE:
             batch = heap_smallest(self._iter_valid_beta(), take)
         else:
-            # block-granular: the shared bounded-selection kernel over the
-            # validity-filtered beta blocks (exact take-smallest multiset,
-            # same as the reference's heap; scratch <= 1.5 * take < M/2)
-            batch = take_smallest(self._valid_beta_blocks(), take)
+            # the shared bounded-selection kernel over the valid records as
+            # one run (exact take-smallest multiset, same as the reference's
+            # heap; its scratch is the whole run)
+            batch = take_smallest((self._valid_beta(),), take)
         self._alpha = batch
         x = batch[-1]
         # implicit deletion: everything with index <= current length and key
@@ -224,37 +237,29 @@ class AEMPriorityQueue:
                     yield rec
                 idx += 1
 
-    def _valid_beta_blocks(self):
-        """Block-granular counterpart of :meth:`_iter_valid_beta`: yield one
-        list of valid records per scanned beta block (same filter, same
-        charges — one read per non-empty block)."""
-        pairs = self._pairs
-        idx = 0
-        pi = 0
-        n_pairs = len(pairs)
+    def _valid_beta(self) -> list:
+        """Vectorized counterpart of :meth:`_iter_valid_beta`: beta's valid
+        records as one list, in scan order (same filter, same charges — one
+        batched read of every non-empty block).
+
+        The pair list is sorted by index, so the flattened scan splits into
+        one segment per deletion pair, each filtered by one comprehension;
+        records past the last pair's index are all valid.
+        """
+        flat: list = []
         for block in self.machine.scan_blocks(self._beta):
-            blk_len = len(block)
-            if pi >= n_pairs:
-                # every deletion pair lies behind the scan: whole block valid
-                yield list(block)
-                idx += blk_len
-                continue
-            # the pair list is sorted by index, so the block splits into at
-            # most n_pairs+1 segments, each filtered by one comprehension
-            valid: list = []
-            off = 0
-            while off < blk_len:
-                while pi < n_pairs and pairs[pi][0] < idx + off:
-                    pi += 1
-                if pi >= n_pairs:
-                    valid.extend(block[off:])
-                    break
-                bound_i, x = pairs[pi]
-                seg_end = min(blk_len, bound_i - idx + 1)
-                valid.extend([r for r in block[off:seg_end] if r > x])
-                off = seg_end
-            idx += blk_len
-            yield valid
+            flat += block
+        if not self._pairs:
+            return flat
+        valid: list = []
+        start = 0
+        for bound_i, x in self._pairs:
+            end = bound_i + 1
+            if end > start:
+                valid += [r for r in flat[start:end] if r > x]
+                start = end
+        valid += flat[start:]
+        return valid
 
     def _seal_beta_writer(self) -> None:
         if self._beta_writer is not None and not self._beta_writer.closed:
@@ -278,14 +283,11 @@ class AEMPriorityQueue:
                 if new_max is None or rec > new_max:
                     new_max = rec
         else:
-            for valid in self._valid_beta_blocks():
-                if not valid:
-                    continue
-                writer.extend(valid)
-                count += len(valid)
-                m = max(valid)
-                if new_max is None or m > new_max:
-                    new_max = m
+            valid = self._valid_beta()
+            writer.extend(valid)
+            count = len(valid)
+            if valid:
+                new_max = max(valid)
         self._beta = writer.close()
         self._beta_len = count
         self._beta_valid = count
@@ -385,10 +387,11 @@ def aem_heapsort(
     Total cost ``O((kn/B)(1 + log_{kM/B} n))`` reads and
     ``O((n/B)(1 + log_{kM/B} n))`` writes, matching Theorem 4.10.
 
-    The vectorized kernel feeds inserts from whole scanned blocks and drains
-    whole alpha batches (:meth:`AEMPriorityQueue.pop_batch`) instead of one
-    DELETE-MIN per record; refills — and therefore charges — happen at
-    exactly the same points.
+    The vectorized kernel feeds the whole scanned input to one
+    :meth:`AEMPriorityQueue.insert_block` and drains whole alpha batches
+    (:meth:`AEMPriorityQueue.pop_batch`) instead of one INSERT and one
+    DELETE-MIN per record; cascades and refills — and therefore charges —
+    happen at exactly the same points.
     """
     kernel = resolve_kernel(kernel)
     pq = AEMPriorityQueue(machine, k, guard=guard, kernel=kernel)
@@ -399,8 +402,10 @@ def aem_heapsort(
         for _ in range(arr.length):
             out.append(pq.delete_min())
         return out.close()
+    records: list = []
     for block in machine.scan_blocks(arr):
-        pq.insert_block(block)
+        records += block
+    pq.insert_block(records)
     out = machine.writer(name="heapsort-out")
     written = 0
     n = arr.length

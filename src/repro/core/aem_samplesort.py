@@ -277,10 +277,11 @@ def _partition(
     partial block per bucket in memory (Theorem 4.5's memory budget
     ``M + B + M/B``).
 
-    The vectorized kernel distributes a whole scanned block at a time:
-    records are routed into per-bucket staging lists (``bisect`` against the
-    round's splitters) and flushed with one ``extend`` per bucket per block
-    — same writer contents, same charges, no per-record dispatch.
+    The vectorized kernel, :func:`_distribute_blocks`, stages each bucket
+    whole in a Python list and writes it with one ``extend`` per round —
+    same writer contents, same charges.  The staged buckets are simulator
+    scratch beyond the footprint below, which is the model's memory and
+    what the ``MemoryGuard`` declares.
     """
     params = machine.params
     n_buckets = len(splitters) + 1
@@ -322,46 +323,34 @@ def _partition(
 
 def _distribute_blocks(blocks, writers, round_splitters, lo, hi) -> None:
     """Route every record of ``blocks`` within ``[lo, hi)`` to its bucket
-    writer.
+    writer, keeping scan order inside each bucket.
 
-    Staging keeps one in-memory partial block per bucket — exactly the
-    paper's "one partial block per bucket" budget — and flushes a bucket
-    with one cost-equivalent ``extend`` whenever its staged records reach a
-    full block, so writer dispatch is per *block*, not per record.
+    A bounded round first flattens the scan and drops the records below
+    ``lo`` and at or above ``hi`` with one comprehension per bound (the
+    reference's two tests).  Each surviving record is then staged in its
+    bucket's list by one ``bisect_right`` against the round's splitters,
+    and each bucket is written with one ``extend`` when the scan ends: the
+    same block layout and charges as one ``append`` per record.  The
+    staged buckets are simulator scratch; the model keeps one partial block
+    per bucket, as the caller's ``MemoryGuard`` declares.
     """
-    n_writers = len(writers)
-    if n_writers == 1:
-        # single bucket (degenerate splitter range): pure filtered append
-        w = writers[0]
+    staging: list[list] = [[] for _ in writers]
+    if lo is not None or hi is not None:
+        flat: list = []
         for block in blocks:
-            if lo is None and hi is None:
-                w.extend(block)
-            else:
-                w.extend(
-                    [r for r in block
-                     if (lo is None or r >= lo) and (hi is None or r < hi)]
-                )
-        return
-    B = writers[0].machine.params.B
-    staging: list[list] = [[] for _ in range(n_writers)]
+            flat += block
+        if lo is not None:
+            flat = [r for r in flat if not r < lo]
+        if hi is not None:
+            flat = [r for r in flat if not r >= hi]
+        blocks = (flat,)
     bisect_right = bisect.bisect_right
-    no_bounds = lo is None and hi is None
     for block in blocks:
         for rec in block:
-            if not no_bounds:
-                if lo is not None and rec < lo:
-                    continue
-                if hi is not None and rec >= hi:
-                    continue
-            j = bisect_right(round_splitters, rec)
-            chunk = staging[j]
-            chunk.append(rec)
-            if len(chunk) == B:
-                writers[j].extend(chunk)
-                staging[j] = []
-    for j in range(n_writers):
-        if staging[j]:
-            writers[j].extend(staging[j])
+            staging[bisect_right(round_splitters, rec)].append(rec)
+    for writer, staged in zip(writers, staging):
+        if staged:
+            writer.extend(staged)
 
 
 # ---------------------------------------------------------------------- #

@@ -129,9 +129,10 @@ class BufferTree:
         The extra branching factor (``l = k * M / B``); ``k = 1`` recovers
         Arge's original parameters.
     kernel:
-        ``"vectorized"`` (default) drains and distributes buffers in
-        block-granular slices; ``"slow_reference"`` is the record-at-a-time
-        reference.  Identical structure, contents and counters either way.
+        ``"vectorized"`` (default) drains each buffer as one sorted run and
+        distributes it in one segment per child; ``"slow_reference"`` is the
+        record-at-a-time reference.  Identical structure, contents and
+        counters either way.
     """
 
     def __init__(self, machine: AEMachine, k: int = 1, *, kernel: str | None = None):
@@ -257,49 +258,45 @@ class BufferTree:
             self._empty_leaf(leaf)
 
     def _drain_buffer_sorted(self, node: _Node):
-        """Yield the node's buffered elements in sorted order (streaming).
+        """Return the node's buffered elements in sorted order, and discard
+        the buffer.
 
         Sorts the first ``lB`` elements with the external selection sort
         (Lemma 4.2 — they exceed M); everything beyond the ``lB``-th element
         was appended *in sorted order* by the most recent parent emptying, so
-        the tail is a ready sorted run.  The two runs are merged on the fly.
-        Afterwards the buffer is discarded.
+        the tail is a ready sorted run, read once.  Ties between the two runs
+        go to the prefix (the older operations).
+
+        The reference merges the two runs record by record and returns the
+        stream.  The vectorized kernel returns one list: the sorted prefix
+        followed by the tail, merged by one stable ``list.sort()`` (timsort
+        finds the two runs and gallops).  That list is simulator scratch of
+        up to a whole buffer; the model streams the merge through the same
+        block reads and declares no more memory.
         """
-        if self.kernel != SLOW_REFERENCE:
-            return _flatten(self._drain_buffer_sorted_blocks(node))
         buf = node.buffer
         node.buffer = None
         count = node.buffer_count
         node.buffer_count = 0
+        slow = self.kernel == SLOW_REFERENCE
         if buf is None or count == 0:
-            return iter(())
+            return iter(()) if slow else []
         prefix_len = min(count, self.buffer_limit)
         sorted_prefix = _external_prefix_sort(
             self.machine, buf, prefix_len, self.kernel
         )
-        tail = _skip_stream(self.machine, buf, prefix_len)
-        return _merge_streams(self.machine.scan(sorted_prefix), tail)
-
-    def _drain_buffer_sorted_blocks(self, node: _Node):
-        """Block-granular :meth:`_drain_buffer_sorted`: yield sorted *chunks*
-        whose concatenation is the sorted buffer — same charges (the prefix
-        sort reads/writes the same blocks; the tail blocks are read once)."""
-        from .em_utils import merge_sorted_block_streams
-
-        buf = node.buffer
-        node.buffer = None
-        count = node.buffer_count
-        node.buffer_count = 0
-        if buf is None or count == 0:
-            return iter(())
-        prefix_len = min(count, self.buffer_limit)
-        sorted_prefix = _external_prefix_sort(
-            self.machine, buf, prefix_len, self.kernel
-        )
-        tail = _skip_stream_blocks(self.machine, buf, prefix_len)
-        return merge_sorted_block_streams(
-            self.machine.scan_blocks(sorted_prefix), tail
-        )
+        if slow:
+            tail = _skip_stream(self.machine, buf, prefix_len)
+            return _merge_streams(self.machine.scan(sorted_prefix), tail)
+        run: list = []
+        for block in self.machine.scan_blocks(sorted_prefix):
+            run += block
+        n_prefix = len(run)
+        for block in _skip_stream_blocks(self.machine, buf, prefix_len):
+            run += block
+        if len(run) > n_prefix:
+            run.sort()  # two sorted runs: ties keep the prefix first
+        return run
 
     def _empty_internal(
         self, node: _Node, full_internal: list[_Node], full_leaves: list[_Node]
@@ -329,28 +326,17 @@ class BufferTree:
                 writer_for(idx).append(op)
                 node.children[idx].buffer_count += 1
         else:
-            # block-granular sweep: each sorted chunk is split into per-child
-            # segments at the router keys (bisect over the chunk: operations
-            # compare like their keys) and each segment lands with one
+            # the sorted run is cut at each router (operations compare like
+            # their keys) and each child's segment lands with one
             # cost-equivalent extend
-            routers = node.keys
-            n_routers = len(routers)
-            idx = 0
-            for chunk in self._drain_buffer_sorted_blocks(node):
-                pos = 0
-                n_chunk = len(chunk)
-                while pos < n_chunk:
-                    op = chunk[pos]
-                    while idx < n_routers and op >= routers[idx]:
-                        idx += 1
-                    if idx == n_routers:
-                        end = n_chunk
-                    else:
-                        end = bisect.bisect_left(chunk, routers[idx], pos)
-                    segment = chunk if pos == 0 and end == n_chunk else chunk[pos:end]
-                    writer_for(idx).extend(segment)
-                    node.children[idx].buffer_count += end - pos
-                    pos = end
+            run = self._drain_buffer_sorted(node)
+            cuts = [bisect.bisect_left(run, router) for router in node.keys]
+            start = 0
+            for idx, end in enumerate(cuts + [len(run)]):
+                if end > start:
+                    writer_for(idx).extend(run[start:end])
+                    node.children[idx].buffer_count += end - start
+                    start = end
         for w in writers:
             if w is not None:
                 w.close()
@@ -389,7 +375,7 @@ class BufferTree:
             # general deletions: the op/payload merge is inherently
             # sequential (per-key delete / annihilation semantics), but the
             # surviving keys land in one batch
-            stream = self._drain_buffer_sorted(leaf)
+            stream = iter(self._drain_buffer_sorted(leaf))
             existing = (
                 self.machine.scan(leaf.elements)
                 if leaf.elements is not None
@@ -422,10 +408,9 @@ class BufferTree:
         merged: list = []
         if leaf.elements is not None:
             for block in self.machine.scan_blocks(leaf.elements):
-                merged.extend(block)
+                merged += block
         n_payload = len(merged)
-        for chunk in self._drain_buffer_sorted_blocks(leaf):
-            merged.extend(chunk)
+        merged += self._drain_buffer_sorted(leaf)
         had_ops = len(merged) > n_payload
         if had_ops and n_payload:
             merged.sort()  # two sorted runs: C-level galloping merge
@@ -785,21 +770,24 @@ def _external_prefix_sort(
     return out.close()
 
 
-def _prefix_blocks(machine: AEMachine, arr: ExtArray, prefix_len: int):
-    """Yield the blocks covering ``arr``'s first ``prefix_len`` records
-    (straddling block truncated), charging one read per block — the same
-    blocks the reference's per-record prefix scan reads."""
+def _prefix_blocks(machine: AEMachine, arr: ExtArray, prefix_len: int) -> list:
+    """Return the blocks covering ``arr``'s first ``prefix_len`` records
+    (straddling block truncated), charged by one batched read — the same
+    blocks, one read each, that the reference's per-record prefix scan
+    reads.  Empty placeholder blocks are neither returned nor read."""
+    indexes: list[int] = []
     seen = 0
     for bi in range(arr.num_blocks):
         if seen >= prefix_len:
             break
-        if arr.block_len(bi) == 0:  # empty placeholder: nothing to transfer
-            continue
-        block = machine.read_block(arr, bi, copy=False)
-        if seen + len(block) > prefix_len:
-            block = block[: prefix_len - seen]
-        seen += len(block)
-        yield block
+        blk_len = arr.block_len(bi)
+        if blk_len:  # an empty placeholder has nothing to transfer
+            indexes.append(bi)
+            seen += blk_len
+    blocks = machine.read_blocks([arr] * len(indexes), indexes)
+    if seen > prefix_len:
+        blocks[-1] = blocks[-1][: prefix_len - seen]
+    return blocks
 
 
 def _skip_stream(machine: AEMachine, arr: ExtArray, skip: int):
@@ -839,12 +827,6 @@ def _skip_stream_blocks(machine: AEMachine, arr: ExtArray, skip: int):
         start = max(0, skip - offset)
         yield block[start:] if start else block
         offset += blk_len
-
-
-def _flatten(chunks):
-    """Flatten an iterator of lists into a record stream."""
-    for chunk in chunks:
-        yield from chunk
 
 
 def _merge_streams(a, b):

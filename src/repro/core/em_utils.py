@@ -118,44 +118,6 @@ def _merge_two(machine: AEMachine, a: ExtArray, b: ExtArray) -> ExtArray:
     return out.close()
 
 
-def merge_sorted_block_streams(ita, itb):
-    """Merge two streams of sorted, key-ordered *chunks* into merged chunks.
-
-    ``ita`` / ``itb`` yield non-empty lists whose concatenation is sorted;
-    the output yields lists whose concatenation is the sorted merge (ties go
-    to ``ita``, the ``va <= vb`` rule).  Pure in-memory plumbing — no
-    machine, no charges — shared by the vectorized buffer-tree drains.
-    """
-    blka = next(ita, None)
-    blkb = next(itb, None)
-    ia = ib = 0
-    while blka is not None and blkb is not None:
-        head_b = blkb[ib]
-        j = bisect.bisect_right(blka, head_b, ia)
-        if j > ia:
-            yield blka if ia == 0 and j == len(blka) else blka[ia:j]
-            ia = j
-            if ia >= len(blka):
-                blka = next(ita, None)
-                ia = 0
-            continue
-        head_a = blka[ia]
-        j = bisect.bisect_left(blkb, head_a, ib)
-        yield blkb if ib == 0 and j == len(blkb) else blkb[ib:j]
-        ib = j
-        if ib >= len(blkb):
-            blkb = next(itb, None)
-            ib = 0
-    while blka is not None:
-        yield blka[ia:] if ia else blka
-        blka = next(ita, None)
-        ia = 0
-    while blkb is not None:
-        yield blkb[ib:] if ib else blkb
-        blkb = next(itb, None)
-        ib = 0
-
-
 def _merge_two_slow(machine: AEMachine, a: ExtArray, b: ExtArray) -> ExtArray:
     """Record-at-a-time reference merge (parity baseline)."""
     out = machine.writer(name="merge2-out")

@@ -1,10 +1,19 @@
 """Tests for the §4.2 AEM sample sort."""
 
+import bisect
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.aem_samplesort import aem_samplesort, predicted_reads, predicted_writes
+from repro.core.aem_samplesort import (
+    _partition,
+    aem_samplesort,
+    predicted_reads,
+    predicted_writes,
+)
+from repro.core.kernels import SLOW_REFERENCE, VECTORIZED
 from repro.models import AEMachine, MachineParams, MemoryGuard
 from repro.workloads import (
     few_distinct,
@@ -170,3 +179,62 @@ class TestTheorem45Shape:
         M, B = 64, 8
         _, _, guard = run(random_permutation(8000, seed=11), M=M, B=B, k=4)
         assert guard.high_water <= 2 * M  # coarse envelope; see DESIGN.md
+
+
+def partition_both(data, splitters):
+    """``_partition`` under both kernels (M=16, B=4: four buckets per
+    round), each on a fresh machine.  Asserts identical bucket blocks
+    (records, scan order and block boundaries) and counters, and that each
+    bucket holds its records in scan order; returns the counter."""
+    results = {}
+    for kernel in (VECTORIZED, SLOW_REFERENCE):
+        machine = AEMachine(MachineParams(M=16, B=4, omega=4))
+        buckets = _partition(
+            machine, machine.from_list(data), splitters, 1, MemoryGuard(),
+            kernel=kernel,
+        )
+        results[kernel] = ([b._blocks for b in buckets], machine.counter.as_dict())
+    assert results[VECTORIZED] == results[SLOW_REFERENCE]
+    blocks, counter = results[VECTORIZED]
+    expected = [
+        [r for r in data if bisect.bisect_right(splitters, r) == j]
+        for j in range(len(splitters) + 1)
+    ]
+    assert [[r for block in bucket for r in block] for bucket in blocks] == [
+        bucket for bucket in expected if bucket
+    ]
+    return counter
+
+
+class TestDistributeBlocks:
+    """The vectorized bucket routing against ``_partition``'s reference
+    per-record loop: same bucket layouts, same charges."""
+
+    def test_bounded_round(self):
+        # 12 buckets in 3 rounds: the middle round has both lo (12) and
+        # hi (24) set, and the input holds records equal to every splitter
+        splitters = [3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33]
+        rng = random.Random(7)
+        data = [rng.randrange(40) for _ in range(300)] + splitters
+        counter = partition_both(data, splitters)
+        assert counter["block_reads"] == 3 * -(-len(data) // 4)
+
+    def test_repeated_splitters(self):
+        splitters = [5, 5, 5, 9, 12, 12, 20, 20, 20, 20, 31]
+        rng = random.Random(8)
+        data = [rng.randrange(40) for _ in range(200)] + [5, 12, 20] * 3
+        partition_both(data, splitters)
+
+    @pytest.mark.parametrize("splitters", [[], [4, 8, 15, 16]])
+    def test_single_bucket(self, splitters):
+        """No splitters at all, and a last round of one bucket (lo set)."""
+        rng = random.Random(9)
+        partition_both([rng.randrange(30) for _ in range(150)], splitters)
+
+    @given(
+        data=st.lists(st.integers(0, 50), max_size=200),
+        splitters=st.lists(st.integers(0, 50), max_size=14).map(sorted),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property(self, data, splitters):
+        partition_both(data, splitters)

@@ -251,6 +251,40 @@ class TestCertArtifacts:
             )
             validate(record, schema)
 
+    def test_rerun_leaves_unchanged_files_untouched(
+        self, quick_result, tmp_path, monkeypatch
+    ):
+        """A second write with only a new ``generated_utc`` stamp keeps every
+        file's bytes and mtime; a file whose verdict differs is rewritten."""
+        monkeypatch.setattr(boundcheck, "_utcnow", lambda: "2000-01-01T00:00:00Z")
+        first = write_certificates(quick_result, str(tmp_path))
+        before = {}
+        for path in first:
+            os.utime(path, (1_000_000, 1_000_000))
+            with open(path, "rb") as fh:
+                before[path] = fh.read()
+        stale = str(tmp_path / "CERT_mergesort.json")
+        record = json.loads(before[stale])
+        record["passed"] = not record["passed"]
+        with open(stale, "w", encoding="utf-8") as fh:
+            json.dump(record, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.utime(stale, (1_000_000, 1_000_000))
+
+        monkeypatch.setattr(boundcheck, "_utcnow", lambda: "2001-01-01T00:00:00Z")
+        second = write_certificates(quick_result, str(tmp_path))
+        assert second == first
+        for path in second:
+            with open(path, "rb") as fh:
+                data = fh.read()
+            if path == stale:
+                assert os.stat(path).st_mtime != 1_000_000
+                assert json.loads(data)["passed"] is not record["passed"]
+                assert json.loads(data)["generated_utc"] == "2001-01-01T00:00:00Z"
+            else:
+                assert data == before[path], path
+                assert os.stat(path).st_mtime == 1_000_000, path
+
     def test_summary_reports_every_kernel_passed(self, quick_result, tmp_path):
         write_certificates(quick_result, str(tmp_path))
         with open(tmp_path / "CERT_summary.json", encoding="utf-8") as fh:

@@ -11,6 +11,7 @@ from repro.core.buffer_tree import (
     BufferTree,
     _Delete,
     _external_prefix_sort,
+    _Node,
     _prefix_blocks,
     _skip_stream,
     _skip_stream_blocks,
@@ -98,15 +99,129 @@ class TestPrefixBlocks:
         [[0, 1], [], [2, 3, 4, 5, 6, 7, 8]],
     ])
     def test_blocks_cover_the_prefix_only(self, layout, prefix_len):
-        """Truncated at the straddling block, one read per block yielded,
-        empty placeholder blocks skipped without a read."""
+        """A list of blocks, charged by one batched read when called:
+        truncated at the straddling block, one read per non-empty block
+        covering the prefix, and neither an empty placeholder nor a block
+        past the prefix read."""
         machine = make_machine()
         arr = concat_layout(machine, *layout)
+        lengths = [arr.block_len(bi) for bi in range(arr.num_blocks)]
+        starts = [0, *itertools.accumulate(lengths)]
+        covering = sum(
+            1 for n, start in zip(lengths, starts) if n and start < prefix_len
+        )
+        batches = []
+        charge_reads = machine.counter.charge_reads
+        machine.counter.charge_reads = lambda n: (batches.append(n), charge_reads(n))
         reads = machine.counter.block_reads
-        blocks = list(_prefix_blocks(machine, arr, prefix_len))
+        blocks = _prefix_blocks(machine, arr, prefix_len)
+        assert isinstance(blocks, list)
         assert [rec for block in blocks for rec in block] == list(range(prefix_len))
         assert all(blocks)
-        assert machine.counter.block_reads - reads == len(blocks)
+        assert machine.counter.block_reads - reads == len(blocks) == covering
+        assert batches == ([covering] if covering else [])
+
+
+def typed(ops) -> list:
+    """Operations with their kind spelled out: a ``_Delete`` marker equals
+    its key, so plain ``==`` cannot tell a key from its marker."""
+    return [("del", op.key) if type(op) is _Delete else ("ins", op) for op in ops]
+
+
+def drain_both(build):
+    """``BufferTree._drain_buffer_sorted`` under both kernels, each on a
+    fresh machine and a leaf whose buffer is ``build(machine)`` (or none).
+    Asserts the same records, kinds, reads and writes; returns the typed
+    run and the counter."""
+    results = {}
+    for kernel in (VECTORIZED, SLOW_REFERENCE):
+        machine = make_machine()
+        tree = BufferTree(machine, k=1, kernel=kernel)  # l = 4, lB = 16
+        node = _Node(is_leaf=True)
+        node.buffer = build(machine)
+        node.buffer_count = node.buffer.length if node.buffer is not None else 0
+        run = typed(tree._drain_buffer_sorted(node))
+        assert node.buffer is None and node.buffer_count == 0
+        results[kernel] = (run, machine.counter.as_dict())
+    assert results[VECTORIZED] == results[SLOW_REFERENCE]
+    return results[VECTORIZED]
+
+
+class TestDrainedRun:
+    """The vectorized drain (prefix and tail merged by one stable sort)
+    against the reference's record-by-record merge of the two runs."""
+
+    PREFIX = [9, 5, _Delete(7), 3, 12, 1, 14, 7, 2, 11, 4, 6, 8, 10, 13, 15]
+    TAIL = [_Delete(5), 7, _Delete(9), 12, 20, 21]  # sorted, ties the prefix
+
+    def test_tail_ties_go_to_the_prefix(self):
+        ops = self.PREFIX + self.TAIL
+        # the lB boundary (16) falls inside a block: 14 + [2 prefix, 2 tail]
+        run, counter = drain_both(
+            lambda m: concat_layout(m, ops[:14], ops[14:18], ops[18:])
+        )
+        assert run == typed(sorted(ops))  # stable: each tie keeps the prefix first
+        assert run[run.index(("del", 5)) - 1] == ("ins", 5)
+        assert run[run.index(("ins", 7)) - 1] == ("del", 7)
+        assert counter["block_reads"] > 0 and counter["block_writes"] > 0
+
+    def test_buffer_below_lb_has_no_tail(self):
+        ops = [9, _Delete(3), 5, 3, 1, _Delete(5), 8]
+        run, _ = drain_both(lambda m: m.from_list(ops))
+        assert run == typed(sorted(ops))
+
+    @pytest.mark.parametrize("allocated", [False, True])
+    def test_empty_buffer(self, allocated):
+        run, counter = drain_both(
+            lambda m: m.allocate("buf") if allocated else None
+        )
+        assert run == []
+        assert counter["block_reads"] == counter["block_writes"] == 0
+
+
+class TestEmptyInternal:
+    def test_children_match_the_reference_with_routers_in_the_buffer(self):
+        """Records equal to a router go to the router's right child; every
+        child buffer ends up with the reference's blocks, counts and
+        charges, including one that already held a partial block."""
+        ops = [
+            30, 5, _Delete(20), 25, 10, 35, 15, 20, 1, 22, 28, 12,
+            _Delete(10), 33, 18, 2,  # the lB = 16 prefix
+            _Delete(1), 10, 20, _Delete(30), 30,  # a sorted tail
+        ]
+        results = {}
+        for kernel in (VECTORIZED, SLOW_REFERENCE):
+            machine = make_machine()
+            tree = BufferTree(machine, k=1, kernel=kernel)
+            node = _Node(is_leaf=False)
+            node.keys = [10, 20, 30]
+            node.children = [_Node(is_leaf=True) for _ in range(4)]
+            held = node.children[2]
+            held.buffer = machine.from_list([21, 29])
+            held.buffer_count = 2
+            node.buffer = concat_layout(machine, ops[:15], ops[15:])
+            node.buffer_count = len(ops)
+            full_internal, full_leaves = [], []
+            tree._empty_internal(node, full_internal, full_leaves)
+            results[kernel] = (
+                [
+                    (
+                        [typed(b) for b in child.buffer._blocks]
+                        if child.buffer is not None else None,
+                        child.buffer_count,
+                    )
+                    for child in node.children
+                ],
+                [node.children.index(leaf) for leaf in full_leaves],
+                full_internal,
+                machine.counter.as_dict(),
+            )
+        assert results[VECTORIZED] == results[SLOW_REFERENCE]
+        children = results[VECTORIZED][0]
+        flat = [[op for block in blocks for op in block] for blocks, _ in children]
+        assert ("ins", 10) in flat[1] and ("del", 10) in flat[1]
+        assert ("del", 20) in flat[2] and ("ins", 30) in flat[3]
+        assert flat[2][:2] == [("ins", 21), ("ins", 29)]
 
 
 class TestSkipStream:
