@@ -15,6 +15,7 @@ minimiser of the exact Theorem 4.3 cost.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from ..models.params import MachineParams
@@ -35,10 +36,19 @@ def k_improves(k: int, params: MachineParams) -> bool:
 
 
 def feasible_k_region(params: MachineParams, k_max: int | None = None) -> list[int]:
-    """All integer ``k`` in ``[1, k_max]`` satisfying Corollary 4.4."""
+    """All integer ``k`` in ``[1, k_max]`` satisfying Corollary 4.4.
+
+    The region depends only on the machine and ``k_max``, and the planner
+    asks for it on every plan miss, so it is memoized in a small bounded
+    table; every call returns a fresh list."""
+    return list(_feasible_k_region(params, k_max))
+
+
+@functools.lru_cache(maxsize=64)
+def _feasible_k_region(params: MachineParams, k_max: int | None) -> tuple[int, ...]:
     if k_max is None:
         k_max = 4 * params.omega
-    return [k for k in range(1, k_max + 1) if k_improves(k, params)]
+    return tuple(k for k in range(1, k_max + 1) if k_improves(k, params))
 
 
 def sweep_k(n: int, params: MachineParams, k_max: int | None = None) -> list[dict]:

@@ -28,13 +28,7 @@ import math
 
 from ..models.external_memory import AEMachine, BlockWriter, ExtArray, MemoryGuard
 from .buffer_tree import BufferTree
-from .kernels import (
-    SLOW_REFERENCE,
-    heap_smallest,
-    register_kernel_entry,
-    resolve_kernel,
-    take_smallest,
-)
+from .kernels import SLOW_REFERENCE, heap_smallest, register_kernel_entry, resolve_kernel
 
 register_kernel_entry(
     "heapsort",
@@ -182,10 +176,12 @@ class AEMPriorityQueue:
 
         The model makes one read-only pass over beta, keeping the smallest
         records in the declared alpha working set.  The vectorized kernel
-        hands :func:`~repro.core.kernels.take_smallest` the valid records as
-        one flat list: up to ``2kM`` records of simulator scratch, which the
-        queue's ``MemoryGuard`` declaration (alpha plus four blocks) does
-        not count.
+        selects from one run with no phase boundary, which is a sort and a
+        cut: it sorts the fresh list :meth:`_valid_beta` returns (stable,
+        so equal records keep scan order) and keeps its first ``take``
+        records.  That list is up to ``2kM`` records of simulator scratch,
+        which the queue's ``MemoryGuard`` declaration (alpha plus four
+        blocks) does not count.
         """
         if self._beta_valid == 0:
             self._refill_beta_from_tree()
@@ -199,10 +195,9 @@ class AEMPriorityQueue:
         if self.kernel == SLOW_REFERENCE:
             batch = heap_smallest(self._iter_valid_beta(), take)
         else:
-            # the shared bounded-selection kernel over the valid records as
-            # one run (exact take-smallest multiset, same as the reference's
-            # heap; its scratch is the whole run)
-            batch = take_smallest((self._valid_beta(),), take)
+            batch = self._valid_beta()
+            batch.sort()
+            del batch[take:]
         self._alpha = batch
         x = batch[-1]
         # implicit deletion: everything with index <= current length and key

@@ -22,7 +22,11 @@ each other on outputs and counters.  They are the original code except where
 a stable order must be spelled out: the Lemma 4.2 selection phases (selection
 sort and the buffer tree's prefix sort) select ``(record, scan position)``
 pairs, so equal records leave in scan order as they do in the vectorized
-kernel.
+kernel, which sorts the read-only input once with the stable ``list.sort()``
+and writes one slice of it per phase (each phase's scan still made and
+charged).  :func:`heap_smallest`, the reference's bounded selection, has no
+vectorized twin here: a vectorized selection from one run is a sort and a
+cut.
 
 Every sort entry point takes ``kernel=None``, which means ``"vectorized"``;
 pass ``kernel="slow_reference"`` to run the reference.
@@ -89,79 +93,11 @@ def register_kernel_entry(name: str, *, entry: str,
         KERNEL_CONTRACTS.pop(name, None)
 
 
-def take_smallest(blocks, take: int, lo=None, skip: int = 0) -> list:
-    """The shared bounded-selection kernel: the ``take`` smallest records
-    past the boundary ``(lo, skip)`` across an iterable of record lists,
-    returned ascending, equal records in scan order.
-
-    ``lo=None`` admits every record.  Otherwise ``lo`` is the last record a
-    previous selection phase emitted and ``skip`` how many records equal to
-    it that phase and the ones before it emitted: a record is admitted when
-    it is greater than ``lo``, or equal to ``lo`` and not among the first
-    ``skip`` such records in scan order.  With ``skip=1`` and unique
-    records that is the plain strict ``> lo`` filter.
-
-    This is the paper's §2 remark — *"a position index can always be added
-    to make keys unique"* — with the index left implicit.  Candidates are
-    appended in scan order and ``list.sort()`` is stable, so the kernel
-    sorts as if by ``(record, scan position)`` without building the pairs,
-    and ``(lo, skip)`` names the pair the previous phase ended on.  The
-    running cutoff stays a plain ``r < cutoff``: a record scanned after the
-    cutoff pair has a larger position, so an equal one is larger as a pair.
-
-    Per block, the candidate window is filtered with one comprehension;
-    while occurrences of ``lo`` remain to be skipped, one ``list.count`` per
-    window finds them, and a per-record loop runs only in the window where
-    the skip runs out.  The working set is pruned back to ``take`` (a
-    C-level sort of a mostly sorted list) only when it overflows a
-    half-working-set margin, so the amortized cost is O(log) per surviving
-    candidate and the scratch stays <= 1.5 * ``take`` records.  The result
-    is the exact ``take``-smallest multiset — every record the running
-    cutoff drops provably cannot be among the final ``take`` — matching
-    :func:`heap_smallest`, the record-at-a-time bounded max-heap of the
-    reference implementations.
-    """
-    working: list = []
-    cutoff = None  # the take-th smallest seen so far, once known
-    margin = take + (take >> 1) + 1
-    for block in blocks:
-        if lo is None:
-            cand = block if cutoff is None else [r for r in block if r < cutoff]
-        elif cutoff is None:
-            cand = [r for r in block if lo <= r]
-        else:
-            cand = [r for r in block if lo <= r < cutoff]
-        if skip and cand:
-            # while skip > 0 every record in working is > lo, so the cutoff
-            # is too and each occurrence of lo reaches this window
-            ties = cand.count(lo)
-            if ties > skip:  # the skip runs out inside this window
-                kept = []
-                for r in cand:
-                    if skip and r == lo:
-                        skip -= 1
-                    else:
-                        kept.append(r)
-                cand = kept
-            elif ties:
-                skip -= ties
-                cand = [r for r in cand if lo < r]
-        if not cand:
-            continue
-        working.extend(cand)
-        if len(working) >= margin:
-            working.sort()
-            del working[take:]
-            cutoff = working[-1]
-    working.sort()
-    del working[take:]
-    return working
-
-
 def heap_smallest(records, take: int) -> list:
-    """The record-at-a-time reference for :func:`take_smallest` without a
-    boundary: the ``take`` smallest of ``records``, ascending, kept in a
-    bounded max-heap one record at a time."""
+    """The record-at-a-time bounded selection of the reference kernels: the
+    ``take`` smallest of ``records``, ascending, kept in a bounded max-heap
+    one record at a time.  The vectorized kernels get the same records
+    with one stable ``list.sort()`` and a cut."""
     heap: list = []
     for rec in records:
         if len(heap) < take:

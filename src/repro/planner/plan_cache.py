@@ -6,13 +6,17 @@ A :class:`~repro.planner.cost_model.SortPlan` is a pure function of
 combinations constantly (the CLI driver draws job sizes from a small range,
 production traffic clusters around popular request shapes), so re-ranking per
 job is pure waste.  :class:`PlanCache` memoises the ranking behind a lock
-(safe to share across the thread executor; the process executor builds one
-per shard) and counts hits/misses so :meth:`~repro.planner.batch.BatchReport.summary`
-can surface cache effectiveness per batch.
+(safe to share across the thread executor; every process worker of a
+:class:`~repro.service.SortService` builds its own) and counts hits/misses so
+:meth:`~repro.planner.batch.BatchReport.summary` can surface cache
+effectiveness per batch.
 
-Entries are evicted LRU when ``maxsize`` is set; the default is unbounded,
-which is fine for the plan table's size (a few hundred bytes per distinct
-``(n, machine)`` shape).
+Entries are evicted least recently used past ``maxsize``, which defaults to
+:data:`DEFAULT_MAXSIZE`.  A cache keeps one plan per distinct ``(n,
+machine)`` shape, about 1.2 kB each under ``tracemalloc``, and a serve
+process sees whatever sizes the wire sends it, so an unbounded default would
+grow for the life of the process.  ``maxsize=None`` asks for an unbounded
+cache.
 """
 
 from __future__ import annotations
@@ -29,10 +33,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (calibration → cost
     from .calibration import CostConstants
 
 
-class PlanCache:
-    """Thread-safe LRU memo table for :func:`~repro.planner.cost_model.plan_sort`."""
+#: default bound on the plans one cache keeps: about 5 MB of plans
+DEFAULT_MAXSIZE = 4096
 
-    def __init__(self, maxsize: int | None = None):
+
+class PlanCache:
+    """Thread-safe LRU memo table for :func:`~repro.planner.cost_model.plan_sort`,
+    holding at most ``maxsize`` plans (``None``: unbounded)."""
+
+    def __init__(self, maxsize: int | None = DEFAULT_MAXSIZE):
         if maxsize is not None and maxsize < 1:
             raise ValueError(f"maxsize must be >= 1 or None, got {maxsize}")
         self.maxsize = maxsize
@@ -87,10 +96,10 @@ class PlanCache:
         the individual call rather than the cache-wide totals.
         """
         key = self.make_key(n, params, algorithms, k_max, constants)
-        # compute under the lock: planning is a few closed-form evaluations
-        # (microseconds), far cheaper than the sorts it routes, and holding
-        # the lock makes hit/miss accounting deterministic — concurrent first
-        # accesses to one key count exactly one miss
+        # compute under the lock: a miss ranks every algorithm in closed
+        # form (0.1-0.2 ms), far cheaper than the sorts it routes, and
+        # holding the lock makes hit/miss accounting deterministic —
+        # concurrent first accesses to one key count exactly one miss
         with self._lock:
             cached = self._plans.get(key)
             if cached is not None:

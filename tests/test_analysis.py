@@ -94,6 +94,26 @@ class TestKTuning:
         assert region[0] == 1
         assert region == sorted(region)
 
+    def test_memoized_region_matches_the_comprehension(self):
+        for M, B in ((16, 4), (64, 8), (2048, 32), (256, 256)):
+            for omega in (1, 2, 8, 16, 64):
+                p = MachineParams(M=M, B=B, omega=omega)
+                for k_max in (None, 1, 3, 2 * omega, 100):
+                    top = 4 * omega if k_max is None else k_max
+                    plain = [k for k in range(1, top + 1) if k_improves(k, p)]
+                    assert feasible_k_region(p, k_max) == plain, (p, k_max)
+                    assert feasible_k_region(p, k_max) == plain  # a hit
+
+    def test_memoized_region_is_a_fresh_list(self):
+        p = MachineParams(M=64, B=8, omega=16)
+        first = feasible_k_region(p)
+        expected = list(first)
+        first.clear()
+        second = feasible_k_region(p)
+        assert second == expected and second is not first
+        second.append(10_000)
+        assert feasible_k_region(p) == expected
+
     def test_region_grows_with_omega(self):
         small = feasible_k_region(MachineParams(M=64, B=8, omega=4))
         big = feasible_k_region(MachineParams(M=64, B=8, omega=32))

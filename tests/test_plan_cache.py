@@ -5,6 +5,7 @@ import threading
 import pytest
 
 from repro import MachineParams, PlanCache, plan_sort
+from repro.planner.plan_cache import DEFAULT_MAXSIZE
 from repro.planner.calibration import CostConstants
 
 SMALL = MachineParams(M=64, B=8, omega=8)
@@ -53,6 +54,32 @@ class TestPlanCache:
         assert cache.plan(1_000, SMALL) is a
         cache.plan(2_000, SMALL)
         assert cache.misses == 4  # 1k, 2k, 3k, then 2k again after eviction
+
+    def test_default_bound_evicts_least_recently_used(self):
+        # a serve process plans one entry per distinct job size
+        cache = PlanCache()
+        sizes = range(100, 100 + DEFAULT_MAXSIZE + 2)
+        first = cache.plan(sizes[0], SMALL)
+        for n in sizes[1:DEFAULT_MAXSIZE]:
+            cache.plan(n, SMALL)
+        assert len(cache) == DEFAULT_MAXSIZE and cache.misses == DEFAULT_MAXSIZE
+        assert cache.plan(sizes[0], SMALL) is first  # touch: now most recent
+        cache.plan(sizes[DEFAULT_MAXSIZE], SMALL)    # evicts sizes[1]
+        cache.plan(sizes[DEFAULT_MAXSIZE + 1], SMALL)  # evicts sizes[2]
+        assert len(cache) == DEFAULT_MAXSIZE
+        assert cache.plan(sizes[0], SMALL) is first
+        misses = cache.misses
+        cache.plan(sizes[3], SMALL)
+        assert cache.misses == misses  # still held
+        cache.plan(sizes[1], SMALL)
+        assert cache.misses == misses + 1  # evicted, planned again
+
+    def test_explicit_none_is_unbounded(self):
+        plan = plan_sort(1_000, SMALL)
+        entries = [(PlanCache.make_key(n, SMALL), plan) for n in range(DEFAULT_MAXSIZE + 5)]
+        cache = PlanCache(maxsize=None)
+        assert cache.seed(entries) == DEFAULT_MAXSIZE + 5
+        assert len(cache) == DEFAULT_MAXSIZE + 5
 
     def test_invalid_maxsize(self):
         with pytest.raises(ValueError, match="maxsize"):
