@@ -402,14 +402,6 @@ class CertifyResult:
         return out
 
 
-def _fit_constant(pairs: Sequence[tuple[float, float]]) -> float:
-    """Least-squares-through-origin constant over (measured, bound) pairs,
-    via the planner's calibration fit (lazy import — import-discipline)."""
-    from ..planner.calibration import ls_through_origin
-
-    return ls_through_origin(pairs)
-
-
 def _currency_failures(
     contract: CostContract,
     label: str,
@@ -459,6 +451,7 @@ def certify_kernel(
     use_iosan: bool = True,
 ) -> KernelCertificate:
     """Measure one contracted kernel across the sweep and check envelopes."""
+    from ..planner.calibration import ls_through_origin  # lazy: import-discipline
     from .iosan import iosan
 
     machine_certs = []
@@ -490,8 +483,8 @@ def certify_kernel(
             # asymptotic shape the theorem states
             ext = [entry for entry in raw if entry[0] > params.M]
             fit_from = ext if ext else raw
-            cr = _fit_constant([(r, rb) for (_, _, r, _, rb, _) in fit_from])
-            cw = _fit_constant([(w, wb) for (_, _, _, w, _, wb) in fit_from])
+            cr = ls_through_origin([(r, rb) for (_, _, r, _, rb, _) in fit_from])
+            cw = ls_through_origin([(w, wb) for (_, _, _, w, _, wb) in fit_from])
         samples = []
         for n, k, reads, writes, rb, wb in raw:
             floor = math.ceil(n / params.B)

@@ -29,7 +29,6 @@ Modeling choices worth knowing when reading analysis results:
 from __future__ import annotations
 
 import ast
-from collections.abc import Iterator
 
 #: statement kinds a node can carry (see module docstring)
 ENTRY = "entry"
@@ -94,11 +93,6 @@ class FunctionCFG:
             self.nodes[src].esucc.append(dst)
 
     # ------------------------------------------------------------------ #
-    def iter_nodes(self, kind: str | None = None) -> Iterator[CFGNode]:
-        for node in self.nodes:
-            if kind is None or node.kind == kind:
-                yield node
-
     def dominators(self) -> list[set[int]]:
         """``dom[i]`` = node indices dominating node ``i`` (both edge kinds
         count: an exception path around a block breaks its dominance)."""

@@ -1,4 +1,5 @@
-"""One function per paper bound: the closed forms experiments compare against.
+"""One function per paper bound: the closed forms the planner ranks with and
+experiments and ``certify`` compare against.
 
 Unless stated otherwise the functions return the bound with its leading
 constant set to 1 — experiments report the measured/predicted *ratio*, whose
@@ -148,11 +149,6 @@ def co_sort_reads(n: int, M: int, B: int, omega: int) -> float:
 def co_sort_writes(n: int, M: int, B: int, omega: int) -> float:
     """Theorem 5.1: ``O((n/B) log_{omega M}(omega n))``."""
     return (n / B) * max(1.0, _log(omega * n, max(omega * M, 2)))
-
-
-def co_classic_sort_transfers(n: int, M: int, B: int) -> float:
-    """[9]'s symmetric bound ``O((n/B) log_M n)`` (reads ~= writes)."""
-    return (n / B) * max(1.0, _log(n, max(M, 2)))
 
 
 def fft_reads(n: int, M: int, B: int, omega: int) -> float:

@@ -130,13 +130,6 @@ def _stack() -> list[tuple[str, int]]:
     return stack
 
 
-def _record_violation(message: str) -> None:
-    with _state_lock:
-        _violations.append(message)
-    if _raise_on_violation:
-        raise LockOrderError(message)
-
-
 def _note_acquire(name: str, ident: int) -> None:
     stack = _stack()
     thread = threading.current_thread().name

@@ -15,9 +15,6 @@ serve processes is already a cluster:
 * :meth:`ClusterCoordinator.submit` / ``result`` — route many small jobs to
   the least-loaded host, with host-death retries bounded per job
   (:class:`~repro.service.WorkerDiedError` semantics at host granularity);
-* :meth:`ClusterCoordinator.warm` — replay a local
-  :class:`~repro.planner.PlanCache` snapshot's sizes as control-priority
-  jobs so every host plans hot;
 * :class:`LocalCluster` — spawn N real serve subprocesses on this machine
   (the ``python -m repro cluster`` CLI, the fault-injection tests and the
   scale-out bench all build on it).

@@ -20,9 +20,9 @@ Fault tolerance reuses :class:`~repro.service.WorkerDiedError` semantics at
 host granularity: a dead host fails only its in-flight shards, which are
 resubmitted on the least-loaded survivor within a bounded retry budget
 (shard sorts are idempotent — the coordinator retains the shard data until
-its result lands).  :meth:`warm` replays a :class:`~repro.planner.PlanCache`
-snapshot's problem sizes as control-priority jobs on every host, warming the
-remote plan caches through the existing ``submit``/``result`` ops.
+its result lands).  A dead host is probed again after a probation interval
+and re-admitted once it answers a ``ping``; it plans each size on its first
+job, like any fresh host.
 
 Lock discipline: the coordinator lock guards only host bookkeeping (alive
 flags, in-flight counts, counters, the stats cache).  Every wire call —
@@ -45,7 +45,7 @@ from ..models.external_memory import AEMachine, MemoryGuard, collector_paused
 from ..models.params import MachineParams
 from ..planner.cost_model import plan_cluster_shards
 from ..service.backoff import backoff_delay
-from ..service.scheduler import PRIORITY_CONTROL, QueueFullError, WorkerDiedError
+from ..service.scheduler import QueueFullError, WorkerDiedError
 from ..service.server import ServiceClient, ServiceError
 
 #: wire-level failures that mean "this host is gone" (vs a job-level error)
@@ -147,9 +147,6 @@ class ClusterCoordinator:
         #: host, plus an in-progress guard so only one thread probes a host
         self._next_probe: dict[int, float] = {}
         self._probing: set[int] = set()
-        #: distinct warm sizes replayed so far — a rejoining host's plan
-        #: cache is re-warmed from these
-        self._warm_sizes: set[int] = set()
         self._retries = 0
         self._rebalances = 0
         self._scatter_jobs = 0
@@ -183,16 +180,16 @@ class ClusterCoordinator:
                 pass
 
     # ------------------------------------------------------------------ #
-    # host auto-rejoin (probation ping, then re-warm and re-admit)
+    # host auto-rejoin (probation ping, then re-admit)
     # ------------------------------------------------------------------ #
     def _maybe_rejoin(self) -> None:
         """Probe dead hosts whose probation expired; re-admit responders.
 
         Piggybacked on routing and stats traffic rather than run on a timer
         thread.  Due probes are *claimed* under the lock (so concurrent
-        callers never double-probe one host), then the ping, the client
-        rebuild and the cache re-warm all run outside it — the same
-        fork-outside/publish-under pattern as every other wire call here.
+        callers never double-probe one host), then the ping and the client
+        rebuild run outside it — the same fork-outside/publish-under pattern
+        as every other wire call here.
         """
         if not self.spec.rejoin:
             return
@@ -230,9 +227,6 @@ class ClusterCoordinator:
                 self._next_probe[index] = time.monotonic() + self.spec.rejoin_interval
                 self._probing.discard(index)
             return
-        with self._lock:
-            warm_sizes = sorted(self._warm_sizes)
-        self._rewarm_client(client, warm_sizes)
         old = self._clients[index]
         with self._lock:
             self._clients[index] = client
@@ -244,27 +238,6 @@ class ClusterCoordinator:
             old.close()
         except OSError:  # pragma: no cover - already torn down
             pass
-
-    @staticmethod
-    def _rewarm_client(client: ServiceClient, sizes) -> None:
-        """Re-warm one fresh host's plan cache before it takes real traffic
-        (a respawned server boots cold; rejoin must not reintroduce
-        first-query planning latency)."""
-        handles = []
-        for n in sizes:
-            try:
-                handles.append(
-                    client.submit(
-                        list(range(n)), PRIORITY_CONTROL, label=f"rewarm(n={n})"
-                    )
-                )
-            except (*_HOST_DOWN, ServiceError):  # pragma: no cover - benign
-                return
-        for ticket in handles:
-            try:
-                client.result(ticket)
-            except (*_HOST_DOWN, ServiceError):  # pragma: no cover - benign
-                return
 
     def _polled_load(self, index: int) -> float:
         """The host's queued depth from ``stats()``, TTL-cached."""
@@ -540,42 +513,8 @@ class ClusterCoordinator:
         ]
 
     # ------------------------------------------------------------------ #
-    # cache warming and stats
+    # stats
     # ------------------------------------------------------------------ #
-    def warm(self, source) -> int:
-        """Warm every live host's plan cache from a local cache snapshot.
-
-        ``source`` is a :class:`~repro.planner.PlanCache` (or an iterable of
-        its ``(key, plan)`` snapshot entries); the distinct problem sizes
-        are replayed as control-priority sort jobs on every live host — the
-        warming rides the existing ``submit``/``result`` wire ops, no new
-        protocol.  Returns the number of distinct sizes replayed.
-        """
-        entries = source.snapshot() if hasattr(source, "snapshot") else list(source)
-        sizes = sorted({key[0] for key, _plan in entries})
-        with self._lock:
-            self._warm_sizes.update(sizes)  # rejoining hosts re-warm from these
-        handles = []
-        for n in sizes:
-            probe = list(range(n))
-            for index in self.live_hosts():
-                try:
-                    ticket = self._clients[index].submit(
-                        probe, PRIORITY_CONTROL, label=f"warm(n={n})"
-                    )
-                except _HOST_DOWN:
-                    self._mark_dead(index)
-                    continue
-                handles.append((index, ticket))
-        for index, ticket in handles:
-            try:
-                self._clients[index].result(ticket)
-            except _HOST_DOWN:
-                self._mark_dead(index)
-            except ServiceError:  # pragma: no cover - warm probes are benign
-                pass
-        return len(sizes)
-
     def stats(self) -> dict:
         """Per-host polled stats plus cluster-level aggregates."""
         self._maybe_rejoin()

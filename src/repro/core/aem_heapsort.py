@@ -83,10 +83,6 @@ class AEMPriorityQueue:
     def __len__(self) -> int:
         return self.size
 
-    @property
-    def _alpha_max(self):
-        return self._alpha[-1] if self._alpha else None
-
     # ------------------------------------------------------------------ #
     # INSERT
     # ------------------------------------------------------------------ #
@@ -414,6 +410,9 @@ def aem_heapsort(
 # ---------------------------------------------------------------------- #
 # Theorem 4.10 closed forms
 # ---------------------------------------------------------------------- #
+# The planner and StreamSession rank with these; certify uses
+# formulas.pq_amortized_*, which floors the log at 1 and so reads higher
+# below n = kM/B.  Merging the two would move one side's predictions.
 def predicted_amortized_reads(n: int, M: int, B: int, k: int) -> float:
     """Per-operation read bound (unit leading constant)."""
     levels = 1 + max(0.0, math.log(max(n, 2)) / math.log(k * M / B))

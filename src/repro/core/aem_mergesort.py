@@ -507,23 +507,3 @@ def _copies_after(slices: list, i: int, b) -> int:
             count += bisect.bisect_right(seg, b) - bisect.bisect_left(seg, b)
     return count
 
-
-# ---------------------------------------------------------------------- #
-# Theorem 4.3 closed forms
-# ---------------------------------------------------------------------- #
-def merge_levels(n: int, M: int, B: int, k: int) -> int:
-    """``ceil(log_{kM/B}(n/B))`` — recursion levels including the base round."""
-    if n <= B:
-        return 1
-    l = k * M // B
-    return max(1, math.ceil(math.log(n / B) / math.log(l)))
-
-
-def predicted_reads(n: int, M: int, B: int, k: int) -> int:
-    """Theorem 4.3: ``R(n) <= (k+1) ceil(n/B) ceil(log_{kM/B}(n/B))``."""
-    return (k + 1) * math.ceil(n / B) * merge_levels(n, M, B, k)
-
-
-def predicted_writes(n: int, M: int, B: int, k: int) -> int:
-    """Theorem 4.3: ``W(n) <= ceil(n/B) ceil(log_{kM/B}(n/B))``."""
-    return math.ceil(n / B) * merge_levels(n, M, B, k)

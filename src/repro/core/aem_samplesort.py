@@ -352,19 +352,3 @@ def _distribute_blocks(blocks, writers, round_splitters, lo, hi) -> None:
         if staged:
             writer.extend(staged)
 
-
-# ---------------------------------------------------------------------- #
-# Theorem 4.5 closed forms (same recursion shape as the mergesort)
-# ---------------------------------------------------------------------- #
-def predicted_reads(n: int, M: int, B: int, k: int) -> int:
-    """Theorem 4.5 read bound (constant = 1 on the leading term)."""
-    from .aem_mergesort import merge_levels
-
-    return k * math.ceil(n / B) * merge_levels(n, M, B, k)
-
-
-def predicted_writes(n: int, M: int, B: int, k: int) -> int:
-    """Theorem 4.5 write bound (constant = 1 on the leading term)."""
-    from .aem_mergesort import merge_levels
-
-    return math.ceil(n / B) * merge_levels(n, M, B, k)

@@ -33,8 +33,6 @@ element wherever ``sorted()`` accepts the input.
 
 from __future__ import annotations
 
-import math
-
 from ..models.external_memory import AEMachine, ExtArray, MemoryGuard
 from .kernels import SLOW_REFERENCE, heap_smallest, register_kernel_entry, resolve_kernel
 
@@ -159,13 +157,3 @@ def _pairs_past(machine: AEMachine, arr: ExtArray, n: int, last_max):
                 continue
             yield pair
 
-
-def predicted_reads(n: int, M: int, B: int) -> int:
-    """Lemma 4.2 read bound with the tight per-phase count."""
-    phases = max(1, math.ceil(n / M))
-    return phases * math.ceil(n / B)
-
-
-def predicted_writes(n: int, B: int) -> int:
-    """Lemma 4.2 write bound: every record written once."""
-    return math.ceil(n / B)

@@ -328,10 +328,11 @@ class SortEngine:
         live across :meth:`batch` calls and direct submissions alike).
 
         ``executor`` / ``workers`` default to the engine's configuration;
-        :meth:`~repro.service.SortService.warm` seeds a live pool's
-        planning.  ``max_queue`` bounds the pending queue; ``admission``
-        picks the overload policy (``"reject"`` / ``"block"`` /
-        ``"shed-lowest"``, see :class:`~repro.service.SortService`).
+        thread workers plan through the engine's cache, process workers
+        each fill their own on misses.  ``max_queue`` bounds the pending
+        queue; ``admission`` picks the overload policy (``"reject"`` /
+        ``"block"`` / ``"shed-lowest"``, see
+        :class:`~repro.service.SortService`).
         Admission knobs are part of the cache key — a bounded and an
         unbounded service for the same pool shape are distinct pools.
         """
@@ -368,9 +369,8 @@ class SortEngine:
         symmetric with :meth:`service` for the distributed case.
 
         ``hosts`` is an iterable of ``(host, port)`` pairs (or a
-        :class:`~repro.cluster.ClusterSpec`, whose knobs then win);
-        :meth:`~repro.cluster.ClusterCoordinator.warm` replays a plan-cache
-        snapshot's sizes on every host.  Coordinators are closed by
+        :class:`~repro.cluster.ClusterSpec`, whose knobs then win); each
+        host plans with its own cache.  Coordinators are closed by
         :meth:`close` / the engine's context manager; the remote servers
         belong to their owners and keep running.
         """

@@ -13,9 +13,10 @@ Claims:
 
 from __future__ import annotations
 
+from ..analysis.formulas import mergesort_reads, mergesort_writes
 from ..analysis.ktuning import feasible_k_region, k_improves
 from ..analysis.tables import format_table
-from ..core.aem_mergesort import aem_mergesort, predicted_reads, predicted_writes
+from ..core.aem_mergesort import aem_mergesort
 from ..models.external_memory import AEMachine
 from ..models.params import MachineParams
 from ..workloads import random_permutation
@@ -40,8 +41,8 @@ def run(quick: bool = False, n: int | None = None) -> list[dict]:
         cost = c.block_cost(params.omega)
         if k == 1:
             baseline_cost = cost
-        pr = predicted_reads(n, params.M, params.B, k)
-        pw = predicted_writes(n, params.M, params.B, k)
+        pr = mergesort_reads(n, params.M, params.B, k)
+        pw = mergesort_writes(n, params.M, params.B, k)
         rows.append(
             {
                 "k": k,

@@ -11,8 +11,9 @@ read multiplier shows up in the read column.
 
 from __future__ import annotations
 
+from ..analysis.formulas import samplesort_reads, samplesort_writes
 from ..analysis.tables import format_table
-from ..core.aem_samplesort import aem_samplesort, predicted_reads, predicted_writes
+from ..core.aem_samplesort import aem_samplesort
 from ..models.external_memory import AEMachine
 from ..models.params import MachineParams
 from ..workloads import random_permutation
@@ -38,10 +39,10 @@ def run(quick: bool = False) -> list[dict]:
                     "n": n,
                     "k": k,
                     "reads": c.block_reads,
-                    "reads/pred": c.block_reads / predicted_reads(n, params.M, params.B, k),
+                    "reads/pred": c.block_reads / samplesort_reads(n, params.M, params.B, k),
                     "writes": c.block_writes,
                     "writes/pred": c.block_writes
-                    / predicted_writes(n, params.M, params.B, k),
+                    / samplesort_writes(n, params.M, params.B, k),
                     "cost": c.block_cost(params.omega),
                 }
             )

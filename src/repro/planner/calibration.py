@@ -68,9 +68,6 @@ class CostConstants:
             rows.append((family, float(cr), float(cw)))
         return cls(entries=tuple(rows))
 
-    def as_mapping(self) -> dict[str, tuple[float, float]]:
-        return {family: (cr, cw) for family, cr, cw in self.entries}
-
     def families(self) -> tuple[str, ...]:
         return tuple(family for family, _, _ in self.entries)
 
@@ -122,9 +119,6 @@ class CalibrationSample:
     measured_writes: int
     predicted_reads: float
     predicted_writes: float
-
-    def measured_cost(self, omega: float) -> float:
-        return self.measured_reads + omega * self.measured_writes
 
     def as_dict(self) -> dict:
         return {
@@ -192,10 +186,10 @@ def fit_constants(samples: Sequence[CalibrationSample]) -> CostConstants:
 
     mapping: dict[str, tuple[float, float]] = {}
     for family, group in by_family.items():
-        cr = _ls_through_origin(
+        cr = ls_through_origin(
             [(s.measured_reads, s.predicted_reads) for s in group]
         )
-        cw = _ls_through_origin(
+        cw = ls_through_origin(
             [(s.measured_writes, s.predicted_writes) for s in group]
         )
         mapping[family] = (cr, cw)
@@ -215,10 +209,6 @@ def ls_through_origin(pairs: Sequence[tuple[float, float]]) -> float:
     if den == 0 or num <= 0:
         return 1.0
     return num / den
-
-
-#: historical private name, kept for callers predating the certifier
-_ls_through_origin = ls_through_origin
 
 
 def calibrate(

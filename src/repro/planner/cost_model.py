@@ -45,13 +45,13 @@ from ..analysis.formulas import (
     mergesort_writes,
     samplesort_reads,
     samplesort_writes,
+    selection_sort_reads,
+    selection_sort_writes,
     shard_merge_reads,
     shard_merge_writes,
 )
 from ..analysis.ktuning import feasible_k_region
 from ..core.aem_heapsort import predicted_amortized_reads, predicted_amortized_writes
-from ..core.selection_sort import predicted_reads as selection_reads
-from ..core.selection_sort import predicted_writes as selection_writes
 from ..models.params import MachineParams
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (calibration imports us)
@@ -206,8 +206,8 @@ def predict_candidate(
         w = max(cw * float(writes_fn(n, M, B, k)), floor)
         return PlanCandidate(algorithm, k, r, w, r + omega * w, "aem")
     if algorithm == "selection":
-        r = max(cr * float(selection_reads(n, M, B)), floor)
-        w = max(cw * float(selection_writes(n, B)), floor)
+        r = max(cr * float(selection_sort_reads(n, M, B)), floor)
+        w = max(cw * float(selection_sort_writes(n, B)), floor)
         return PlanCandidate(algorithm, None, r, w, r + omega * w, "aem")
     if algorithm == "ram":
         if n > M:

@@ -9,7 +9,10 @@ job is pure waste.  :class:`PlanCache` memoises the ranking behind a lock
 (safe to share across the thread executor; every process worker of a
 :class:`~repro.service.SortService` builds its own) and counts hits/misses so
 :meth:`~repro.planner.batch.BatchReport.summary` can surface cache
-effectiveness per batch.
+effectiveness per batch.  A plan enters a cache only by being computed on a
+miss, which evaluates closed forms and costs far less than the sort it
+routes, so a fresh or respawned worker simply plans each size on its first
+job.
 
 Entries are evicted least recently used past ``maxsize``, which defaults to
 :data:`DEFAULT_MAXSIZE`.  A cache keeps one plan per distinct ``(n,
@@ -112,41 +115,6 @@ class PlanCache:
             if self.maxsize is not None and len(self._plans) > self.maxsize:
                 self._plans.popitem(last=False)
         return plan, False
-
-    # ------------------------------------------------------------------ #
-    # cross-process warm start
-    # ------------------------------------------------------------------ #
-    def snapshot(self) -> list[tuple]:
-        """The cache's ``(key, plan)`` entries in LRU order (coldest first).
-
-        Plans are frozen dataclasses and keys are plain tuples, so a snapshot
-        pickles cleanly across the process boundary — :func:`seed` on the far
-        side rebuilds the hot state without re-ranking anything.
-        """
-        with self._lock:
-            return list(self._plans.items())
-
-    def seed(self, entries) -> int:
-        """Install pre-computed ``(key, plan)`` entries (or copy another
-        :class:`PlanCache`) without touching the hit/miss counters.
-
-        Seeding is how process shards start warm: the parent snapshots its
-        hot cache and each worker seeds a fresh one before its first job.
-        Later entries win the LRU position; ``maxsize`` is respected.
-        Returns the number of *new* keys installed.
-        """
-        if isinstance(entries, PlanCache):
-            entries = entries.snapshot()
-        installed = 0
-        with self._lock:
-            for key, plan in entries:
-                if key not in self._plans:
-                    installed += 1
-                self._plans[key] = plan
-                self._plans.move_to_end(key)
-                if self.maxsize is not None and len(self._plans) > self.maxsize:
-                    self._plans.popitem(last=False)
-        return installed
 
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:

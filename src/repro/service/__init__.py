@@ -28,7 +28,6 @@ __getattr__, __dir__ = _lazy_exports(__name__, {
     ".futures": ("CANCELLED", "FINISHED", "PENDING", "RUNNING", "SortFuture", "wait"),
     ".scheduler": (
         "ADMISSION_POLICIES",
-        "PRIORITY_CONTROL",
         "QueueFullError",
         "SortService",
         "WorkerDiedError",
@@ -44,7 +43,6 @@ __all__ = [
     "EngineServer",
     "FINISHED",
     "PENDING",
-    "PRIORITY_CONTROL",
     "QueueFullError",
     "RUNNING",
     "ServiceClient",

@@ -13,8 +13,9 @@ turns the engine into a job service:
   sensitive jobs overtake bulk backfill;
 * the worker pool is **persistent**: thread workers or long-lived worker
   processes (:func:`spawn_persistent_worker`) that survive across
-  submissions instead of being rebuilt per batch call, each keeping its
-  plan cache warm across jobs;
+  submissions instead of being rebuilt per batch call, each keeping the
+  plans it computed across jobs (a fresh or respawned worker plans each
+  size on its first job);
 * a worker process that dies (OOM kill, segfault) fails *only* its
   in-flight future with :class:`WorkerDiedError` — the service respawns
   the worker and later submissions run normally;
@@ -56,8 +57,8 @@ admission policies when the queue is full:
   rejected.  The shed future reports ``CANCELLED`` exactly like a caller
   cancellation.
 
-Only queued (undispatched) jobs count against ``max_queue``; in-flight
-jobs and control messages do not.
+Only queued (undispatched) jobs count against ``max_queue``; in-flight jobs
+do not.
 """
 
 from __future__ import annotations
@@ -79,10 +80,6 @@ from ..planner.plan_cache import PlanCache
 from ..testing import faults
 from .backoff import Deadline
 from .futures import SortFuture
-
-#: priority used for internal control messages (cache seeding) — beats any
-#: caller priority so a warm() lands before jobs queued behind it
-PRIORITY_CONTROL = float("-inf")
 
 #: recognised admission policies for a bounded queue
 ADMISSION_POLICIES = ("reject", "block", "shed-lowest")
@@ -149,12 +146,11 @@ class _CacheView:
 
 
 class _Entry:
-    """One queue element: a job (with its future) or a control message."""
+    """One queue element: a job and its future."""
 
-    __slots__ = ("priority", "seq", "future", "job", "check_sorted", "index", "control")
+    __slots__ = ("priority", "seq", "future", "job", "check_sorted", "index")
 
-    def __init__(self, priority, seq, future=None, job=None, check_sorted=False,
-                 index=0, control=None):
+    def __init__(self, priority, seq, future, job, check_sorted=False, index=0):
         self.priority = priority
         self.seq = seq
         self.future = future
@@ -163,8 +159,6 @@ class _Entry:
         #: index passed to execute_and_check (batch position or ticket) —
         #: appears in check-sorted failure messages
         self.index = index
-        #: ``("seed", entries)`` for control messages, ``None`` for jobs
-        self.control = control
 
     def key(self):
         return (self.priority, self.seq)
@@ -182,7 +176,7 @@ def _picklable_error(exc: Exception) -> Exception:
         return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
-def persistent_worker_loop(conn, constants=None, warm_entries=None) -> None:
+def persistent_worker_loop(conn, constants=None) -> None:
     """Body of one long-lived worker process.
 
     Protocol (lockstep request/response over ``conn``):
@@ -190,8 +184,6 @@ def persistent_worker_loop(conn, constants=None, warm_entries=None) -> None:
     * ``("job", index, job, check_sorted)`` → ``("ok", report, dh, dm)``
       or ``("err", picklable_exception, dh, dm)`` where ``dh``/``dm`` are
       this job's plan-cache hit/miss deltas;
-    * ``("seed", entries)`` → ``("seeded", installed, 0, 0)`` — install a
-      parent :meth:`PlanCache.snapshot` into the worker-local cache;
     * ``("stop",)`` → exit.
 
     The worker-local cache persists across jobs: repeated job shapes stop
@@ -199,15 +191,10 @@ def persistent_worker_loop(conn, constants=None, warm_entries=None) -> None:
     cross-process shared state.
     """
     cache = PlanCache()
-    if warm_entries:
-        cache.seed(warm_entries)
     while True:
         msg = conn.recv()
         if msg[0] == "stop":
             break
-        if msg[0] == "seed":
-            conn.send(("seeded", cache.seed(msg[1]), 0, 0))
-            continue
         _kind, index, job, check_sorted = msg
         hits0, misses0 = cache.hits, cache.misses
         try:
@@ -220,7 +207,7 @@ def persistent_worker_loop(conn, constants=None, warm_entries=None) -> None:
     conn.close()
 
 
-def spawn_persistent_worker(constants=None, warm_entries=None):
+def spawn_persistent_worker(constants=None):
     """Fork one persistent worker; returns ``(process, parent_conn)``.
 
     The process is a daemon (it must never outlive the service that owns
@@ -230,7 +217,7 @@ def spawn_persistent_worker(constants=None, warm_entries=None):
     parent_conn, child_conn = multiprocessing.Pipe()
     proc = multiprocessing.Process(
         target=persistent_worker_loop,
-        args=(child_conn, constants, warm_entries),
+        args=(child_conn, constants),
         daemon=True,
     )
     proc.start()
@@ -266,10 +253,6 @@ class SortService:
         (``executor="thread"`` shares the engine's plan cache under the
         GIL; ``executor="process"`` runs persistent worker processes, one
         worker-local plan cache each, for real multi-core throughput).
-    warm_cache:
-        A :class:`PlanCache` or snapshot entries to pre-seed planning with:
-        thread mode seeds the shared cache once, process mode spawns every
-        worker already holding the entries.
     max_queue / admission / block_timeout:
         Admission control (see the module docstring): with ``max_queue``
         set, a full queue rejects, blocks (up to ``block_timeout`` seconds
@@ -286,7 +269,6 @@ class SortService:
         *,
         workers: int | None = None,
         executor: str | None = None,
-        warm_cache=None,
         max_queue: int | None = None,
         admission: str = "reject",
         block_timeout: float | None = None,
@@ -329,7 +311,7 @@ class SortService:
         self._cond = wrap_condition(threading.Condition(), "SortService._cond")
         self._shared: list = []  # heap of (priority, seq, entry)
         self._pinned: list[list] = [[] for _ in range(workers)]
-        self._pending_jobs = 0  # job entries currently queued (not control)
+        self._pending_jobs = 0  # jobs queued, not yet dispatched or shed
         self._seq = itertools.count()
         self._tickets = itertools.count()
         self._shutdown = False
@@ -343,21 +325,12 @@ class SortService:
         self.busy_seconds = 0.0  # summed worker-side job wall-clock
         self._started = time.monotonic()
 
-        warm_entries = (
-            warm_cache.snapshot() if isinstance(warm_cache, PlanCache) else warm_cache
-        )
-        if warm_entries and self.executor == "thread":
-            self.cache.seed(warm_entries)
-        self._warm_entries = warm_entries if self.executor == "process" else None
-
         # one handle slot per worker (process mode); feeder/worker threads
         self._handles: list = [None] * workers
         self._threads: list[threading.Thread] = []
         for index in range(workers):
             if self.executor == "process":
-                self._handles[index] = spawn_persistent_worker(
-                    self.constants, self._warm_entries
-                )
+                self._handles[index] = spawn_persistent_worker(self.constants)
                 target = self._process_worker
             else:
                 target = self._thread_worker
@@ -519,8 +492,6 @@ class SortService:
         best_pos = -1
         for lst in [self._shared, *self._pinned]:
             for pos, (_key, entry) in enumerate(lst):
-                if entry.control is not None or entry.future is None:
-                    continue
                 if best_list is None or entry.key() > best_list[best_pos][1].key():
                     best_list, best_pos = lst, pos
         if best_list is None:
@@ -574,30 +545,6 @@ class SortService:
                 yield fut.result()
 
         return _results()
-
-    # ------------------------------------------------------------------ #
-    # cache warming
-    # ------------------------------------------------------------------ #
-    def warm(self, entries) -> int:
-        """Seed planning with pre-computed entries (a :class:`PlanCache` or
-        its snapshot): immediate for the shared thread cache, broadcast as a
-        front-of-queue control message to every process worker."""
-        if isinstance(entries, PlanCache):
-            entries = entries.snapshot()
-        entries = list(entries)
-        if not entries:
-            return 0
-        if self.executor == "thread":
-            return self.cache.seed(entries)
-        with self._cond:
-            if self._shutdown:
-                raise RuntimeError("service is shut down")
-            for w in range(self.workers):
-                entry = _Entry(PRIORITY_CONTROL, next(self._seq),
-                               control=("seed", entries))
-                heapq.heappush(self._pinned[w], (entry.key(), entry))
-            self._cond.notify_all()
-        return len(entries)
 
     # ------------------------------------------------------------------ #
     # gathering
@@ -656,11 +603,10 @@ class SortService:
                     best = pinned
                 if best is not None:
                     entry = heapq.heappop(best)[1]
-                    if entry.control is None:
-                        self._pending_jobs -= 1
-                        if self.max_queue is not None:
-                            # wake "block"-policy submitters waiting on a slot
-                            self._cond.notify_all()
+                    self._pending_jobs -= 1
+                    if self.max_queue is not None:
+                        # wake "block"-policy submitters waiting on a slot
+                        self._cond.notify_all()
                     return entry
                 if self._shutdown:
                     return None
@@ -690,8 +636,6 @@ class SortService:
             entry = self._next_entry(index)
             if entry is None:
                 return
-            if entry.control is not None:  # seeds are immediate for threads
-                continue
             fut = entry.future
             if not fut.set_running_or_notify_cancel():
                 with self._cond:
@@ -727,20 +671,12 @@ class SortService:
             entry = self._next_entry(index)
             if entry is None:
                 break
+            fut = entry.future
             handle = self._handles[index]
             if handle is None:  # respawn was refused (interpreter shutdown)
-                if entry.future is not None:
-                    entry.future.cancel()
+                fut.cancel()
                 continue
             proc, conn = handle
-            if entry.control is not None:
-                try:
-                    conn.send(entry.control)
-                    conn.recv()  # ("seeded", n, 0, 0)
-                except (EOFError, OSError, BrokenPipeError):
-                    self._respawn(index)
-                continue
-            fut = entry.future
             if not fut.set_running_or_notify_cancel():
                 with self._cond:
                     self.cancelled += 1
@@ -799,7 +735,7 @@ class SortService:
                 self._handles[index] = None
             return
         # fork outside the lock (slow); publish the new handle under it
-        handle = spawn_persistent_worker(self.constants, self._warm_entries)
+        handle = spawn_persistent_worker(self.constants)
         with self._cond:
             self._handles[index] = handle
             self.respawns += 1
@@ -810,7 +746,7 @@ class SortService:
     def queued(self) -> int:
         """Jobs accepted but not yet dispatched."""
         with self._cond:
-            return len(self._shared) + sum(len(p) for p in self._pinned)
+            return self._pending_jobs
 
     def stats(self) -> dict:
         """Service-level counters — the ops dashboard row.
@@ -834,7 +770,7 @@ class SortService:
                 "shed": self.shed,
                 "max_queue": self.max_queue,
                 "admission": self.admission,
-                "queued": len(self._shared) + sum(len(p) for p in self._pinned),
+                "queued": self._pending_jobs,
                 "respawns": self.respawns,
                 "shutdown": self._shutdown,
                 "records_sorted": self.records_sorted,
@@ -869,7 +805,7 @@ class SortService:
                 doomed = []
             self._cond.notify_all()
         for entry in doomed:
-            if entry.future is not None and entry.future.cancel():
+            if entry.future.cancel():
                 with self._cond:
                     self.cancelled += 1
         if wait:

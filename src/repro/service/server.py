@@ -118,6 +118,19 @@ def _i64_records(frame) -> list[int]:
     return records.tolist()
 
 
+def _overloaded_reply(exc: QueueFullError) -> dict:
+    """The ``overloaded`` reply for a bounded-queue rejection, carrying the
+    service's back-pressure metadata."""
+    return {
+        "ok": False,
+        "error": "overloaded",
+        "retry_after": exc.retry_after,
+        "queued": exc.queued,
+        "max_queue": exc.max_queue,
+        "policy": exc.policy,
+    }
+
+
 class ServiceError(RuntimeError):
     """A server-side failure reported over the wire (``ok: false``)."""
 
@@ -385,14 +398,7 @@ class EngineServer:
         try:
             return handler(request, client)
         except QueueFullError as exc:
-            return {
-                "ok": False,
-                "error": "overloaded",
-                "retry_after": exc.retry_after,
-                "queued": exc.queued,
-                "max_queue": exc.max_queue,
-                "policy": exc.policy,
-            }
+            return _overloaded_reply(exc)
         except ServiceError as exc:
             return {"ok": False, **exc.reply, "error": str(exc)}
         except Exception as exc:  # noqa: BLE001 — a bad request must not kill the server
@@ -521,15 +527,7 @@ class EngineServer:
                 job, priority, check_sorted = self._job_from(spec)
                 future = self.service.submit(job, priority, check_sorted=check_sorted)
             except QueueFullError as exc:
-                return {
-                    "ok": False,
-                    "error": "overloaded",
-                    "retry_after": exc.retry_after,
-                    "queued": exc.queued,
-                    "max_queue": exc.max_queue,
-                    "policy": exc.policy,
-                    "tickets": tickets,
-                }
+                return {**_overloaded_reply(exc), "tickets": tickets}
             except ServiceError as exc:
                 return {"ok": False, **exc.reply, "error": str(exc),
                         "tickets": tickets}

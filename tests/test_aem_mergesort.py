@@ -4,14 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.aem_mergesort import (
-    StrandingDetected,
-    _merge,
-    aem_mergesort,
-    merge_levels,
-    predicted_reads,
-    predicted_writes,
-)
+from repro.analysis.formulas import mergesort_levels as merge_levels
+from repro.analysis.formulas import mergesort_reads as predicted_reads
+from repro.analysis.formulas import mergesort_writes as predicted_writes
+from repro.core.aem_mergesort import StrandingDetected, _merge, aem_mergesort
 from repro.models import AEMachine, MachineParams, MemoryGuard
 from repro.workloads import (
     adversarial_merge_killer,

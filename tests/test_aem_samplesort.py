@@ -7,12 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.aem_samplesort import (
-    _partition,
-    aem_samplesort,
-    predicted_reads,
-    predicted_writes,
-)
+from repro.analysis.formulas import samplesort_reads as predicted_reads
+from repro.analysis.formulas import samplesort_writes as predicted_writes
+from repro.core.aem_samplesort import _partition, aem_samplesort
 from repro.core.kernels import SLOW_REFERENCE, VECTORIZED
 from repro.models import AEMachine, MachineParams, MemoryGuard
 from repro.workloads import (

@@ -1,4 +1,4 @@
-"""Cluster coordinator tests: scatter-gather, routing, warming, host death.
+"""Cluster coordinator tests: scatter-gather, routing, host death.
 
 The fast tests run against in-process :class:`EngineServer` instances (real
 sockets, no subprocesses); the fault-tolerance tests spawn a genuine
@@ -13,7 +13,7 @@ import pytest
 
 from repro import MachineParams, SortEngine
 from repro.cluster import ClusterCoordinator, ClusterSpec, LocalCluster
-from repro.planner import PlanCache, plan_cluster_shards, predict_shard_merge_io
+from repro.planner import plan_cluster_shards, predict_shard_merge_io
 from repro.service import EngineServer, SortService, WorkerDiedError
 from repro.workloads import make_scenario, random_permutation
 
@@ -106,15 +106,6 @@ class TestRouting:
         assert len(stats["per_host"]) == 3
         # every result was gathered, so no host still holds a ticket
         assert all(h.get("tickets", 0) == 0 for h in stats["per_host"])
-
-    def test_warm_replays_cache_sizes_on_every_host(self, fleet):
-        coord, stack = fleet
-        cache = PlanCache()
-        cache.plan(300, PARAMS)
-        cache.plan(700, PARAMS)
-        assert coord.warm(cache) == 2
-        for _, service, _srv in stack:
-            assert service.stats()["completed"] >= 2
 
 
 class TestEngineFacade:

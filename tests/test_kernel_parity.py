@@ -203,7 +203,8 @@ class TestDuplicateKeyParity:
         # the selection paths uniquify below the engine, so a duplicate-heavy
         # input sorts (stably) instead of stalling the phase cutoff, with the
         # exact Lemma 4.2 counters in both kernels
-        from repro.core.selection_sort import predicted_reads, predicted_writes
+        from repro.analysis.formulas import selection_sort_reads as predicted_reads
+        from repro.analysis.formulas import selection_sort_writes as predicted_writes
 
         rng = random.Random(0)
         data = [rng.randrange(8) for _ in range(200)]

@@ -75,15 +75,22 @@ class TestPlanCache:
         assert cache.misses == misses + 1  # evicted, planned again
 
     def test_explicit_none_is_unbounded(self):
-        plan = plan_sort(1_000, SMALL)
-        entries = [(PlanCache.make_key(n, SMALL), plan) for n in range(DEFAULT_MAXSIZE + 5)]
         cache = PlanCache(maxsize=None)
-        assert cache.seed(entries) == DEFAULT_MAXSIZE + 5
+        for n in range(100, 100 + DEFAULT_MAXSIZE + 5):
+            cache.plan(n, SMALL)
+        assert cache.misses == DEFAULT_MAXSIZE + 5
         assert len(cache) == DEFAULT_MAXSIZE + 5
 
     def test_invalid_maxsize(self):
         with pytest.raises(ValueError, match="maxsize"):
             PlanCache(maxsize=0)
+
+    def test_planned_reports_hit_flag(self):
+        cache = PlanCache()
+        plan, hit = cache.planned(6_000, SMALL)
+        assert not hit
+        plan2, hit2 = cache.planned(6_000, SMALL)
+        assert hit2 and plan2 is plan
 
     def test_planning_errors_propagate_uncached(self):
         cache = PlanCache()
@@ -116,55 +123,3 @@ class TestPlanCache:
         assert cache.hits + cache.misses == 16
         assert len(cache) == 1
 
-
-class TestSnapshotSeed:
-    def test_snapshot_round_trips_through_pickle(self):
-        import pickle
-
-        cache = PlanCache()
-        first = cache.plan(5_000, SMALL)
-        cache.plan(2_000, MEDIUM, constants=CostConstants())
-        entries = pickle.loads(pickle.dumps(cache.snapshot()))
-        assert len(entries) == 2
-        fresh = PlanCache()
-        assert fresh.seed(entries) == 2
-        # a seeded key is a hit, not a recomputation, and returns the
-        # identical ranking
-        again = fresh.plan(5_000, SMALL)
-        assert [c.as_dict() for c in again.ranked] == [
-            c.as_dict() for c in first.ranked
-        ]
-        assert fresh.stats() == {"hits": 1, "misses": 0, "size": 2}
-
-    def test_seed_accepts_a_cache_and_counts_new_keys_only(self):
-        parent = PlanCache()
-        parent.plan(1_000, SMALL)
-        parent.plan(2_000, SMALL)
-        child = PlanCache()
-        child.plan(1_000, SMALL)  # overlaps one parent key
-        assert child.seed(parent) == 1
-        assert len(child) == 2
-
-    def test_seed_does_not_touch_hit_miss_counters(self):
-        parent = PlanCache()
-        parent.plan(4_000, SMALL)
-        child = PlanCache()
-        child.seed(parent)
-        assert child.stats()["hits"] == 0 and child.stats()["misses"] == 0
-
-    def test_seed_respects_maxsize(self):
-        parent = PlanCache()
-        for n in (1_000, 2_000, 3_000):
-            parent.plan(n, SMALL)
-        child = PlanCache(maxsize=2)
-        child.seed(parent)
-        assert len(child) == 2
-        # the newest entries won the LRU positions
-        assert child.plan(3_000, SMALL) and child.stats()["hits"] == 1
-
-    def test_planned_reports_hit_flag(self):
-        cache = PlanCache()
-        plan, hit = cache.planned(6_000, SMALL)
-        assert not hit
-        plan2, hit2 = cache.planned(6_000, SMALL)
-        assert hit2 and plan2 is plan

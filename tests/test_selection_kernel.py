@@ -27,12 +27,9 @@ from hypothesis import strategies as st
 from repro import AEMachine, MachineParams
 from repro.core.buffer_tree import _external_prefix_sort
 from repro.core.kernels import SLOW_REFERENCE, VECTORIZED
-from repro.core.selection_sort import (
-    predicted_reads,
-    predicted_writes,
-    selection_phases,
-    selection_sort,
-)
+from repro.analysis.formulas import selection_sort_reads as predicted_reads
+from repro.analysis.formulas import selection_sort_writes as predicted_writes
+from repro.core.selection_sort import selection_phases, selection_sort
 
 #: small key alphabets, so every draw is duplicate-heavy
 ALPHABETS = {

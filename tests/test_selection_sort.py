@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.selection_sort import predicted_reads, predicted_writes, selection_sort
+from repro.analysis.formulas import selection_sort_reads as predicted_reads
+from repro.analysis.formulas import selection_sort_writes as predicted_writes
+from repro.core.selection_sort import selection_sort
 from repro.models import AEMachine, MachineParams, MemoryGuard
 from repro.workloads import random_permutation, reverse_sorted
 

@@ -69,11 +69,11 @@ class _Exiter:
         os._exit(3)
 
 
-def _gated_service(workers=1):
+def _gated_service(workers=1, **service_kwargs):
     """A 1-thread service whose worker is busy on a gate job; returns
     (service, gate_future, release_event)."""
     started, release = threading.Event(), threading.Event()
-    svc = SortService(PARAMS, workers=workers, executor="thread")
+    svc = SortService(PARAMS, workers=workers, executor="thread", **service_kwargs)
     gate = svc.submit(
         SortJob(
             data=[_Gate(v, started, release) for v in (3, 1, 2)],
@@ -401,18 +401,6 @@ class TestPersistentProcessPool:
         assert first.plan_misses == 2 and first.plan_hits == 2
         assert second.plan_misses == 0 and second.plan_hits == 4
 
-    def test_warm_broadcast_to_live_pool(self):
-        from repro import PlanCache
-
-        parent = PlanCache()
-        parent.plan(400, PARAMS)
-        with SortService(PARAMS, workers=2, executor="process") as svc:
-            assert svc.warm(parent) == 1
-            jobs = [SortJob(data=random_permutation(400, seed=i), params=PARAMS)
-                    for i in range(4)]
-            report = svc.gather(svc.submit_many(jobs, round_robin=True))
-        assert report.plan_misses == 0 and report.plan_hits == 4
-
     def test_dead_worker_fails_only_inflight_and_pool_respawns(self):
         # THE regression test for worker-death isolation under the
         # persistent pool: the poison job's comparisons os._exit the worker
@@ -504,6 +492,23 @@ class TestStats:
         release.set()
         svc.shutdown(drain=True)
         assert svc.queued() == 0
+
+    def test_queued_counts_pending_futures_after_a_shed(self):
+        # a shed pops its victim from whichever queue holds it; afterwards
+        # queued() and stats() both count exactly the futures still waiting
+        svc, gate, release = _gated_service(max_queue=3, admission="shed-lowest")
+        jobs = _jobs(4)
+        shared = svc.submit(jobs[0], priority=5)
+        victim = svc.submit(jobs[1], priority=9, worker=0)
+        pinned = svc.submit(jobs[2], priority=4, worker=0)
+        incoming = svc.submit(jobs[3], priority=1)  # sheds the pinned 9
+        assert victim.cancelled() and svc.stats()["shed"] == 1
+        pending = [f for f in (shared, victim, pinned, incoming) if not f.done()]
+        assert svc.queued() == svc.stats()["queued"] == len(pending) == 3
+        release.set()
+        svc.shutdown(drain=True)
+        assert all(f.result(timeout=30).is_sorted() for f in pending)
+        assert svc.queued() == svc.stats()["queued"] == 0
 
 
 class TestThroughputStats:

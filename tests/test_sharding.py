@@ -1,10 +1,10 @@
 """Tests for batches on the process executor: ``engine.batch`` over the
-SortService worker-process pool, per-worker plan caches and cache
-warming."""
+SortService worker-process pool and its per-worker plan caches, each of
+which plans a size on its first job."""
 
 import pytest
 
-from repro import MachineParams, PlanCache, SortEngine, SortJob, SortService
+from repro import MachineParams, SortEngine, SortJob
 from repro.workloads import make_scenario, random_permutation
 
 SMALL = MachineParams(M=64, B=8, omega=8)
@@ -117,59 +117,6 @@ class TestProcessExecutor:
         assert report.plan_misses == 2
         assert report.plan_hits == 6
         assert report.summary()["plan_hits"] == 6
-
-
-class TestWarmCache:
-    def test_warm_entries_eliminate_shard_misses(self):
-        # SortService(warm_cache=): every process worker spawns seeded
-        parent = PlanCache()
-        parent.plan(400, SMALL)
-        jobs = [
-            SortJob(data=random_permutation(400, seed=i), params=SMALL)
-            for i in range(8)
-        ]
-        with SortEngine(SMALL, executor="process", workers=2) as engine:
-            cold = engine.batch(jobs)
-        with SortService(SortEngine(SMALL), executor="process", workers=2,
-                         warm_cache=parent) as svc:
-            warm = svc.gather(svc.submit_many(jobs, round_robin=True))
-        assert cold.plan_misses == 2 and cold.plan_hits == 6
-        assert warm.plan_misses == 0 and warm.plan_hits == 8
-        assert warm.shard_plan_stats == [(4, 0), (4, 0)]
-        # identical model aggregates either way — warmth saves planning
-        # compute, never changes plans
-        assert warm.total_cost() == cold.total_cost()
-
-    def test_warm_cache_accepts_snapshot_entries(self):
-        # process mode: warm() on a live pool seeds every worker before
-        # its next job
-        parent = PlanCache()
-        parent.plan(300, SMALL)
-        jobs = [
-            SortJob(data=random_permutation(300, seed=i), params=SMALL)
-            for i in range(4)
-        ]
-        with SortEngine(SMALL, executor="process", workers=2) as engine:
-            engine.service().warm(parent.snapshot())
-            report = engine.batch(jobs)
-        assert report.plan_misses == 0 and report.plan_hits == 4
-        assert report.shard_plan_stats == [(2, 0), (2, 0)]
-
-    def test_thread_mode_seeds_the_shared_cache(self):
-        parent = PlanCache()
-        parent.plan(250, SMALL)
-        jobs = [
-            SortJob(data=random_permutation(250, seed=i), params=SMALL)
-            for i in range(3)
-        ]
-        shared = PlanCache()
-        with SortEngine(SMALL, cache=shared, workers=2) as engine:
-            engine.service().warm(parent)
-            report = engine.batch(jobs)
-        assert report.plan_misses == 0 and report.plan_hits == 3
-        # the seed landed in the one cache every thread worker plans through
-        assert len(shared) == 1
-        assert (shared.hits, shared.misses) == (3, 0)
 
 
 class TestPerShardStats:
