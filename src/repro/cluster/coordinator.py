@@ -34,7 +34,6 @@ scheduler's respawn path).
 
 from __future__ import annotations
 
-import bisect
 import threading
 import time
 from dataclasses import dataclass, field
@@ -110,6 +109,27 @@ class ClusterTicket:
     priority: float = 0
     kwargs: dict = field(default_factory=dict, repr=False)
     attempts: int = 0
+
+
+def split_shards(data: list, splitters: list, hosts: int) -> list[list]:
+    """Split ``data`` into ``hosts`` shards, each in input order: shard
+    ``i`` gets the records ``bisect_right(splitters, rec)`` maps to ``i``.
+
+    Halving on the middle splitter ``s``, as ``bisect_right`` does, makes
+    every record meet the same ``rec < s`` tests.  Each halving is one
+    comprehension that keeps the records not below ``s`` and hands the
+    rest to ``below.append`` (whose ``None`` drops them).
+    """
+    if not splitters:
+        return [data] + [[] for _ in range(hosts - 1)]
+    mid = len(splitters) // 2
+    s = splitters[mid]
+    below: list = []
+    keep_below = below.append
+    above = [r for r in data if not r < s or keep_below(r)]
+    return split_shards(below, splitters[:mid], mid + 1) + split_shards(
+        above, splitters[mid + 1 :], hosts - mid - 1
+    )
 
 
 class ClusterCoordinator:
@@ -397,6 +417,8 @@ class ClusterCoordinator:
     ):
         """Sort one large input across every live host and merge the shards.
 
+        Each live host sorts one shard (:func:`split_shards`) and, with
+        ``check_sorted``, checks its own output; the shards merge here.
         Returns a cluster-level :class:`~repro.api.SortReport` whose counter
         carries exactly the coordinator's ``shardmerge`` I/O (certified
         against the Section 4.1 contract); the remote shard sorts' aggregate
@@ -416,9 +438,7 @@ class ClusterCoordinator:
             n, len(live), self.params, oversample=self.spec.oversample
         )
         splitters = self._splitters(data, plan)
-        shards: list[list] = [[] for _ in range(len(live))]
-        for rec in data:
-            shards[bisect.bisect_right(splitters, rec)].append(rec)
+        shards = split_shards(data, splitters, len(live))
 
         # scatter: one shard per live host, preferring its planned host but
         # falling back through _submit_once's routing when one is dead
@@ -500,8 +520,9 @@ class ClusterCoordinator:
         One pass over the input in scan order, keeping every ``step``-th
         record — Theorem 4.5's pivot sampling lifted to the host level.
         Duplicate-heavy inputs may repeat a splitter; equal keys then all
-        land in one shard (``bisect_right``) and some shards come back
-        empty, which the merge kernel skips for free.
+        land in the shard after the splitter's last copy
+        (:func:`split_shards`) and some shards come back empty, which the
+        merge kernel skips for free.
         """
         if plan.hosts <= 1 or plan.n == 0:
             return []

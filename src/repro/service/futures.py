@@ -67,6 +67,7 @@ class SortFuture:
         "plan_stats",
         "wall_seconds",
         "cpu_seconds",
+        "on_cancel",
     )
 
     def __init__(self, ticket: int, job=None, priority: float = 0):
@@ -90,6 +91,9 @@ class SortFuture:
         #: Unlike ``wall_seconds`` this is not inflated when several workers
         #: timeshare a core, so it is the honest per-job compute figure.
         self.cpu_seconds: float | None = None
+        #: set by the job's queue; the cancel() that moves PENDING to
+        #: CANCELLED calls it, outside the lock, before the done-callbacks
+        self.on_cancel = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         label = getattr(self.job, "label", "") or ""
@@ -137,6 +141,9 @@ class SortFuture:
                 return False
             self._state = CANCELLED
             self._cond.notify_all()
+        hook = self.on_cancel  # read once: the queue may drop it meanwhile
+        if hook is not None:
+            hook()
         self._invoke_callbacks()
         return True
 

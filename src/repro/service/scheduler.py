@@ -58,11 +58,12 @@ admission policies when the queue is full:
   cancellation.
 
 Only queued (undispatched) jobs count against ``max_queue``; in-flight jobs
-do not.
+do not: a job cancelled while queued frees its slot at once.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import multiprocessing
@@ -148,7 +149,8 @@ class _CacheView:
 class _Entry:
     """One queue element: a job and its future."""
 
-    __slots__ = ("priority", "seq", "future", "job", "check_sorted", "index")
+    __slots__ = ("priority", "seq", "future", "job", "check_sorted", "index",
+                 "queued")
 
     def __init__(self, priority, seq, future, job, check_sorted=False, index=0):
         self.priority = priority
@@ -159,6 +161,8 @@ class _Entry:
         #: index passed to execute_and_check (batch position or ticket) —
         #: appears in check-sorted failure messages
         self.index = index
+        #: counted in ``_pending_jobs``; False once popped (or cancelled)
+        self.queued = True
 
     def key(self):
         return (self.priority, self.seq)
@@ -403,6 +407,7 @@ class SortService:
             future = SortFuture(ticket, job=job, priority=priority)
             entry = _Entry(priority, next(self._seq), future=future, job=job,
                            check_sorted=check_sorted, index=ticket)
+            future.on_cancel = functools.partial(self._cancel_queued, entry)
             target = self._shared if worker is None else self._pinned[worker]
             heapq.heappush(target, (entry.key(), entry))
             self._pending_jobs += 1
@@ -492,6 +497,8 @@ class SortService:
         best_pos = -1
         for lst in [self._shared, *self._pinned]:
             for pos, (_key, entry) in enumerate(lst):
+                if not entry.queued:  # a cancelled job's dead entry
+                    continue
                 if best_list is None or entry.key() > best_list[best_pos][1].key():
                     best_list, best_pos = lst, pos
         if best_list is None:
@@ -501,9 +508,19 @@ class SortService:
             return None
         best_list.pop(best_pos)
         heapq.heapify(best_list)
+        self._dequeue_locked(victim)
+        return victim
+
+    def _dequeue_locked(self, entry: _Entry) -> None:
+        """Take a queued job out of ``_pending_jobs`` (caller holds the
+        condition) and wake "block"-policy submitters waiting on a slot.
+        Dropping the cancel hook breaks the future -> entry -> future cycle."""
+        entry.queued = False
+        entry.future.on_cancel = None
         # caller holds _cond (the _locked suffix is the contract)
         self._pending_jobs -= 1  # reprolint: disable=lock-discipline
-        return victim
+        if self.max_queue is not None:
+            self._cond.notify_all()
 
     def submit_many(
         self,
@@ -603,14 +620,21 @@ class SortService:
                     best = pinned
                 if best is not None:
                     entry = heapq.heappop(best)[1]
-                    self._pending_jobs -= 1
-                    if self.max_queue is not None:
-                        # wake "block"-policy submitters waiting on a slot
-                        self._cond.notify_all()
+                    if not entry.queued:  # cancelled while queued: drop it
+                        continue
+                    self._dequeue_locked(entry)
                     return entry
                 if self._shutdown:
                     return None
                 self._cond.wait()
+
+    def _cancel_queued(self, entry: _Entry) -> None:
+        """``entry.future.on_cancel``: a still-queued job frees its slot and
+        counts as cancelled here; a popped one is counted by its popper."""
+        with self._cond:
+            if entry.queued:
+                self._dequeue_locked(entry)
+                self.cancelled += 1
 
     def _finish(self, future: SortFuture, worker: int, hits: int, misses: int,
                 result=None, error: BaseException | None = None,
@@ -795,12 +819,13 @@ class SortService:
             already = self._shutdown
             self._shutdown = True
             if not drain and not already:
-                doomed = [e for _, e in self._shared]
-                doomed += [e for p in self._pinned for _, e in p]
+                doomed = [e for _, e in self._shared if e.queued]
+                doomed += [e for p in self._pinned for _, e in p if e.queued]
+                for entry in doomed:
+                    self._dequeue_locked(entry)
                 self._shared.clear()
                 for p in self._pinned:
                     p.clear()
-                self._pending_jobs = 0
             else:
                 doomed = []
             self._cond.notify_all()

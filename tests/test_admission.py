@@ -209,6 +209,65 @@ class TestShedLowestPolicy:
         service.shutdown()
 
 
+class TestCancelWhileQueued:
+    """A job whose future is cancelled while it waits frees its
+    ``max_queue`` slot at once and counts in ``cancelled`` exactly once:
+    not again when a worker pops its dead entry, nor in a shutdown."""
+
+    def test_reject_admits_once_queued_jobs_are_cancelled(self, locksan_on, engine):
+        service = _service(engine, max_queue=2, admission="reject")
+        busy, gate = _occupy(service, [3, 1, 2])
+        queued = [service.submit([2, 1]) for _ in range(2)]
+        assert [fut.cancel() for fut in queued] == [True, True]
+        assert service.queued() == service.stats()["queued"] == 0
+        third = service.submit([9, 8])  # the cancels freed both slots
+        assert service.queued() == 1
+        gate.set()
+        assert busy.result(timeout=30).output == [1, 2, 3]
+        assert third.result(timeout=30).output == [8, 9]
+        service.shutdown(drain=True)  # the worker drops both dead entries
+        stats = service.stats()
+        assert stats["cancelled"] == 2 and stats["rejected"] == 0
+        assert stats["completed"] == 2 and stats["queued"] == 0
+
+    def test_shed_lowest_sheds_only_a_live_job(self, locksan_on, engine):
+        service = _service(engine, max_queue=2, admission="shed-lowest")
+        busy, gate = _occupy(service, [1], priority=0)
+        dropped = service.submit([2, 1], priority=9)
+        keep = service.submit([3, 2], priority=5)
+        assert dropped.cancel()
+        victim = service.submit([4, 3], priority=6)  # takes the freed slot
+        incoming = service.submit([5, 4], priority=1)  # sheds the live 6
+        assert victim.cancelled()
+        assert not keep.cancelled() and not incoming.cancelled()
+        stats = service.stats()
+        assert stats["shed"] == 1 and stats["cancelled"] == 2
+        assert service.queued() == stats["queued"] == 2
+        gate.set()
+        assert busy.result(timeout=30).output == [1]
+        assert keep.result(timeout=30).output == [2, 3]
+        assert incoming.result(timeout=30).output == [4, 5]
+        service.shutdown(drain=True)
+        stats = service.stats()
+        assert stats["shed"] == 1 and stats["cancelled"] == 2
+        assert stats["completed"] == 3
+
+    def test_shutdown_without_drain_counts_a_cancelled_job_once(
+        self, locksan_on, engine
+    ):
+        service = _service(engine, max_queue=2, admission="reject")
+        busy, gate = _occupy(service, [1])
+        first = service.submit([2, 1])
+        second = service.submit([3, 2])
+        assert first.cancel()
+        service.shutdown(drain=False, wait=False)
+        assert first.cancelled() and second.cancelled()
+        gate.set()
+        assert busy.result(timeout=30).output == [1]
+        service.shutdown()
+        assert service.stats()["cancelled"] == 2
+
+
 class TestSubmitStorms:
     """Concurrent floods against each policy under the lock-order recorder:
     no deadlock, no locksan inversion, counters reconcile exactly."""

@@ -6,6 +6,7 @@ sockets, no subprocesses); the fault-tolerance tests spawn a genuine
 mid-flight.
 """
 
+import bisect
 import math
 import random
 
@@ -13,6 +14,7 @@ import pytest
 
 from repro import MachineParams, SortEngine
 from repro.cluster import ClusterCoordinator, ClusterSpec, LocalCluster
+from repro.cluster.coordinator import split_shards
 from repro.planner import plan_cluster_shards, predict_shard_merge_io
 from repro.service import EngineServer, SortService, WorkerDiedError
 from repro.workloads import make_scenario, random_permutation
@@ -144,6 +146,63 @@ class TestClusterPlanning:
             plan_cluster_shards(10, 0, PARAMS)
         with pytest.raises(ValueError):
             ClusterSpec(hosts=())
+
+
+def _bisect_shards(data, splitters, hosts):
+    """The reference split: one ``bisect_right`` per record, in input order."""
+    shards = [[] for _ in range(hosts)]
+    for rec in data:
+        shards[bisect.bisect_right(splitters, rec)].append(rec)
+    return shards
+
+
+def _typed(shards):
+    # 1 and 1.0 compare equal: compare (record, type) pairs to pin each one
+    return [[(rec, type(rec)) for rec in shard] for shard in shards]
+
+
+class TestSplitShards:
+    """``split_shards`` puts every record where ``bisect_right`` would,
+    keeps input order inside each shard and returns one shard per host."""
+
+    @pytest.mark.parametrize("hosts", range(1, 9))
+    def test_matches_bisect_right(self, hosts):
+        rng = random.Random(hosts)
+        data = rng.sample(range(50_000), 2_000)
+        splitters = sorted(rng.sample(data, hosts - 1))
+        shards = split_shards(data, splitters, hosts)
+        assert len(shards) == hosts
+        assert shards == _bisect_shards(data, splitters, hosts)
+
+    @pytest.mark.parametrize("hosts", (3, 5, 8))
+    def test_duplicate_splitters(self, hosts):
+        rng = random.Random(hosts)
+        data = [rng.randrange(4) for _ in range(500)]
+        splitters = [1, 1] + [2] * (hosts - 3)
+        shards = split_shards(data, splitters, hosts)
+        assert shards == _bisect_shards(data, splitters, hosts)
+        assert any(not shard for shard in shards)
+
+    @pytest.mark.parametrize("hosts", (2, 4, 7))
+    def test_all_equal_input_leaves_shards_empty(self, hosts):
+        data = [7] * 300
+        splitters = [7] * (hosts - 1)
+        shards = split_shards(data, splitters, hosts)
+        assert shards == _bisect_shards(data, splitters, hosts)
+        assert shards[-1] == data and not any(shards[:-1])
+
+    @pytest.mark.parametrize("hosts", range(1, 9))
+    def test_empty_input_one_shard_per_host(self, hosts):
+        assert split_shards([], [], hosts) == [[] for _ in range(hosts)]
+
+    @pytest.mark.parametrize("hosts", (2, 3, 4, 8))
+    def test_mixed_int_and_float_equal_keys(self, hosts):
+        rng = random.Random(hosts)
+        data = [rng.choice((int, float))(rng.randrange(6)) for _ in range(400)]
+        splitters = sorted(rng.choice((int, float))(rng.randrange(6))
+                           for _ in range(hosts - 1))
+        shards = split_shards(data, splitters, hosts)
+        assert _typed(shards) == _typed(_bisect_shards(data, splitters, hosts))
 
 
 class TestFaultTolerance:

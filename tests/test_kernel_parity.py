@@ -270,6 +270,86 @@ class TestShardMergeParity:
         merged = [rec for blk in results[VECTORIZED][0] for rec in blk]
         assert merged == sorted(data)
 
+    @staticmethod
+    def _range_partitioned(k, shared_boundaries):
+        """``k`` live shards shaped like the coordinator's: disjoint key
+        ranges, balanced sizes (62 or 61 records, never a multiple of B),
+        and an empty shard before, between and after them.  With
+        ``shared_boundaries`` each shard ends on the key its right
+        neighbour starts with, as an ``int`` there and a ``float`` in the
+        neighbour; the first such pair is ``1`` and ``1.0``."""
+        sizes = [62] + [61] * (k - 1)
+        n = sum(sizes)
+        rng = random.Random(k)
+        keys = sorted(rng.sample(range(-10 * n, 0), sizes[0]))
+        keys += sorted(rng.sample(range(2, 10 * n), n - sizes[0]))
+        live, start = [], 0
+        for size in sizes:
+            live.append(keys[start:start + size])
+            start += size
+        if shared_boundaries:
+            for left, right in zip(live, live[1:]):
+                boundary = 1 if left is live[0] else right[0]
+                left[-1], right[0] = boundary, float(boundary)
+        shards = [[]]
+        for shard in live:
+            shards += [shard, []]
+        return shards
+
+    @pytest.mark.parametrize(
+        "k, shared_boundaries",
+        [(1, False), (2, False), (2, True), (5, False), (5, True)],
+    )
+    def test_coordinator_shaped_shards(self, k, shared_boundaries):
+        from repro.analysis.formulas import shard_merge_reads, shard_merge_writes
+        from repro.core.shard_merge import shard_merge
+
+        shards = self._range_partitioned(k, shared_boundaries)
+        results = {}
+        for kernel in (VECTORIZED, SLOW_REFERENCE):
+            machine = AEMachine(PARAMS)
+            arrays = [
+                machine.from_list(shard, name=f"s{i}")
+                for i, shard in enumerate(shards)
+            ]
+            out = shard_merge(machine, arrays, kernel=kernel)
+            # typed records: 1 and 1.0 compare equal, so pin which is which
+            blocks = [[(rec, type(rec)) for rec in blk] for blk in out._blocks]
+            results[kernel] = (blocks, machine.counter.as_dict())
+        assert results[VECTORIZED] == results[SLOW_REFERENCE]
+        blocks, counts = results[VECTORIZED]
+        # ties break by shard index: the concatenation is the merged order
+        assert [rec for blk in blocks for rec in blk] == [
+            (rec, type(rec)) for shard in shards for rec in shard
+        ]
+        n = sum(len(shard) for shard in shards)
+        assert counts["block_reads"] == shard_merge_reads(n, PARAMS.B, k)
+        assert counts["block_reads"] == sum(
+            -(-len(shard) // PARAMS.B) for shard in shards
+        )
+        assert counts["block_writes"] == shard_merge_writes(n, PARAMS.B)
+
+    def test_vectorized_scans_each_live_shard_once_to_the_end(self, monkeypatch):
+        from repro.core.shard_merge import shard_merge
+
+        machine = AEMachine(PARAMS)
+        arrays = [
+            machine.from_list(shard, name=f"s{i}")
+            for i, shard in enumerate(self._range_partitioned(5, True))
+        ]
+        scans = []
+        scan_blocks = machine.scan_blocks
+
+        def counted(arr):
+            scans.append([arr.name, 0])
+            for block in scan_blocks(arr):
+                scans[-1][1] += 1
+                yield block
+
+        monkeypatch.setattr(machine, "scan_blocks", counted)
+        shard_merge(machine, arrays, kernel=VECTORIZED)
+        assert scans == [[a.name, a.num_blocks] for a in arrays if a.length]
+
 
 class TestPriorityQueueInsertBlock:
     def test_insert_block_parity_with_populated_working_sets(self):

@@ -1,9 +1,11 @@
 """Tests for the asynchronous SortService: futures, priority dispatch,
 persistent pools, worker-death isolation, and batch parity."""
 
+import gc
 import os
 import threading
 import time
+import weakref
 
 import pytest
 from concurrent.futures import CancelledError
@@ -264,6 +266,26 @@ class TestCancellation:
         release.set()
         assert gate.result(timeout=10).is_sorted()
         svc.shutdown()
+
+    def test_jobs_are_freed_without_the_cyclic_collector(self):
+        # a queued job's cancel hook refers back to its queue entry; leaving
+        # the queue drops the hook, so neither a finished nor a cancelled
+        # job needs the cyclic collector to free its input and report
+        gc.collect()
+        gc.disable()
+        try:
+            svc, gate, release = _gated_service()
+            job = SortJob(data=[2, 1], params=PARAMS, label="cancelled")
+            cancelled = svc.submit(job)
+            assert cancelled.cancel()
+            job_ref = weakref.ref(job)
+            release.set()
+            report_ref = weakref.ref(gate.result(timeout=10))
+            svc.shutdown(drain=True)
+            del job, cancelled, gate
+            assert job_ref() is None and report_ref() is None
+        finally:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------- #
