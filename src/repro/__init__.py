@@ -23,13 +23,14 @@ What ``import repro`` loads
 ---------------------------
 This file only.  Each name in ``__all__`` is imported from its submodule the
 first time it is used (PEP 562, through :func:`_lazy_exports`), and so are
-the names of ``repro.analysis``, ``repro.models``, ``repro.planner`` and
-``repro.service``.  A sort therefore loads the engine, the kernels, the
-models and the planner's cost model, and none of the service, the cluster,
-the experiments or the analysis tooling: with bytecode caching off, every
-module imported is compiled afresh in each new process.  ``repro.core``
-stays eager, so that importing any kernel registers all of them in
-``KERNEL_ENTRIES``.
+the names of ``repro.analysis``, ``repro.datastructures``, ``repro.models``,
+``repro.planner`` and ``repro.service``.  A sort therefore loads the engine,
+the kernels, the models and the planner's cost model, and none of the
+service, the cluster, the experiments or the analysis tooling: with bytecode
+caching off, every module imported is compiled afresh in each new process.
+``repro.core`` stays eager: six of its kernels (such as ``aem_mergesort``
+and ``shard_merge``) share their submodule's name, and a PEP 562 lookup
+cannot tell the function from the submodule.
 """
 
 

@@ -1,19 +1,20 @@
-"""Paper-bound certification: cost contracts binding every registered
-kernel to its closed-form theorem envelope, a certifier runtime that
+"""Paper-bound certification: cost contracts binding every kernel to its
+entry point and its closed-form theorem envelope, a certifier runtime that
 measures each kernel under the I/O sanitizer and checks the envelope, and
 a static charge-site map tying every ``charge_*`` call in the core tree
 back to a contracted entry point.
 
 Three layers
 ------------
-**Contracts** (:data:`CONTRACTS`): one :class:`CostContract` per kernel in
-:data:`repro.core.kernels.KERNEL_ENTRIES`, declared with
-:func:`declare_contract`.  A contract names the paper statement it tracks
-(``theorem``), the closed-form reads/writes bounds from
-:mod:`repro.analysis.formulas`, and a runner that executes the kernel on a
-seeded permutation and returns the measured block-transfer tallies.
-Contracts are declared with *literal* kernel names and theorem labels so
-the ``missing-cost-contract`` lint rule can cross-check the registry
+**Contracts** (:data:`CONTRACTS`): the kernel registry, one
+:class:`CostContract` per kernel, declared with :func:`declare_contract`.
+A contract names the kernel's entry point (``entry="module:callable"``,
+whose ``kernel=`` argument selects the vectorized or the slow-reference
+mode), the paper statement it tracks (``theorem``), the closed-form
+reads/writes bounds from :mod:`repro.analysis.formulas`, and a runner that
+executes the kernel on a seeded permutation and returns the measured
+block-transfer tallies.  Kernel names and entries are *literals*, so the
+``kernel-parity`` lint rule and the charge-site map read this table
 without importing anything.
 
 Exact vs fitted: ``kind="exact"`` contracts (Theorem 4.3 mergesort,
@@ -34,16 +35,16 @@ held to ``[scan floor, hi * envelope]``.
 themselves cross-checked per block transfer), verifies sorted output, and
 emits one machine-readable ``CERT_<kernel>.json`` per kernel plus a
 ``CERT_summary.json`` (see :data:`CERT_SCHEMA`) via
-:func:`write_certificates`.  Registry drift — a registered kernel without a
-contract, a contract without a kernel, or a ``contract=`` label that does
-not match the declaration here — is a certification failure.
+:func:`write_certificates`.  A contract whose ``entry`` does not resolve
+to a callable is a certification failure (:func:`registry_errors`).
 
 **Charge-site map** (:func:`charge_site_map`): a flow-insensitive,
 name-based AST reachability pass over ``src/repro/core`` (plus the machine
 model) that attributes every ``charge_*`` call site to the contracted entry
-points that can reach it.  Block-granularity charge sites reachable from no
-entry are *orphans* — cost accounting that no certificate exercises — and
-the ``orphan-charge`` lint rule fails them.  Element-granularity charges
+points that can reach it, seeded from this module's ``declare_contract``
+calls.  Block-granularity charge sites reachable from no entry are
+*orphans* — cost accounting that no certificate exercises — and the
+``orphan-charge`` lint rule fails them.  Element-granularity charges
 (``charge_read``/``charge_write``) are exempt from orphan reporting: they
 are the §3 RAM-model surface, certified by element counters, not block
 envelopes.
@@ -58,6 +59,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import importlib
 import json
 import math
 import os
@@ -114,15 +116,17 @@ class CertificationError(RuntimeError):
 
 @dataclasses.dataclass(frozen=True)
 class CostContract:
-    """One kernel's binding to a paper bound.
+    """One kernel's binding to its entry point and a paper bound.
 
-    ``reads_bound`` / ``writes_bound`` take ``(n, params, k)`` and return
-    the closed form with unit constant; ``runner`` takes
-    ``(params, n, k, seed)`` and returns measured ``(block_reads,
-    block_writes)`` after verifying the kernel's output.
+    ``entry`` is ``"module:callable"``, the entry point whose ``kernel=``
+    argument serves both kernel modes.  ``reads_bound`` / ``writes_bound``
+    take ``(n, params, k)`` and return the closed form with unit constant;
+    ``runner`` takes ``(params, n, k, seed)`` and returns measured
+    ``(block_reads, block_writes)`` after verifying the kernel's output.
     """
 
     kernel: str
+    entry: str
     theorem: str
     kind: str
     reads_bound: Callable[[int, MachineParams, int], float]
@@ -142,6 +146,7 @@ CONTRACTS: dict[str, CostContract] = {}
 def declare_contract(
     kernel: str,
     *,
+    entry: str,
     theorem: str,
     kind: str,
     reads_bound,
@@ -151,15 +156,19 @@ def declare_contract(
     lo: float = 0.3,
     hi: float = 2.5,
 ) -> CostContract:
-    """Declare one kernel's cost contract (literal ``kernel``/``theorem``
-    so the ``missing-cost-contract`` rule can parse this file statically).
-    """
+    """Declare one kernel: its entry point and its cost contract.  Write
+    ``kernel`` and ``entry`` as literals: the ``kernel-parity`` rule and
+    the charge-site map parse this file statically."""
     if kernel in CONTRACTS:
         raise ValueError(f"duplicate cost contract for kernel {kernel!r}")
+    module, _, symbol = entry.partition(":")
+    if not (module and symbol.isidentifier()):
+        raise ValueError(f'entry must be "module:callable", got {entry!r}')
     if kind not in (EXACT, FITTED):
         raise ValueError(f"contract kind must be {EXACT!r} or {FITTED!r}, got {kind!r}")
     contract = CostContract(
         kernel=kernel,
+        entry=entry,
         theorem=theorem,
         kind=kind,
         reads_bound=reads_bound,
@@ -254,10 +263,11 @@ def _run_buffer_tree(params, n, k, seed):
 
 
 # --------------------------------------------------------------------------- #
-# the contract table — one declaration per registered kernel
+# the contract table — the kernel registry, one declaration per kernel
 # --------------------------------------------------------------------------- #
 declare_contract(
     "mergesort",
+    entry="repro.core.aem_mergesort:aem_mergesort",
     theorem="Theorem 4.3",
     kind=EXACT,
     reads_bound=lambda n, p, k: formulas.mergesort_reads(n, p.M, p.B, k),
@@ -267,6 +277,7 @@ declare_contract(
 
 declare_contract(
     "samplesort",
+    entry="repro.core.aem_samplesort:aem_samplesort",
     theorem="Theorem 4.5",
     kind=FITTED,
     reads_bound=lambda n, p, k: formulas.samplesort_reads(n, p.M, p.B, k),
@@ -276,6 +287,7 @@ declare_contract(
 
 declare_contract(
     "heapsort",
+    entry="repro.core.aem_heapsort:aem_heapsort",
     theorem="Theorem 4.10",
     kind=FITTED,
     reads_bound=lambda n, p, k: formulas.pq_sort_reads(n, p.M, p.B, k),
@@ -285,6 +297,7 @@ declare_contract(
 
 declare_contract(
     "selection",
+    entry="repro.core.selection_sort:selection_sort",
     theorem="Lemma 4.2",
     kind=EXACT,
     takes_k=False,
@@ -295,6 +308,7 @@ declare_contract(
 
 declare_contract(
     "em2way",
+    entry="repro.core.em_utils:em_two_way_mergesort",
     theorem="Section 4.2 (2-way EM mergesort)",
     kind=EXACT,
     takes_k=False,
@@ -305,6 +319,7 @@ declare_contract(
 
 declare_contract(
     "parallel-samplesort",
+    entry="repro.core.parallel_samplesort:parallel_samplesort",
     theorem="Theorem 4.5",
     kind=FITTED,
     reads_bound=lambda n, p, k: formulas.samplesort_reads(n, p.M, p.B, k),
@@ -314,6 +329,7 @@ declare_contract(
 
 declare_contract(
     "shardmerge",
+    entry="repro.core.shard_merge:shard_merge",
     theorem="Section 4.1 (k-way shard merge)",
     kind=EXACT,
     reads_bound=lambda n, p, k: formulas.shard_merge_reads(n, p.B, k),
@@ -323,6 +339,7 @@ declare_contract(
 
 declare_contract(
     "buffer-tree",
+    entry="repro.core.buffer_tree:BufferTree",
     theorem="Theorem 4.10",
     kind=FITTED,
     reads_bound=lambda n, p, k: formulas.pq_sort_reads(n, p.M, p.B, k),
@@ -528,32 +545,18 @@ def certify_kernel(
 
 
 def registry_errors() -> list[str]:
-    """Cross-check the kernel registry against the contract table."""
-    from .. import core  # noqa: F401 — registration side effects
-    from ..core.kernels import KERNEL_CONTRACTS, KERNEL_ENTRIES
-
+    """Every contract whose ``entry`` does not resolve to a callable."""
     errors = []
-    for name in sorted(set(KERNEL_ENTRIES) - set(CONTRACTS)):
-        errors.append(
-            f"registered kernel {name!r} has no cost contract — add a "
-            "declare_contract(...) in repro.analysis.boundcheck"
-        )
-    for name in sorted(set(CONTRACTS) - set(KERNEL_ENTRIES)):
-        errors.append(
-            f"cost contract {name!r} names no registered kernel — register "
-            "it via register_kernel_entry or drop the contract"
-        )
-    for name in sorted(set(KERNEL_ENTRIES) & set(CONTRACTS)):
-        label = KERNEL_CONTRACTS.get(name)
-        if label is None:
+    for name, contract in sorted(CONTRACTS.items()):
+        module, _, symbol = contract.entry.partition(":")
+        try:
+            target = getattr(importlib.import_module(module), symbol, None)
+        except ImportError:
+            target = None
+        if not callable(target):
             errors.append(
-                f"kernel {name!r} registered without contract= metadata — "
-                f"pass contract={CONTRACTS[name].theorem!r}"
-            )
-        elif label != CONTRACTS[name].theorem:
-            errors.append(
-                f"kernel {name!r} registered under {label!r} but its "
-                f"declared contract is {CONTRACTS[name].theorem!r}"
+                f"cost contract {name!r}: entry {contract.entry!r} does not "
+                "resolve to a callable"
             )
     return errors
 
@@ -566,7 +569,7 @@ def certify(
     seed: int = 1,
     use_iosan: bool = True,
 ) -> CertifyResult:
-    """Run the full certification: registry cross-check + per-kernel sweep."""
+    """Run the full certification: entry check + per-kernel sweep."""
     if machines is None:
         machines = QUICK_MACHINES if quick else DEFAULT_MACHINES
     if sizes is None:
@@ -782,10 +785,14 @@ BLOCK_CHARGE_METHODS = (
     "charge_writes",
 )
 
-#: the real files the charge map covers: every core kernel module plus the
-#: machine model whose primitives they charge through
+#: the real files the charge map covers: every core kernel module, the
+#: machine model whose primitives they charge through, and this module,
+#: whose contract table seeds the entry points (and holds no charge site)
 _CHARGE_SCOPE_DIR = "src/repro/core"
-_CHARGE_SCOPE_EXTRA_FILES = ("src/repro/models/external_memory.py",)
+_CHARGE_SCOPE_EXTRA_FILES = (
+    "src/repro/models/external_memory.py",
+    "src/repro/analysis/boundcheck.py",
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -814,7 +821,7 @@ class ModuleChargeSummary:
 
     path: str
     defs: tuple[_DefSummary, ...]
-    #: (kernel_name, entry_symbol) pairs from register_kernel_entry calls
+    #: (kernel_name, entry_symbol) pairs from declare_contract calls
     entries: tuple[tuple[str, str], ...]
     #: charge sites at module level (import-time code; always "reached")
     module_sites: tuple[ChargeSite, ...]
@@ -829,8 +836,8 @@ def _callee_name(call: ast.Call) -> str | None:
 
 
 def _entry_pairs(call: ast.Call) -> Iterable[tuple[str, str]]:
-    """The (kernel, symbol) pair of one register_kernel_entry call, when
-    its name and ``entry=`` are literals."""
+    """The (kernel, symbol) pair of one declare_contract call, when its
+    name and ``entry=`` are literals."""
     if not (call.args and isinstance(call.args[0], ast.Constant)
             and isinstance(call.args[0].value, str)):
         return
@@ -872,7 +879,7 @@ def summarize_source(path: str, tree: ast.AST) -> ModuleChargeSummary:
                 if callee is not None:
                     if fn_calls is not None:
                         fn_calls.add(callee)
-                    if callee == "register_kernel_entry":
+                    if callee == "declare_contract":
                         entries.extend(_entry_pairs(child))
                     if callee in CHARGE_METHODS:
                         site = ChargeSite(
@@ -1012,8 +1019,7 @@ def charge_site_map(
     """The full static charge-site map of the repo at ``root``.
 
     ``extra_sources`` maps virtual paths to source text and *overlays* the
-    real tree (replacing a real file on path collision) — how the lint rule
-    analyzes a module that only exists as corpus text.
+    real tree (replacing a real file on path collision).
     """
     sources: dict[str, str] = {}
     for rel in charge_scope_files(root):

@@ -56,12 +56,12 @@ _LOCK_SCOPE_FILES = ("src/repro/planner/plan_cache.py",)
 #: where the vectorized/slow-reference pins live
 _PARITY_TEST_FILE = "tests/test_kernel_parity.py"
 
-#: where the cost contracts are declared (parsed statically, never imported)
-_BOUNDCHECK_FILE = "src/repro/analysis/boundcheck.py"
-
 #: modules whose block-granularity charges must be reachable from a
 #: contracted kernel entry point
 _ORPHAN_CHARGE_SCOPE = ("src/repro/core/",)
+
+#: the project the whole-project analyses index
+_PROJECT_SCOPE = ("src/repro/",)
 
 
 def _in_scope(module: ModuleSource, prefixes=(), files=()) -> bool:
@@ -279,28 +279,28 @@ def check_lock_discipline(module: ModuleSource, ctx: LintContext):
 # kernel-parity
 # --------------------------------------------------------------------------- #
 def _entry_symbol(spec: str) -> str | None:
-    """``"repro.core.aem_heapsort:aem_heapsort"`` -> ``"aem_heapsort"``."""
-    if ":" not in spec:
-        return None
-    return spec.rsplit(":", 1)[1]
+    """``"repro.core.aem_heapsort:aem_heapsort"`` -> ``"aem_heapsort"``;
+    None unless ``spec`` has the form ``declare_contract`` accepts."""
+    module, _, symbol = spec.partition(":")
+    return symbol if module and symbol.isidentifier() else None
 
 
 @rule(
     "kernel-parity",
-    "every register_kernel_entry call must name its entry point as an "
+    "every declare_contract call must name its kernel's entry point as an "
     'entry="module:symbol" literal pinned in tests/test_kernel_parity.py',
 )
 def check_kernel_parity(module: ModuleSource, ctx: LintContext):
     parity_text = ctx.read_file(_PARITY_TEST_FILE)
     for node in ast.walk(module.tree):
-        if not (isinstance(node, ast.Call) and _call_name(node) == "register_kernel_entry"):
+        if not (isinstance(node, ast.Call) and _call_name(node) == "declare_contract"):
             continue
         value = next((kw.value for kw in node.keywords if kw.arg == "entry"), None)
         literal = isinstance(value, ast.Constant) and isinstance(value.value, str)
         symbol = _entry_symbol(value.value) if literal else None
         if value is None:
             where, message = node, (
-                "register_kernel_entry without an `entry=` entry point — "
+                "declare_contract without an `entry=` entry point — "
                 "every kernel names the callable that serves both modes"
             )
         elif not literal:
@@ -332,162 +332,22 @@ def check_kernel_parity(module: ModuleSource, ctx: LintContext):
 
 
 # --------------------------------------------------------------------------- #
-# missing-cost-contract
-# --------------------------------------------------------------------------- #
-def _declared_contracts(ctx: LintContext) -> dict | None:
-    """``kernel -> theorem`` parsed from the ``declare_contract(...)`` calls
-    in boundcheck.py (None when the file is unreadable/unparseable).  The
-    declarations use literal names precisely so this never imports anything;
-    cached on the run's context."""
-    sentinel = getattr(ctx, "_declared_contracts_cache", False)
-    if sentinel is not False:
-        return sentinel
-    declared = None
-    text = ctx.read_file(_BOUNDCHECK_FILE)
-    if text is not None:
-        try:
-            tree = ast.parse(text, filename=_BOUNDCHECK_FILE)
-        except SyntaxError:
-            tree = None
-        if tree is not None:
-            declared = {}
-            for node in ast.walk(tree):
-                if not (
-                    isinstance(node, ast.Call)
-                    and _call_name(node) == "declare_contract"
-                    and node.args
-                    and isinstance(node.args[0], ast.Constant)
-                    and isinstance(node.args[0].value, str)
-                ):
-                    continue
-                for kw in node.keywords:
-                    if (
-                        kw.arg == "theorem"
-                        and isinstance(kw.value, ast.Constant)
-                        and isinstance(kw.value.value, str)
-                    ):
-                        declared[node.args[0].value] = kw.value.value
-    ctx._declared_contracts_cache = declared
-    return declared
-
-
-@rule(
-    "missing-cost-contract",
-    "every register_kernel_entry call must carry a literal contract= theorem "
-    "label matching the kernel's declare_contract(...) declaration in "
-    "repro.analysis.boundcheck — unbound kernels escape cost certification",
-)
-def check_missing_cost_contract(module: ModuleSource, ctx: LintContext):
-    for node in ast.walk(module.tree):
-        if not (
-            isinstance(node, ast.Call)
-            and _call_name(node) == "register_kernel_entry"
-        ):
-            continue
-        value = next(
-            (kw.value for kw in node.keywords if kw.arg == "contract"), None
-        )
-        if (
-            node.args
-            and isinstance(node.args[0], ast.Constant)
-            and isinstance(node.args[0].value, str)
-        ):
-            who = f"kernel `{node.args[0].value}` registered"
-        else:
-            who = "register_kernel_entry"
-        if value is None:
-            yield Finding(
-                rule="missing-cost-contract",
-                path=module.virtual_path,
-                line=node.lineno,
-                col=node.col_offset,
-                message=(
-                    f"{who} without a `contract=` paper-bound "
-                    "label — every registered kernel must be bound to a "
-                    f"declare_contract(...) in {_BOUNDCHECK_FILE} so "
-                    "`repro certify` covers it"
-                ),
-            )
-            continue
-        if not (isinstance(value, ast.Constant) and isinstance(value.value, str)):
-            yield Finding(
-                rule="missing-cost-contract",
-                path=module.virtual_path,
-                line=value.lineno,
-                col=value.col_offset,
-                message=(
-                    "`contract=` must be a string literal (theorem label) so "
-                    "the contract binding is statically checkable"
-                ),
-            )
-            continue
-        if not (
-            node.args
-            and isinstance(node.args[0], ast.Constant)
-            and isinstance(node.args[0].value, str)
-        ):
-            continue  # unnameable registration — kernel-parity territory
-        kernel = node.args[0].value
-        declared = _declared_contracts(ctx)
-        if declared is None:
-            yield Finding(
-                rule="missing-cost-contract",
-                path=module.virtual_path,
-                line=node.lineno,
-                col=node.col_offset,
-                message=(
-                    f"cannot parse {_BOUNDCHECK_FILE} to cross-check the "
-                    "contract declaration"
-                ),
-            )
-        elif kernel not in declared:
-            yield Finding(
-                rule="missing-cost-contract",
-                path=module.virtual_path,
-                line=node.lineno,
-                col=node.col_offset,
-                message=(
-                    f"kernel `{kernel}` has no declare_contract(...) "
-                    f"declaration in {_BOUNDCHECK_FILE} — declare its "
-                    "theorem envelope before registering it"
-                ),
-            )
-        elif declared[kernel] != value.value:
-            yield Finding(
-                rule="missing-cost-contract",
-                path=module.virtual_path,
-                line=value.lineno,
-                col=value.col_offset,
-                message=(
-                    f"contract label {value.value!r} does not match the "
-                    f"declared theorem {declared[kernel]!r} for kernel "
-                    f"`{kernel}` in {_BOUNDCHECK_FILE}"
-                ),
-            )
-
-
-# --------------------------------------------------------------------------- #
 # orphan-charge
 # --------------------------------------------------------------------------- #
-def _charge_base_summaries(ctx: LintContext) -> dict:
-    """Charge-map summaries of the real in-scope tree, cached per run."""
-    cached = getattr(ctx, "_charge_summaries_cache", None)
-    if cached is not None:
-        return cached
-    from .boundcheck import charge_scope_files, summarize_source
+def _charge_map(ctx: LintContext):
+    """The charge-site map of the run's project view (see
+    :func:`_project_view`), built once per run."""
+    cached = getattr(ctx, "_charge_map_cache", None)
+    if cached is None:
+        from .boundcheck import analyze_summaries, charge_scope_files, summarize_source
 
-    summaries = {}
-    for rel in charge_scope_files(ctx.root):
-        text = ctx.read_file(rel)
-        if text is None:
-            continue
-        try:
-            tree = ast.parse(text, filename=rel)
-        except SyntaxError:
-            continue
-        summaries[rel] = summarize_source(rel, tree)
-    ctx._charge_summaries_cache = summaries
-    return summaries
+        scope = set(charge_scope_files(ctx.root))
+        cached = ctx._charge_map_cache = analyze_summaries([
+            summarize_source(path, tree)
+            for path, tree in sorted(_project_view(ctx).items())
+            if path in scope or path.startswith(_ORPHAN_CHARGE_SCOPE)
+        ])
+    return cached
 
 
 @rule(
@@ -499,16 +359,7 @@ def _charge_base_summaries(ctx: LintContext) -> dict:
 def check_orphan_charge(module: ModuleSource, ctx: LintContext):
     if not _in_scope(module, prefixes=_ORPHAN_CHARGE_SCOPE):
         return
-    from .boundcheck import analyze_summaries, summarize_source
-
-    summaries = dict(_charge_base_summaries(ctx))
-    # overlay the module under lint (it may exist only as corpus text, or
-    # be an edited version of a real file)
-    summaries[module.virtual_path] = summarize_source(
-        module.virtual_path, module.tree
-    )
-    charge_map = analyze_summaries(list(summaries.values()))
-    for site in charge_map.orphans:
+    for site in _charge_map(ctx).orphans:
         if site.path != module.virtual_path:
             continue
         yield Finding(
@@ -620,40 +471,46 @@ def _flow_suppressions(ctx: LintContext) -> dict[str, dict[int, set[str]]]:
     return tables
 
 
-def _flow_base_index(ctx: LintContext):
-    cached = getattr(ctx, "_flow_index_cache", None)
+def _project_view(ctx: LintContext) -> dict:
+    """``relpath → tree`` of the project this run analyses: every module
+    under src/repro, with each linted module spliced in at its virtual path
+    (a corpus fixture, or an edited file replacing the real one).  Built
+    once per run from the trees the linted modules already hold, so each
+    whole-project analysis runs once and each rule keeps its module's
+    findings."""
+    cached = getattr(ctx, "_project_view_cache", None)
     if cached is None:
-        cached = build_project_index(_flow_sources(ctx))
-        ctx._flow_index_cache = cached
+        cached = {
+            vp: m.tree for vp, m in ctx.modules.items()
+            if vp.startswith(_PROJECT_SCOPE)
+        }
+        for rel, text in _flow_sources(ctx).items():
+            if rel not in cached:
+                try:
+                    cached[rel] = ast.parse(text, filename=rel)
+                except SyntaxError:
+                    continue
+        ctx._project_view_cache = cached
     return cached
 
 
-def _module_is_overlay(module: ModuleSource, ctx: LintContext) -> bool:
-    """True when the module under lint is NOT byte-identical to the indexed
-    project file at its virtual path (corpus fixture or edited tree)."""
-    sources = _flow_sources(ctx)
-    vp = module.virtual_path
-    return vp not in sources or sources[vp] != module.text
-
-
-def _flow_result(module: ModuleSource, ctx: LintContext, analyze):
-    """``analyze(index, suppressions)`` over the whole project, cached on
-    the run's context for the common (non-overlay) case.  An overlay gets a
-    fresh index with the module's tree spliced in, kept only for this call."""
-    if not _module_is_overlay(module, ctx):
-        results = getattr(ctx, "_flow_results_cache", None)
-        if results is None:
-            results = ctx._flow_results_cache = {}
-        if analyze not in results:
-            results[analyze] = analyze(
-                _flow_base_index(ctx), _flow_suppressions(ctx)
+def _flow_result(ctx: LintContext, analyze):
+    """``analyze(index, suppressions)`` over the project view, once per run."""
+    results = getattr(ctx, "_flow_results_cache", None)
+    if results is None:
+        results = ctx._flow_results_cache = {}
+    if analyze not in results:
+        index = getattr(ctx, "_flow_index_cache", None)
+        if index is None:
+            index = ctx._flow_index_cache = build_project_index(
+                {}, extra=_project_view(ctx)
             )
-        return results[analyze]
-    vp = module.virtual_path
-    index = build_project_index(_flow_sources(ctx), extra={vp: module.tree})
-    suppressions = dict(_flow_suppressions(ctx))
-    suppressions[vp] = module.suppressions
-    return analyze(index, suppressions, paths={vp})
+        suppressions = dict(_flow_suppressions(ctx))
+        suppressions.update(
+            (vp, m.suppressions) for vp, m in ctx.modules.items()
+        )
+        results[analyze] = analyze(index, suppressions)
+    return results[analyze]
 
 
 @rule(
@@ -671,7 +528,7 @@ def check_flow_lockset(module: ModuleSource, ctx: LintContext):
         module, prefixes=_LOCK_SCOPE_PREFIXES, files=_LOCK_SCOPE_FILES
     ):
         return
-    for f in _flow_result(module, ctx, analyze_lockset).findings:
+    for f in _flow_result(ctx, analyze_lockset).findings:
         if f.path != module.virtual_path:
             continue
         yield Finding(
@@ -724,7 +581,7 @@ def check_flow_charge(module: ModuleSource, ctx: LintContext):
     exempt by dominance, not just syntactic containment."""
     if not _in_scope(module, prefixes=_LOOP_CHARGE_SCOPE):
         return
-    for f in _flow_result(module, ctx, analyze_charges):
+    for f in _flow_result(ctx, analyze_charges):
         if f.path != module.virtual_path:
             continue
         yield Finding(

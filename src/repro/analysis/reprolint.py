@@ -132,11 +132,13 @@ def _collect_suppressions(lines: list[str]) -> dict[int, set[str]]:
 
 
 class LintContext:
-    """Cross-file state shared by one lint run (cached reads, repo root)."""
+    """Cross-file state shared by one lint run (cached reads, repo root,
+    and every module the run lints, by virtual path)."""
 
     def __init__(self, root: str = "."):
         self.root = os.path.abspath(root)
         self._file_cache: dict[str, str | None] = {}
+        self.modules: dict[str, ModuleSource] = {}
 
     def read_file(self, relpath: str) -> str | None:
         """Text of a repo file by root-relative path, or None (cached)."""
@@ -198,31 +200,17 @@ def iter_python_files(paths: Iterable[str]) -> Iterator[str]:
                         yield full
 
 
-def lint_file(
-    path: str,
-    ctx: LintContext,
-    rules: Iterable[Rule] | None = None,
-) -> list[Finding]:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    rel = os.path.relpath(path, ctx.root).replace(os.sep, "/")
-    module = ModuleSource(rel, text)
-    findings: list[Finding] = []
-    for r in rules if rules is not None else RULES.values():
-        for f in r.check(module, ctx):
-            if not module.suppressed(f.rule, f.line):
-                findings.append(f)
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings
-
-
 def lint_paths(
     paths: Iterable[str],
     root: str = ".",
     rules: Iterable[str] | None = None,
 ) -> list[Finding]:
     """Lint every ``.py`` file under ``paths`` with all (or named) rules,
-    in one pass over one :class:`LintContext`."""
+    in one pass over one :class:`LintContext`.
+
+    Every file is parsed once, before any rule runs, so the whole-project
+    rules see all linted modules at once.  Two files claiming one virtual
+    path raise :class:`ValueError` (a usage error)."""
     # importing the rules module populates RULES as a side effect
     from . import lint_rules  # noqa: F401
 
@@ -234,9 +222,25 @@ def lint_paths(
             raise KeyError(f"unknown rule(s): {sorted(unknown)}")
         selected = [RULES[name] for name in rules]
     ctx = LintContext(root)
-    findings: list[Finding] = []
     for path in iter_python_files(paths):
-        findings.extend(lint_file(path, ctx, selected))
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        rel = os.path.relpath(path, ctx.root).replace(os.sep, "/")
+        module = ModuleSource(rel, text)
+        claimed = ctx.modules.setdefault(module.virtual_path, module)
+        if claimed.path != module.path:
+            raise ValueError(
+                f"{claimed.path} and {module.path} both claim virtual path "
+                f"{module.virtual_path}"
+            )
+    findings: list[Finding] = []
+    for module in ctx.modules.values():
+        found = [
+            f for r in selected for f in r.check(module, ctx)
+            if not module.suppressed(f.rule, f.line)
+        ]
+        found.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
+        findings.extend(found)
     return findings
 
 

@@ -20,7 +20,7 @@ from .aem_mergesort import aem_mergesort
 from .aem_samplesort import aem_samplesort
 from .buffer_tree import BufferTree
 from .em_utils import em_two_way_mergesort
-from .kernels import KERNEL_ENTRIES, SLOW_REFERENCE, VECTORIZED
+from .kernels import SLOW_REFERENCE, VECTORIZED
 from .parallel_samplesort import parallel_samplesort
 from .ram_sort import RAM_SORTS, bst_sort, heapsort, mergesort, quicksort
 from .selection_sort import selection_sort
@@ -29,7 +29,6 @@ from .shard_merge import shard_merge
 __all__ = [
     "AEMPriorityQueue",
     "BufferTree",
-    "KERNEL_ENTRIES",
     "RAM_SORTS",
     "SLOW_REFERENCE",
     "VECTORIZED",

@@ -28,13 +28,7 @@ import math
 
 from ..models.external_memory import AEMachine, BlockWriter, ExtArray, MemoryGuard
 from .buffer_tree import BufferTree
-from .kernels import SLOW_REFERENCE, heap_smallest, register_kernel_entry, resolve_kernel
-
-register_kernel_entry(
-    "heapsort",
-    entry="repro.core.aem_heapsort:aem_heapsort",
-    contract="Theorem 4.10",
-)
+from .kernels import SLOW_REFERENCE, heap_smallest, resolve_kernel
 
 
 class AEMPriorityQueue:

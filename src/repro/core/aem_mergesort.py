@@ -76,14 +76,8 @@ import bisect
 import math
 
 from ..models.external_memory import AEMachine, ExtArray, MemoryGuard
-from .kernels import SLOW_REFERENCE, register_kernel_entry, resolve_kernel
+from .kernels import SLOW_REFERENCE, resolve_kernel
 from .selection_sort import selection_sort
-
-register_kernel_entry(
-    "mergesort",
-    entry="repro.core.aem_mergesort:aem_mergesort",
-    contract="Theorem 4.3",
-)
 
 
 _INF = object()  # sentinel: larger than every key

@@ -29,14 +29,8 @@ import random
 
 from ..models.external_memory import AEMachine, ExtArray, MemoryGuard
 from .em_utils import em_two_way_mergesort
-from .kernels import SLOW_REFERENCE, register_kernel_entry, resolve_kernel
+from .kernels import SLOW_REFERENCE, resolve_kernel
 from .selection_sort import selection_sort
-
-register_kernel_entry(
-    "samplesort",
-    entry="repro.core.aem_samplesort:aem_samplesort",
-    contract="Theorem 4.5",
-)
 
 
 #: Over-sampling multiplier (the paper's Theta(l log n0) constant).
@@ -286,39 +280,56 @@ def _partition(
     params = machine.params
     n_buckets = len(splitters) + 1
     per_round = max(1, params.blocks_in_memory)
-    buckets: list[ExtArray] = [None] * n_buckets  # type: ignore[list-item]
+    buckets: list[ExtArray] = []
 
     footprint = params.M + params.B + params.blocks_in_memory
     guard.acquire(footprint)
     try:
         for first_bucket in range(0, n_buckets, per_round):
-            last_bucket = min(first_bucket + per_round, n_buckets)  # exclusive
-            # key range covered by this round's buckets:
-            lo = splitters[first_bucket - 1] if first_bucket > 0 else None
-            hi = splitters[last_bucket - 1] if last_bucket - 1 < len(splitters) else None
-            writers = [
-                machine.writer(name=f"bucket{first_bucket + j}")
-                for j in range(last_bucket - first_bucket)
-            ]
-            round_splitters = splitters[first_bucket : last_bucket - 1]
-            if kernel == SLOW_REFERENCE:
-                for rec in machine.scan(arr):
-                    if lo is not None and rec < lo:
-                        continue
-                    if hi is not None and rec >= hi:
-                        continue
-                    j = bisect.bisect_right(round_splitters, rec)
-                    writers[j].append(rec)
-            else:
-                _distribute_blocks(
-                    machine.scan_blocks(arr), writers, round_splitters, lo, hi
+            last_bucket = min(first_bucket + per_round, n_buckets)
+            buckets += [
+                bucket for _, bucket in _partition_round(
+                    machine, arr, splitters, first_bucket, last_bucket, kernel
                 )
-            for j, w in enumerate(writers):
-                buckets[first_bucket + j] = w.close()
-
+            ]
     finally:
         guard.release(footprint)
-    return [b for b in buckets if b.length > 0]
+    return buckets
+
+
+def _partition_round(
+    machine: AEMachine,
+    arr: ExtArray,
+    splitters: list,
+    first_bucket: int,
+    last_bucket: int,
+    kernel: str,
+) -> list[tuple[int, ExtArray]]:
+    """One partition round: scan ``arr`` once and write the records of
+    buckets ``first_bucket .. last_bucket - 1`` (bucket ``i`` holds the
+    records in ``[splitters[i-1], splitters[i])``), one writer per bucket.
+    Returns the round's closed non-empty buckets as ``(index, array)``
+    pairs, in bucket order.  Shared by :func:`_partition` and the
+    parallel sample sort's chunk tasks."""
+    # key range covered by this round's buckets:
+    lo = splitters[first_bucket - 1] if first_bucket > 0 else None
+    hi = splitters[last_bucket - 1] if last_bucket - 1 < len(splitters) else None
+    round_splitters = splitters[first_bucket : last_bucket - 1]
+    writers = [
+        machine.writer(name=f"bucket{first_bucket + j}")
+        for j in range(last_bucket - first_bucket)
+    ]
+    if kernel == SLOW_REFERENCE:
+        for rec in machine.scan(arr):
+            if lo is not None and rec < lo:
+                continue
+            if hi is not None and rec >= hi:
+                continue
+            writers[bisect.bisect_right(round_splitters, rec)].append(rec)
+    else:
+        _distribute_blocks(machine.scan_blocks(arr), writers, round_splitters, lo, hi)
+    closed = [(first_bucket + j, w.close()) for j, w in enumerate(writers)]
+    return [(i, bucket) for i, bucket in closed if bucket.length]
 
 
 def _distribute_blocks(blocks, writers, round_splitters, lo, hi) -> None:

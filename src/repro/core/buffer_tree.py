@@ -51,14 +51,8 @@ import bisect
 import math
 
 from ..models.external_memory import AEMachine, BlockWriter, ExtArray
-from .kernels import SLOW_REFERENCE, register_kernel_entry, resolve_kernel
+from .kernels import SLOW_REFERENCE, resolve_kernel
 from .selection_sort import reference_phases, selection_phases
-
-register_kernel_entry(
-    "buffer-tree",
-    entry="repro.core.buffer_tree:BufferTree",
-    contract="Theorem 4.10",
-)
 
 
 class _Delete:

@@ -8,23 +8,15 @@ the textbook algorithm: run formation by in-memory sorting of M-record
 chunks, then repeated pairwise streaming merges.
 
 Both kernel modes are provided (see :mod:`repro.core.kernels`): the
-vectorized path forms runs from whole scanned blocks and merges two runs by
-slicing maximal non-crossing segments with ``bisect`` instead of comparing
-record pairs one at a time.  Charges and output blocks are identical.
+vectorized path forms runs from whole scanned blocks and merges two runs
+with one stable sort of their concatenation instead of comparing record
+pairs one at a time.  Charges and output blocks are identical.
 """
 
 from __future__ import annotations
 
-import bisect
-
 from ..models.external_memory import AEMachine, ExtArray
-from .kernels import SLOW_REFERENCE, register_kernel_entry, resolve_kernel
-
-register_kernel_entry(
-    "em2way",
-    entry="repro.core.em_utils:em_two_way_mergesort",
-    contract="Section 4.2 (2-way EM mergesort)",
-)
+from .kernels import SLOW_REFERENCE, resolve_kernel
 
 
 def em_two_way_mergesort(
@@ -75,46 +67,21 @@ def em_two_way_mergesort(
 
 
 def _merge_two(machine: AEMachine, a: ExtArray, b: ExtArray) -> ExtArray:
-    """Block-wise streaming merge of two sorted runs.
+    """Merge two sorted runs with one stable sort.
 
-    Instead of advancing one record per comparison, each step locates (via
-    ``bisect``) the maximal segment of the current block that precedes the
-    other stream's head and emits it with one ``extend`` — ties go to ``a``,
-    matching the reference's ``va <= vb`` rule, so outputs are identical.
+    Reads ``a`` then ``b``, each with one charged scan consumed to the end,
+    into one list (simulator scratch), sorts it once with the stable
+    ``list.sort()`` and writes it with one ``extend``.  Stability sends
+    ties to ``a``, as the reference's ``va <= vb`` does, so the output
+    blocks and the charges are the reference's.
     """
+    records: list = []
+    for run in (a, b):  # a first: the stable sort's tie rule
+        for block in machine.scan_blocks(run):
+            records += block
+    records.sort()
     out = machine.writer(name="merge2-out")
-    ita = machine.scan_blocks(a)
-    itb = machine.scan_blocks(b)
-    blka = next(ita, None)
-    blkb = next(itb, None)
-    ia = ib = 0
-    while blka is not None and blkb is not None:
-        # all of a's remaining records <= b's head: emit them in one slice
-        head_b = blkb[ib]
-        j = bisect.bisect_right(blka, head_b, ia)
-        if j > ia:
-            out.extend(blka if ia == 0 and j == len(blka) else blka[ia:j])
-            ia = j
-            if ia >= len(blka):
-                blka = next(ita, None)
-                ia = 0
-            continue
-        # blka[ia] > head_b: emit b's records strictly below a's head
-        head_a = blka[ia]
-        j = bisect.bisect_left(blkb, head_a, ib)
-        out.extend(blkb if ib == 0 and j == len(blkb) else blkb[ib:j])
-        ib = j
-        if ib >= len(blkb):
-            blkb = next(itb, None)
-            ib = 0
-    while blka is not None:
-        out.extend(blka[ia:] if ia else blka)
-        blka = next(ita, None)
-        ia = 0
-    while blkb is not None:
-        out.extend(blkb[ib:] if ib else blkb)
-        blkb = next(itb, None)
-        ib = 0
+    out.extend(records)
     return out.close()
 
 

@@ -1,4 +1,4 @@
-"""Kernel-mode registry: vectorized block kernels vs the record-at-a-time
+"""Kernel modes: vectorized block kernels vs the record-at-a-time
 reference implementations.
 
 The paper's algorithms are *defined* in block transfers, but the original
@@ -29,7 +29,9 @@ vectorized twin here: a vectorized selection from one run is a sort and a
 cut.
 
 Every sort entry point takes ``kernel=None``, which means ``"vectorized"``;
-pass ``kernel="slow_reference"`` to run the reference.
+pass ``kernel="slow_reference"`` to run the reference.  The kernels and
+their entry points are declared once, in the cost-contract table of
+:mod:`repro.analysis.boundcheck` (``declare_contract(..., entry=...)``).
 """
 
 from __future__ import annotations
@@ -51,46 +53,6 @@ def resolve_kernel(kernel: str | None) -> str:
     if kernel not in _MODES:
         raise ValueError(f"unknown kernel mode {kernel!r}; choose from {_MODES}")
     return kernel
-
-
-#: declarative registry of every sort path that dispatches on the kernel
-#: mode: ``name -> "module:callable"``, the entry point whose ``kernel=``
-#: argument selects the mode.  Populated at import time by each kernel-path
-#: module via :func:`register_kernel_entry`.
-KERNEL_ENTRIES: dict[str, str] = {}
-
-#: cost-contract metadata, parallel to :data:`KERNEL_ENTRIES`:
-#: ``name -> theorem label`` matching the kernel's ``declare_contract``
-#: declaration in :mod:`repro.analysis.boundcheck`.  Populated by the
-#: ``contract=`` argument of :func:`register_kernel_entry`; the
-#: ``missing-cost-contract`` lint rule fails any registration without it.
-KERNEL_CONTRACTS: dict[str, str] = {}
-
-
-def register_kernel_entry(name: str, *, entry: str,
-                          contract: str | None = None) -> None:
-    """Declare one kernel-dispatched sort path.
-
-    ``entry`` is the ``"module:callable"`` reference to the entry point that
-    serves both modes through its ``kernel=`` argument.  The declaration is
-    the contract the ``kernel-parity`` lint rule enforces statically: the
-    entry point must be pinned by ``tests/test_kernel_parity.py``.
-
-    ``contract`` is the paper-bound label (e.g. ``"Theorem 4.3"``) binding
-    this kernel to its cost contract in
-    :mod:`repro.analysis.boundcheck` — it must equal the ``theorem=`` of
-    the kernel's ``declare_contract`` declaration there, and the
-    ``missing-cost-contract`` lint rule plus ``python -m repro certify``
-    both fail when it is absent or mismatched.
-
-    Arguments must be string literals so the rules can check them without
-    importing anything.
-    """
-    KERNEL_ENTRIES[name] = entry
-    if contract is not None:
-        KERNEL_CONTRACTS[name] = contract
-    else:
-        KERNEL_CONTRACTS.pop(name, None)
 
 
 def heap_smallest(records, take: int) -> list:

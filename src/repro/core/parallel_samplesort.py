@@ -33,15 +33,9 @@ from dataclasses import dataclass, field
 
 from ..models.external_memory import AEMachine, ExtArray
 from ..models.params import MachineParams
-from .aem_samplesort import _choose_splitters, _distribute_blocks
-from .kernels import SLOW_REFERENCE, register_kernel_entry, resolve_kernel
+from .aem_samplesort import _choose_splitters, _partition_round
+from .kernels import resolve_kernel
 from .selection_sort import selection_sort
-
-register_kernel_entry(
-    "parallel-samplesort",
-    entry="repro.core.parallel_samplesort:parallel_samplesort",
-    contract="Theorem 4.5",
-)
 
 
 @dataclass
@@ -198,8 +192,8 @@ def _sort(
                 machine,
                 ledger,
                 proc,
-                lambda c=chunk, f=first, la=last: _partition_range(
-                    machine, c, splitters, f, la, kernel=kernel
+                lambda c=chunk, f=first, la=last: _partition_round(
+                    machine, c, splitters, f, la, kernel
                 ),
             )
             for b, part in parts:
@@ -216,41 +210,6 @@ def _sort(
         if b.length
     ]
     return machine.concat(sorted_buckets, name="psort-out")
-
-
-def _partition_range(
-    machine: AEMachine,
-    chunk: ExtArray,
-    splitters: list,
-    first_bucket: int,
-    last_bucket: int,
-    kernel: str = "vectorized",
-) -> list[tuple[int, ExtArray]]:
-    """One task: scan ``chunk``, emit records of buckets [first, last)."""
-    import bisect
-
-    lo = splitters[first_bucket - 1] if first_bucket > 0 else None
-    hi = splitters[last_bucket - 1] if last_bucket - 1 < len(splitters) else None
-    round_splitters = splitters[first_bucket : last_bucket - 1]
-    writers = [
-        machine.writer(name=f"pbucket{first_bucket + j}")
-        for j in range(last_bucket - first_bucket)
-    ]
-    if kernel == SLOW_REFERENCE:
-        for rec in machine.scan(chunk):
-            if lo is not None and rec < lo:
-                continue
-            if hi is not None and rec >= hi:
-                continue
-            writers[bisect.bisect_right(round_splitters, rec)].append(rec)
-    else:
-        _distribute_blocks(machine.scan_blocks(chunk), writers, round_splitters, lo, hi)
-    out = []
-    for j, w in enumerate(writers):
-        part = w.close()
-        if part.length:
-            out.append((first_bucket + j, part))
-    return out
 
 
 def _parallel_base_case(

@@ -34,13 +34,7 @@ element wherever ``sorted()`` accepts the input.
 from __future__ import annotations
 
 from ..models.external_memory import AEMachine, ExtArray, MemoryGuard
-from .kernels import SLOW_REFERENCE, heap_smallest, register_kernel_entry, resolve_kernel
-
-register_kernel_entry(
-    "selection",
-    entry="repro.core.selection_sort:selection_sort",
-    contract="Lemma 4.2",
-)
+from .kernels import SLOW_REFERENCE, heap_smallest, resolve_kernel
 
 
 def selection_sort(

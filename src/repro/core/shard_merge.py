@@ -3,8 +3,8 @@
 The coordinator's scatter-gather (see :mod:`repro.cluster`) sorts per-host
 shards remotely and merges them centrally.  That merge is the one step of
 the distributed plan that moves blocks on the *coordinator's* machine, so it
-is a first-class kernel: registered, contracted, and billed through the
-same :class:`~repro.models.counters.CostCounter` as every §4 algorithm.
+is a first-class kernel: contracted, and billed through the same
+:class:`~repro.models.counters.CostCounter` as every §4 algorithm.
 
 Cost (the merge step of the paper's multi-way merging, §4.1): with one
 resident block per shard plus a store buffer — primary memory
@@ -30,13 +30,7 @@ import heapq
 from collections.abc import Sequence
 
 from ..models.external_memory import AEMachine, BlockWriter, ExtArray, MemoryGuard
-from .kernels import SLOW_REFERENCE, register_kernel_entry, resolve_kernel
-
-register_kernel_entry(
-    "shardmerge",
-    entry="repro.core.shard_merge:shard_merge",
-    contract="Section 4.1 (k-way shard merge)",
-)
+from .kernels import SLOW_REFERENCE, resolve_kernel
 
 
 def shard_merge(

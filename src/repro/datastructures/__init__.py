@@ -13,11 +13,15 @@ tree (amortized O(1) recolorings + O(1) rotations per insert) sorts with
 writes per insert and a binary-heap heapsort pays ``Θ(n log n)`` writes.
 """
 
-from .avl import AVLTree
-from .heaps import InstrumentedBinaryHeap
-from .rb_tree import RedBlackTree
-from .treap import Treap
-from .write_efficient import WriteEfficientDict, WriteEfficientPQ
+from .. import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    ".avl": ("AVLTree",),
+    ".heaps": ("InstrumentedBinaryHeap",),
+    ".rb_tree": ("RedBlackTree",),
+    ".treap": ("Treap",),
+    ".write_efficient": ("WriteEfficientDict", "WriteEfficientPQ"),
+})
 
 __all__ = [
     "AVLTree",

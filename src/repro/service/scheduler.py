@@ -698,6 +698,10 @@ class SortService:
             fut = entry.future
             handle = self._handles[index]
             if handle is None:  # respawn was refused (interpreter shutdown)
+                # the popper counts a dispatched job's cancel, before the
+                # future resolves, as _finish counts a completion
+                with self._cond:
+                    self.cancelled += 1
                 fut.cancel()
                 continue
             proc, conn = handle

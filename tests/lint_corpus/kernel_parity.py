@@ -1,35 +1,37 @@
-# reprolint: path=src/repro/core/corpus_kernel_parity.py
+# reprolint: path=src/repro/analysis/corpus_kernel_parity.py
 """Planted violations: kernel-parity (4 findings).
 
-Every register call here also lacks a ``contract=`` label; that is the
-missing-cost-contract rule's territory (see ``missing_contract.py``), so
-it is suppressed per call to keep this file's findings parity-only.
+Each ``declare_contract`` below declares a kernel the way the contract
+table in ``repro/analysis/boundcheck.py`` does; the rule reads only the
+kernel name and its ``entry=``, so the bounds and runners are left out.
 """
 
-from repro.core.kernels import register_kernel_entry
+from repro.analysis.boundcheck import declare_contract
 
 _DYNAMIC = "repro.core.phantom:phantom_sort"
 
 # VIOLATION: `phantom_sort` has no pin in tests/test_kernel_parity.py
-register_kernel_entry(  # reprolint: disable=missing-cost-contract
+declare_contract(
     "phantom",
     entry="repro.core.phantom:phantom_sort",
+    theorem="Theorem 4.3",
 )
 
 # VIOLATION: no entry point declared
-register_kernel_entry(  # reprolint: disable=missing-cost-contract
-    "halfbaked")
+declare_contract(
+    "halfbaked", theorem="Theorem 4.3")
 
 # VIOLATION: not a string literal — statically uncheckable
-register_kernel_entry(  # reprolint: disable=missing-cost-contract
-    "shifty", entry=_DYNAMIC)
+declare_contract(
+    "shifty", entry=_DYNAMIC, theorem="Theorem 4.3")
 
 # VIOLATION: not of the form "module:symbol"
-register_kernel_entry(  # reprolint: disable=missing-cost-contract
-    "formless", entry="repro.core.aem_mergesort")
+declare_contract(
+    "formless", entry="repro.core.aem_mergesort", theorem="Theorem 4.3")
 
 # OK: pinned (aem_mergesort is imported by the parity test)
-register_kernel_entry(  # reprolint: disable=missing-cost-contract
+declare_contract(
     "wholesome",
     entry="repro.core.aem_mergesort:aem_mergesort",
+    theorem="Theorem 4.3",
 )

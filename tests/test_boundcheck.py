@@ -4,6 +4,7 @@ charge-site map, CERT/BENCH artifact schemas, and the schema validator."""
 
 from __future__ import annotations
 
+import dataclasses
 import glob
 import json
 import os
@@ -44,20 +45,12 @@ class TestContractRegistry:
     def test_registry_cross_check_is_clean(self):
         assert registry_errors() == []
 
-    def test_registry_labels_match_declared_theorems(self):
-        import repro.core  # noqa: F401 — registration side effects
-
-        from repro.core.kernels import KERNEL_CONTRACTS
-
-        assert set(KERNEL_CONTRACTS) == set(CONTRACTS)
-        for kernel, label in KERNEL_CONTRACTS.items():
-            assert label == CONTRACTS[kernel].theorem, kernel
-
     def test_duplicate_contract_rejected(self):
         c = CONTRACTS["mergesort"]
         with pytest.raises(ValueError, match="duplicate"):
             declare_contract(
                 "mergesort",
+                entry=c.entry,
                 theorem=c.theorem,
                 kind=c.kind,
                 reads_bound=c.reads_bound,
@@ -70,12 +63,46 @@ class TestContractRegistry:
         with pytest.raises(ValueError, match="kind"):
             declare_contract(
                 "toy-bad-kind",
+                entry=c.entry,
                 theorem="Theorem 0.0",
                 kind="vibes",
                 reads_bound=c.reads_bound,
                 writes_bound=c.writes_bound,
                 runner=c.runner,
             )
+
+    @pytest.mark.parametrize(
+        "entry", ["repro.core.aem_mergesort", ":aem_mergesort", "m:a:b", "m:"]
+    )
+    def test_malformed_entry_rejected(self, entry):
+        c = CONTRACTS["mergesort"]
+        with pytest.raises(ValueError, match="module:callable"):
+            declare_contract(
+                "toy-bad-entry",
+                entry=entry,
+                theorem="Theorem 0.0",
+                kind=c.kind,
+                reads_bound=c.reads_bound,
+                writes_bound=c.writes_bound,
+                runner=c.runner,
+            )
+        assert "toy-bad-entry" not in CONTRACTS
+
+    def test_unresolvable_entry_is_a_registry_error(self, monkeypatch):
+        c = CONTRACTS["mergesort"]
+        broken = (  # sorted by name, the order registry_errors() reports
+            ("toy-no-module", "repro.core.no_such_module:aem_mergesort"),
+            ("toy-no-symbol", "repro.core.aem_mergesort:no_such_sort"),
+            ("toy-not-callable", "repro.core.kernels:VECTORIZED"),
+        )
+        for name, entry in broken:
+            monkeypatch.setitem(
+                CONTRACTS, name, dataclasses.replace(c, kernel=name, entry=entry)
+            )
+        assert registry_errors() == [
+            f"cost contract {name!r}: entry {entry!r} does not resolve to a callable"
+            for name, entry in broken
+        ]
 
     def test_unknown_kernel_rejected_by_certify(self):
         with pytest.raises(KeyError, match="no-such-kernel"):
@@ -123,6 +150,7 @@ class TestEnvelopeFailures:
         base = CONTRACTS["mergesort"]
         fields = dict(
             kernel="toy",
+            entry=base.entry,
             theorem="Theorem 0.0",
             kind=EXACT,
             reads_bound=base.reads_bound,
@@ -203,12 +231,14 @@ class TestChargeSiteMap:
         return charge_site_map(REPO)
 
     def test_every_contracted_kernel_has_entries(self, cmap):
-        assert set(cmap.entries) == ALL_KERNELS
-        for kernel, seeds in cmap.entries.items():
-            assert seeds, kernel
+        # the seeds are read from the declare_contract calls themselves
+        assert cmap.entries == {
+            name: (contract.entry.rsplit(":", 1)[1],)
+            for name, contract in sorted(CONTRACTS.items())
+        }
 
     def test_every_kernel_reaches_block_charges(self, cmap):
-        for kernel in ALL_KERNELS:
+        for kernel in CONTRACTS:
             sites = cmap.sites_by_kernel[kernel]
             assert sites, f"{kernel} reaches no charge sites"
             assert any(

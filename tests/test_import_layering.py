@@ -1,10 +1,10 @@
 """What importing ``repro`` loads.
 
-``repro`` and its ``analysis``, ``models``, ``planner`` and ``service``
-packages export their names lazily (PEP 562), so a process imports, and
-with bytecode caching off compiles, only the layers it runs.  Each check
-runs in a fresh interpreter with ``PYTHONDONTWRITEBYTECODE=1``, because
-the test process itself has long since imported everything.
+``repro`` and its ``analysis``, ``datastructures``, ``models``, ``planner``
+and ``service`` packages export their names lazily (PEP 562), so a process
+imports, and with bytecode caching off compiles, only the layers it runs.
+Each check runs in a fresh interpreter with ``PYTHONDONTWRITEBYTECODE=1``,
+because the test process itself has long since imported everything.
 """
 
 from __future__ import annotations
@@ -20,7 +20,14 @@ import repro
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
-LAZY_PACKAGES = ("repro", "repro.analysis", "repro.models", "repro.planner", "repro.service")
+LAZY_PACKAGES = (
+    "repro",
+    "repro.analysis",
+    "repro.datastructures",
+    "repro.models",
+    "repro.planner",
+    "repro.service",
+)
 
 
 def run_fresh(code: str, **env: str):
@@ -51,6 +58,8 @@ def test_a_sort_loads_no_service_cluster_experiment_or_tooling_module():
     assert [m for m in loaded if ".".join(m.split(".")[:2]) in layers] == []
     tooling = ("boundcheck", "iosan", "schema", "recurrences", "tables")
     assert [m for m in loaded if m.removeprefix("repro.analysis.") in tooling] == []
+    # the lazy repro.datastructures loads only the trees the ram sorts use
+    assert "repro.datastructures.write_efficient" not in loaded
 
 
 def test_importing_a_lazy_package_loads_none_of_its_submodules():
@@ -61,23 +70,6 @@ def test_importing_a_lazy_package_loads_none_of_its_submodules():
         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('repro'))))"
     )
     assert loaded == sorted(LAZY_PACKAGES)
-
-
-def test_engine_import_registers_every_kernel():
-    """``repro.core`` stays eager: one kernel import registers them all."""
-    registry = (
-        "import json\n"
-        "from repro.core.kernels import KERNEL_ENTRIES\n"
-        "print(json.dumps(sorted(KERNEL_ENTRIES.items())))"
-    )
-    engine_only = run_fresh("import repro.engine\n" + registry)
-    everything = run_fresh(
-        "import pkgutil, importlib, repro.core\n"
-        "for info in pkgutil.iter_modules(repro.core.__path__, 'repro.core.'):\n"
-        "    importlib.import_module(info.name)\n" + registry
-    )
-    assert engine_only == everything
-    assert len(everything) == 8
 
 
 @pytest.mark.parametrize("package", LAZY_PACKAGES)

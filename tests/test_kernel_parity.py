@@ -17,17 +17,13 @@ import random
 import pytest
 
 from repro import MachineParams, AEMachine
+from repro.analysis.boundcheck import CONTRACTS
 from repro.core.aem_heapsort import aem_heapsort
 from repro.core.aem_mergesort import aem_mergesort
 from repro.core.aem_samplesort import aem_samplesort
 from repro.core.buffer_tree import BufferTree
 from repro.core.em_utils import em_two_way_mergesort
-from repro.core.kernels import (
-    KERNEL_ENTRIES,
-    SLOW_REFERENCE,
-    VECTORIZED,
-    resolve_kernel,
-)
+from repro.core.kernels import SLOW_REFERENCE, VECTORIZED, resolve_kernel
 from repro.core.parallel_samplesort import parallel_samplesort
 from repro.core.selection_sort import selection_sort
 
@@ -177,11 +173,11 @@ class TestKernelModeSwitch:
         with pytest.raises(ValueError, match="unknown kernel mode"):
             resolve_kernel("turbo")
 
-    @pytest.mark.parametrize("name", sorted(KERNEL_ENTRIES))
+    @pytest.mark.parametrize("name", sorted(CONTRACTS))
     def test_every_entry_rejects_unknown_mode(self, name):
-        """A typo such as ``kernel="slow"`` must fail at every registered
+        """A typo such as ``kernel="slow"`` must fail at every contracted
         entry point instead of silently running the vectorized path."""
-        module, symbol = KERNEL_ENTRIES[name].split(":")
+        module, symbol = CONTRACTS[name].entry.split(":")
         entry = getattr(importlib.import_module(module), symbol)
         machine = AEMachine(PARAMS)
         data = _data(100)

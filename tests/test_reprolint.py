@@ -13,6 +13,7 @@ import pytest
 from repro.__main__ import main as cli_main
 from repro.analysis import lint_rules  # noqa: F401 — populates RULES
 from repro.analysis import reprolint
+from repro.analysis.boundcheck import CONTRACTS
 from repro.analysis.reprolint import (
     RULES,
     Finding,
@@ -45,7 +46,6 @@ class TestFramework:
             "loop-charge",
             "lock-discipline",
             "kernel-parity",
-            "missing-cost-contract",
             "orphan-charge",
             "bench-emit",
             "flow-lockset",
@@ -95,6 +95,42 @@ class TestFramework:
         rc = main([str(tmp_path / "empty"), "--root", str(tmp_path)])
         assert rc == 0
         assert "0 findings" in capsys.readouterr().out
+
+    def test_two_files_claiming_one_virtual_path_is_a_usage_error(
+        self, tmp_path, capsys
+    ):
+        for name in ("a.py", "b.py"):
+            (tmp_path / name).write_text("# reprolint: path=src/repro/core/same.py\n")
+        assert main([str(tmp_path), "--root", str(tmp_path)]) == 2
+        assert (
+            "a.py and b.py both claim virtual path src/repro/core/same.py"
+            in capsys.readouterr().err
+        )
+
+    def test_corpus_lint_analyses_the_project_once(self, monkeypatch):
+        # every linted module is spliced into one project view, so all the
+        # corpus fixtures share one run of each whole-project analysis
+        from repro.analysis import boundcheck
+
+        calls = []
+
+        def count(module, name):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for name in ("build_project_index", "analyze_lockset", "analyze_charges"):
+            count(lint_rules, name)
+        count(boundcheck, "analyze_summaries")
+        assert len(lint_paths([CORPUS], root=REPO)) == 28
+        assert sorted(calls) == [
+            "analyze_charges", "analyze_lockset", "analyze_summaries",
+            "build_project_index",
+        ]
 
     def test_relint_sees_an_edited_callee(self, tmp_path, capsys):
         # the flow rules read the whole project, so an edit to a module
@@ -179,15 +215,19 @@ class TestCorpus:
         assert "string literal" in messages
         assert "module:symbol" in messages
 
-    def test_missing_cost_contract_fires(self):
-        findings = lint_corpus_file("missing_contract.py")
-        assert rules_of(findings) == ["missing-cost-contract"] * 4
-        messages = " | ".join(f.message for f in findings)
-        assert "contractless" in messages
-        assert "string literal" in messages
-        assert "phantomsort" in messages
-        # the mismatch finding names both the given and the declared label
-        assert "Theorem 4.5" in messages and "Theorem 4.3" in messages
+    def test_kernel_parity_checks_the_entry_form_declare_contract_checks(
+        self, tmp_path
+    ):
+        # the entries declare_contract rejects at import fail the lint too
+        path = tmp_path / "contracts.py"
+        path.write_text(
+            'declare_contract("a", entry="repro.core.aem_mergesort:")\n'
+            'declare_contract("b", entry=":aem_mergesort")\n'
+            'declare_contract("c", entry="repro.core.aem_mergesort:x:y")\n'
+        )
+        findings = lint_paths([str(path)], root=REPO, rules=["kernel-parity"])
+        assert [f.line for f in findings] == [1, 2, 3]
+        assert all("is not of the form" in f.message for f in findings)
 
     def test_orphan_charge_fires_and_exempts_element_charges(self):
         findings = lint_corpus_file("orphan_charge.py")
@@ -385,13 +425,13 @@ class TestCLI:
         rc = main([CORPUS, "--root", REPO])
         out = capsys.readouterr().out
         assert rc == 1
-        assert "reprolint: 32 findings" in out
+        assert "reprolint: 28 findings" in out
 
     def test_json_format(self, capsys):
         rc = main([CORPUS, "--root", REPO, "--format", "json"])
         assert rc == 1
         payload = json.loads(capsys.readouterr().out)
-        assert len(payload) == 32
+        assert len(payload) == 28
         assert {"rule", "path", "line", "col", "message"} <= set(payload[0])
 
     def test_single_rule_selection(self, capsys):
@@ -480,38 +520,26 @@ class TestCLI:
 
 class TestKernelRegistryCompleteness:
     def test_every_kernel_registered_once(self):
-        import repro.core  # noqa: F401 — registration side effects
-
-        from repro.core.kernels import KERNEL_ENTRIES
-
         expected = {
             "mergesort", "samplesort", "heapsort", "selection",
             "em2way", "buffer-tree", "parallel-samplesort", "shardmerge",
         }
-        assert set(KERNEL_ENTRIES) == expected
-        for name, spec in KERNEL_ENTRIES.items():
-            module, _, symbol = spec.partition(":")
-            assert module.startswith("repro.core.") and symbol, (name, spec)
+        assert set(CONTRACTS) == expected
+        for name, contract in CONTRACTS.items():
+            module, _, symbol = contract.entry.partition(":")
+            assert module.startswith("repro.core.") and symbol, name
 
     def test_registered_symbols_are_pinned_in_parity_tests(self):
-        import repro.core  # noqa: F401
-
-        from repro.core.kernels import KERNEL_ENTRIES
-
         parity = open(os.path.join(REPO, "tests", "test_kernel_parity.py"),
                       encoding="utf-8").read()
-        for name, spec in KERNEL_ENTRIES.items():
-            symbol = spec.rsplit(":", 1)[1]
+        for name, contract in CONTRACTS.items():
+            symbol = contract.entry.rsplit(":", 1)[1]
             assert symbol in parity, (name, symbol)
 
     def test_registered_entry_points_import(self):
         import importlib
 
-        import repro.core  # noqa: F401
-
-        from repro.core.kernels import KERNEL_ENTRIES
-
-        for spec in KERNEL_ENTRIES.values():
-            mod_name, symbol = spec.rsplit(":", 1)
+        for contract in CONTRACTS.values():
+            mod_name, symbol = contract.entry.rsplit(":", 1)
             mod = importlib.import_module(mod_name)
-            assert hasattr(mod, symbol), spec
+            assert callable(getattr(mod, symbol, None)), contract.entry

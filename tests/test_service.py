@@ -446,6 +446,33 @@ class TestPersistentProcessPool:
             assert after.result(timeout=60).is_sorted()
             assert svc.stats()["respawns"] == 1
 
+    def test_job_cancelled_on_a_parked_slot_is_counted(self, monkeypatch):
+        # at interpreter exit a dead worker is not respawned: its slot is
+        # parked and the next job it pops is cancelled, which must count
+        finished = threading.Thread(target=lambda: None)
+        finished.start()
+        finished.join()
+        with SortService(PARAMS, workers=1, executor="process") as svc:
+            monkeypatch.setattr(threading, "main_thread", lambda: finished)
+            before, poison, after = (
+                svc.submit(SortJob(data=data, params=PARAMS, algorithm="mergesort"))
+                for data in (random_permutation(60, seed=3),
+                             [_Exiter(v) for v in range(20)],
+                             random_permutation(80, seed=4))
+            )
+            assert before.result(timeout=60).is_sorted()
+            with pytest.raises(WorkerDiedError):
+                poison.result(timeout=60)
+            with pytest.raises(CancelledError):
+                after.result(timeout=60)
+            stats = svc.stats()
+        assert stats["respawns"] == 0
+        assert (stats["submitted"], stats["completed"], stats["cancelled"],
+                stats["queued"]) == (3, 2, 1, 0)
+        assert stats["submitted"] == (
+            stats["completed"] + stats["cancelled"] + stats["queued"]
+        )
+
     def test_worker_death_in_wide_pool_spares_other_workers(self):
         with SortService(PARAMS, workers=2, executor="process") as svc:
             goods = [
