@@ -24,13 +24,13 @@ What ``import repro`` loads
 This file only.  Each name in ``__all__`` is imported from its submodule the
 first time it is used (PEP 562, through :func:`_lazy_exports`), and so are
 the names of ``repro.analysis``, ``repro.datastructures``, ``repro.models``,
-``repro.planner`` and ``repro.service``.  A sort therefore loads the engine,
-the kernels, the models and the planner's cost model, and none of the
-service, the cluster, the experiments or the analysis tooling: with bytecode
-caching off, every module imported is compiled afresh in each new process.
-``repro.core`` stays eager: six of its kernels (such as ``aem_mergesort``
-and ``shard_merge``) share their submodule's name, and a PEP 562 lookup
-cannot tell the function from the submodule.
+``repro.planner`` and ``repro.service``; ``repro.core`` exports nothing, so
+each kernel loads only when its own submodule is imported.  A sort
+therefore loads the engine, the kernels it can run, the models and the
+planner's cost model, and none of the service, the cluster, the
+experiments, the analysis tooling or the cluster's kernels
+(``parallel_samplesort``, ``shard_merge``): with bytecode caching off,
+every module imported is compiled afresh in each new process.
 """
 
 
@@ -70,15 +70,12 @@ def _lazy_exports(package: str, table: dict[str, tuple[str, ...]]):
 __getattr__, __dir__ = _lazy_exports(__name__, {
     ".api": ("SortReport",),
     ".engine": ("EXTERNAL_SORTS", "SortEngine", "StreamSession", "sort_ram"),
-    ".core": (
-        "AEMPriorityQueue",
-        "BufferTree",
-        "aem_heapsort",
-        "aem_mergesort",
-        "aem_samplesort",
-        "bst_sort",
-        "selection_sort",
-    ),
+    ".core.aem_heapsort": ("AEMPriorityQueue", "aem_heapsort"),
+    ".core.aem_mergesort": ("aem_mergesort",),
+    ".core.aem_samplesort": ("aem_samplesort",),
+    ".core.buffer_tree": ("BufferTree",),
+    ".core.ram_sort": ("bst_sort",),
+    ".core.selection_sort": ("selection_sort",),
     ".models": (
         "AEMachine",
         "CacheSim",

@@ -14,8 +14,9 @@ mode), the paper statement it tracks (``theorem``), the closed-form
 reads/writes bounds from :mod:`repro.analysis.formulas`, and a runner that
 executes the kernel on a seeded permutation and returns the measured
 block-transfer tallies.  Kernel names and entries are *literals*, so the
-``kernel-parity`` lint rule and the charge-site map read this table
-without importing anything.
+charge-site map reads this table without importing anything (a contract
+whose entry is not a literal seeds no reachability, which
+``tests/test_boundcheck.py`` catches).
 
 Exact vs fitted: ``kind="exact"`` contracts (Theorem 4.3 mergesort,
 Lemma 4.2 selection, the §4.2 two-way EM mergesort) state non-asymptotic
@@ -157,8 +158,8 @@ def declare_contract(
     hi: float = 2.5,
 ) -> CostContract:
     """Declare one kernel: its entry point and its cost contract.  Write
-    ``kernel`` and ``entry`` as literals: the ``kernel-parity`` rule and
-    the charge-site map parse this file statically."""
+    ``kernel`` and ``entry`` as literals: the charge-site map parses this
+    file statically."""
     if kernel in CONTRACTS:
         raise ValueError(f"duplicate cost contract for kernel {kernel!r}")
     module, _, symbol = entry.partition(":")

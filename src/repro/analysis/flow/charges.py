@@ -1,15 +1,17 @@
 """Charge-placement analysis.
 
-Deepens the syntactic ``loop-charge`` rule into a real dominance check
-over the CFG, in two parts:
+A dominance check over the CFG of every kernel function, in two parts:
 
-**C2 — per-record helpers called from loops** (interprocedural).  A
-function whose straight-line body issues a bare aggregate charge
-(``charge_read()`` with no argument charges *one* record) is a
-"per-record" helper: calling it once is fine, calling it from a loop
-charges one record per iteration while the loop may touch ``B`` records
-per block.  The old rule only saw bare charges literally inside a loop;
-this one follows call edges, closing the helper-indirection gap.
+**C2 — per-record charges inside loops** (interprocedural).  A single
+charge (``charge_read`` / ``charge_write`` / ``charge_block_read`` /
+``charge_block_write``, with or without a count) called at loop depth
+>= 1 charges once per iteration, where the vectorized-kernel contract
+wants one batched ``charge_reads(n)`` / ``charge_writes(n)``.  The same
+holds one call away: a function whose straight-line body issues a bare
+single charge (no argument: *one* record) is a "per-record" helper, and
+calling it from a loop multiplies the charge while the loop may touch
+``B`` records per block.  Summaries follow call edges, so the helper
+indirection is seen too.
 
 **C3 — manual block loops must be dominated by an aggregate charge.**
 ``for bi in range(run.num_blocks):`` iterates physical blocks.  If the
@@ -22,8 +24,9 @@ precedence) is the point: a charge inside one branch of an ``if`` does
 not cover a loop that runs on both branches.
 
 Both checks honor the ``slow_reference`` exemption the way the paper's
-cost model does — the slow path is the *oracle*, deliberately uncharged.
-A statement is slow-exempt when it sits in a ``SLOW_REFERENCE`` branch
+cost model does — the slow path is the *oracle*, charged record at a
+time by contract.  A statement is slow-exempt when its function is named
+for the slow kernel, when it sits in a ``SLOW_REFERENCE`` branch
 syntactically, or when its CFG node is dominated by the head of such a
 branch (so refactored layouts where the slow region falls through the
 bottom of a guard still count).
@@ -34,12 +37,13 @@ from __future__ import annotations
 import ast
 import dataclasses
 
+from ..reprolint import waived
 from .callgraph import ProjectIndex
-from .cfg import FOR, FunctionCFG, build_cfg
+from .cfg import FOR, TEST, CFGNode, FunctionCFG, build_cfg
 from .lockset import _executed_subtrees, walk_executed
 from .solver import interprocedural_fixpoint
 
-#: bare forms that charge exactly one record (mirrors lint_rules)
+#: the single charges: one record (bare) or one count per call
 SINGLE_CHARGES = frozenset(
     {"charge_read", "charge_write", "charge_block_read", "charge_block_write"}
 )
@@ -55,7 +59,6 @@ CHARGED_PRIMITIVES = frozenset(
         "scan_blocks",
         "append",
         "extend",
-        "extend_blocks",
         "close",
     }
 )
@@ -181,18 +184,6 @@ def _slow_function(fn_node: ast.AST) -> bool:
     return "slow" in name or "reference" in name
 
 
-def _region_ids(regions: list[list[ast.stmt]]) -> set[int]:
-    return {id(sub) for region in regions for stmt in region for sub in ast.walk(stmt)}
-
-
-def slow_exempt(fn_node: ast.AST, node: ast.AST) -> bool:
-    """The slow-reference exemption without the dominance step: ``node``
-    (inside ``fn_node``) is exempt when the function is named for the slow
-    kernel or ``node`` lies in one of its :func:`_slow_regions`.  The
-    ``loop-charge`` lint rule's exemption."""
-    return _slow_function(fn_node) or id(node) in _region_ids(_slow_regions(fn_node))
-
-
 class _FnFacts:
     """Everything the two checks need about one function, computed once."""
 
@@ -202,7 +193,9 @@ class _FnFacts:
         self.fn_is_slow = _slow_function(info.node)
 
         regions = _slow_regions(info.node)
-        self.slow_ids = _region_ids(regions)
+        self.slow_ids = {
+            id(sub) for region in regions for stmt in region for sub in ast.walk(stmt)
+        }
         slow_head_stmts = {id(region[0]) for region in regions}
         self.slow_heads: list[int] = []
         for node in cfg.nodes:
@@ -217,20 +210,17 @@ class _FnFacts:
         return any(self.cfg.dominates(h, node_idx) for h in self.slow_heads)
 
 
+def _loop_depth(node: CFGNode) -> int:
+    """The loop-nest depth at which ``node``'s code runs: a ``while`` test
+    runs once per iteration, like the loop's body."""
+    return node.depth + (node.kind == TEST and isinstance(node.stmt, ast.While))
+
+
 def _fn_facts(index: ProjectIndex) -> dict[str, _FnFacts]:
     return {
         qual: _FnFacts(info, build_cfg(info.node))
         for qual, info in index.functions.items()
     }
-
-
-def _suppressed(suppressions: dict[int, set[str]] | None, line: int) -> bool:
-    if not suppressions:
-        return False
-    rules = suppressions.get(line)
-    return rules is not None and (
-        "*" in rules or "flow-charge" in rules or "loop-charge" in rules
-    )
 
 
 # --------------------------------------------------------------------------- #
@@ -256,7 +246,7 @@ def compute_per_record(
             calls0[qual] = []
             continue
         for node in f.cfg.nodes:
-            if node.depth != 0:
+            if _loop_depth(node) != 0:
                 continue
             for fragment in _executed_subtrees(node):
                 for sub in walk_executed(fragment):
@@ -338,10 +328,8 @@ def _charge_nodes(f: _FnFacts) -> list[tuple[int, int]]:
 def analyze_charges(
     index: ProjectIndex,
     suppressions: dict[str, dict[int, set[str]]] | None = None,
-    paths: set[str] | None = None,
 ) -> list[ChargeFinding]:
-    """Both checks over the project; findings restricted to core/ (and to
-    ``paths`` when given)."""
+    """Both checks over the project; findings restricted to core/."""
     suppressions = suppressions or {}
     facts = _fn_facts(index)
     per_record = compute_per_record(index, facts)
@@ -352,38 +340,48 @@ def analyze_charges(
         info = f.info
         if not info.path.startswith(SCOPE_PREFIXES):
             continue
-        if paths is not None and info.path not in paths:
-            continue
         table = suppressions.get(info.path)
 
         for node in f.cfg.nodes:
-            # C2: per-record helper invoked from inside a loop
-            if node.depth >= 1:
+            # C2: a single charge inside a loop, made directly or through
+            # a per-record helper
+            depth = _loop_depth(node)
+            if depth >= 1:
                 for fragment in _executed_subtrees(node):
                     for sub in walk_executed(fragment):
                         if not isinstance(sub, ast.Call):
                             continue
-                        target = index.resolve_call(info, sub)
-                        if (
-                            target is not None
-                            and per_record.get(target, False)
-                            and not f.exempt(node.idx, sub)
-                            and not _suppressed(table, sub.lineno)
-                        ):
-                            findings.append(
-                                ChargeFinding(
-                                    info.path,
-                                    sub.lineno,
-                                    sub.col_offset,
-                                    f"call to `{target}` at loop depth "
-                                    f"{node.depth} reaches a bare "
-                                    "`charge_*()` — the helper charges one "
-                                    "record per invocation, so the loop "
-                                    "multiplies the charge; hoist an "
-                                    "aggregate `charge_*(n)` and strip the "
-                                    "bare charge from the helper",
-                                )
+                        name = _call_name(sub)
+                        if name in SINGLE_CHARGES:
+                            message = (
+                                f"per-record `{name}` at loop depth "
+                                f"{depth} — hoist to one batched "
+                                "charge_reads/charge_writes call "
+                                "(vectorized-kernel contract), or move the "
+                                "loop under a SLOW_REFERENCE branch"
                             )
+                        else:
+                            target = index.resolve_call(info, sub)
+                            if target is None or not per_record.get(target, False):
+                                continue
+                            message = (
+                                f"call to `{target}` at loop depth "
+                                f"{depth} reaches a bare "
+                                "`charge_*()` — the helper charges one "
+                                "record per invocation, so the loop "
+                                "multiplies the charge; hoist an "
+                                "aggregate `charge_*(n)` and strip the "
+                                "bare charge from the helper"
+                            )
+                        if f.exempt(node.idx, sub) or waived(
+                            table, "flow-charge", sub.lineno
+                        ):
+                            continue
+                        findings.append(
+                            ChargeFinding(
+                                info.path, sub.lineno, sub.col_offset, message
+                            )
+                        )
             # C3: manual block loop without a dominating aggregate charge
             if node.kind != FOR or not isinstance(
                 node.stmt, (ast.For, ast.AsyncFor)
@@ -394,7 +392,7 @@ def analyze_charges(
                 continue
             if f.exempt(node.idx, node.stmt):
                 continue
-            if _suppressed(table, node.line):
+            if waived(table, "flow-charge", node.line):
                 continue
             charges = _charge_nodes(f)
             if any(

@@ -30,6 +30,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 
+from ..reprolint import waived
 from .callgraph import FunctionInfo, ProjectIndex
 from .cfg import FOR, STMT, TEST, WITH_ENTER, WITH_EXIT, CFGNode, build_cfg
 from .solver import interprocedural_fixpoint, solve_forward
@@ -245,18 +246,6 @@ class FnSummary:
     blocking: frozenset[str] = frozenset()
 
 
-def _suppressed(suppressions: dict[int, set[str]] | None, line: int) -> bool:
-    """Is a blocking call waived at its own line?  Both the new rule name
-    and the subsumed ``lock-discipline`` name count — existing suppressions
-    keep working when the flow rule takes over."""
-    if not suppressions:
-        return False
-    rules = suppressions.get(line)
-    return rules is not None and (
-        "*" in rules or "flow-lockset" in rules or "lock-discipline" in rules
-    )
-
-
 def compute_summaries(
     index: ProjectIndex,
     model: LockModel,
@@ -277,7 +266,7 @@ def compute_summaries(
         blocking = {
             name
             for call, name in _blocking_calls_in(info.node, info, model)
-            if not _suppressed(table, call.lineno)
+            if not waived(table, "flow-lockset", call.lineno)
         }
         own[qual] = FnSummary(frozenset(acquires), frozenset(blocking))
 
@@ -305,14 +294,11 @@ def compute_summaries(
 def analyze_lockset(
     index: ProjectIndex,
     suppressions: dict[str, dict[int, set[str]]] | None = None,
-    paths: set[str] | None = None,
 ) -> LocksetResult:
     """Run the lockset analysis over the whole project.
 
     ``suppressions`` maps path → per-line suppression table (so deliberate,
     commented blocking sites drop out of both findings and summaries).
-    ``paths`` restricts *findings* to the given virtual paths; the order
-    graph is always project-wide.
     """
     suppressions = suppressions or {}
     model = build_lock_model(index)
@@ -323,7 +309,6 @@ def analyze_lockset(
 
     for qual in sorted(index.functions):
         info = index.functions[qual]
-        report_here = paths is None or info.path in paths
         cfg = build_cfg(info.node)
 
         def transfer(node, state, _info=info):
@@ -361,7 +346,7 @@ def analyze_lockset(
             for fragment in _executed_subtrees(node):
                 # direct blocking calls under a lock
                 for call, name in _blocking_calls_in(fragment, info, model):
-                    if report_here and not _suppressed(table, call.lineno):
+                    if not waived(table, "flow-lockset", call.lineno):
                         findings.append(
                             LockFinding(
                                 info.path,
@@ -388,8 +373,8 @@ def analyze_lockset(
                                 order_edges.setdefault(
                                     (h, a), f"{info.path}:{sub.lineno}"
                                 )
-                    if summary.blocking and report_here and not _suppressed(
-                        table, sub.lineno
+                    if summary.blocking and not waived(
+                        table, "flow-lockset", sub.lineno
                     ):
                         names = "/".join(sorted(summary.blocking))
                         findings.append(
@@ -409,17 +394,16 @@ def analyze_lockset(
         witness = order_edges.get((cycle[0], cycle[1 % len(cycle)]), "")
         site_path = witness.rsplit(":", 1)[0] if witness else ""
         line = int(witness.rsplit(":", 1)[1]) if witness else 0
-        if paths is None or site_path in paths:
-            findings.append(
-                LockFinding(
-                    site_path,
-                    line,
-                    0,
-                    "statically inferred lock-order cycle: "
-                    + " -> ".join((*cycle, cycle[0]))
-                    + " — some interleaving of these acquisitions deadlocks",
-                )
+        findings.append(
+            LockFinding(
+                site_path,
+                line,
+                0,
+                "statically inferred lock-order cycle: "
+                + " -> ".join((*cycle, cycle[0]))
+                + " — some interleaving of these acquisitions deadlocks",
             )
+        )
 
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.message))
     return LocksetResult(findings, order_edges, cycles)

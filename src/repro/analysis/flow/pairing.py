@@ -392,23 +392,17 @@ def _check_sealed_escape(
 # --------------------------------------------------------------------------- #
 def analyze_pairing(
     tree: ast.Module,
-    check_guards: bool = True,
-    check_writers: bool = True,
     check_tickets: bool = True,
     check_sealed: bool = True,
 ) -> list[tuple[str, PairFinding]]:
     """All pairing findings for one module: ``(check, finding)`` pairs,
-    deterministic order."""
+    deterministic order.  Guards and writers are always checked."""
     findings: list[tuple[str, PairFinding]] = []
     for fn in _all_functions(tree):
-        if check_guards or check_writers:
-            cfg = build_cfg(fn)
-            for f in _check_open_resources(fn, cfg):
-                kind = "guard" if "acquire" in f.message else "writer"
-                if (kind == "guard" and check_guards) or (
-                    kind == "writer" and check_writers
-                ):
-                    findings.append((kind, f))
+        findings.extend(
+            ("guard" if "acquire" in f.message else "writer", f)
+            for f in _check_open_resources(fn, build_cfg(fn))
+        )
         if check_tickets:
             findings.extend(("ticket", f) for f in _check_ticket_discard(fn))
         if check_sealed:

@@ -26,6 +26,9 @@ from collections.abc import Callable
 
 from .cfg import FunctionCFG
 
+#: safety bound on :func:`interprocedural_fixpoint`'s rounds
+MAX_ROUNDS = 50
+
 
 def solve_forward(
     cfg: FunctionCFG,
@@ -132,17 +135,16 @@ def interprocedural_fixpoint(
     qualnames,
     summarize: Callable,
     initial: Callable,
-    max_rounds: int = 50,
 ) -> dict:
     """Compute per-function summaries to a fixpoint.
 
     ``summarize(qualname, summaries) -> summary`` recomputes one function
     from the current summary map; ``initial(qualname)`` seeds it.  Rounds
-    are bounded as a safety net — the analyses' lattices are finite so the
-    bound never binds in practice.
+    are bounded (:data:`MAX_ROUNDS`) as a safety net — the analyses'
+    lattices are finite so the bound never binds in practice.
     """
     summaries = {q: initial(q) for q in qualnames}
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         changed = False
         for q in summaries:
             new = summarize(q, summaries)

@@ -19,8 +19,8 @@ Checks installed by :func:`enable`
 * ``scan`` / ``scan_blocks`` must charge exactly one read per non-empty
   physical block (verified at the batch-charge point and at exhaustion;
   an early-abandoned scan legitimately charges less and is not checked).
-* ``BlockWriter.append`` / ``extend`` / ``extend_blocks`` / ``close`` must
-  charge exactly one write per block landed in the output array.
+* ``BlockWriter.append`` / ``extend`` / ``close`` must charge exactly one
+  write per block landed in the output array.
 * ``from_list(charge=True)`` must charge one write per block materialised;
   ``charge=False`` (the free-input convention) must charge nothing.
 * Every wrapped operation first audits the array it touches:
@@ -98,7 +98,6 @@ _PATCH_TARGETS = (
     (AEMachine, "from_list"),
     (BlockWriter, "append"),
     (BlockWriter, "extend"),
-    (BlockWriter, "extend_blocks"),
     (BlockWriter, "close"),
     (CostCounter, "charge_block_read"),
     (CostCounter, "charge_block_write"),
@@ -273,7 +272,7 @@ def enable() -> None:
     AEMachine.scan = scan
     AEMachine.scan_blocks = scan_blocks
     AEMachine.from_list = from_list
-    for name in ("append", "extend", "extend_blocks", "close"):
+    for name in ("append", "extend", "close"):
         setattr(BlockWriter, name, _checked_writer_op(name))
     CostCounter.charge_block_read = charge_block_read
     CostCounter.charge_block_write = charge_block_write

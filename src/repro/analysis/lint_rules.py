@@ -4,8 +4,8 @@ Each rule enforces one invariant the cost model or the service layer
 depends on; see the rule docstrings (surfaced by ``RULES``) for what and
 why.  Rules receive a parsed :class:`~repro.analysis.reprolint.ModuleSource`
 and the run's :class:`~repro.analysis.reprolint.LintContext` and yield
-:class:`~repro.analysis.reprolint.Finding`\\ s; suppression and baseline
-filtering happen in the framework.
+:class:`~repro.analysis.reprolint.Finding`\\ s; suppression happens in
+the framework.
 
 Scoping: every rule keys off the module's *virtual path* (repo-relative,
 overridable with the ``# reprolint: path=...`` pragma — which is how the
@@ -23,7 +23,6 @@ from .flow import (
     analyze_pairing,
     build_project_index,
 )
-from .flow.charges import slow_exempt
 from .flow.lockset import LOCK_CTORS
 from .reprolint import Finding, LintContext, ModuleSource, rule
 
@@ -34,16 +33,11 @@ _UNCHARGED_IO_WHITELIST = ("src/repro/models/", "src/repro/analysis/")
 #: attributes that ARE the physical storage of the AEM simulation
 _PHYSICAL_ATTRS = ("_blocks", "_memory")
 
-#: modules whose loops are kernel paths (the PR-5 vectorization boundary)
-_LOOP_CHARGE_SCOPE = ("src/repro/core/",)
-
-#: single-record charge methods that must not appear in kernel-path loops
-_SINGLE_CHARGES = (
-    "charge_read",
-    "charge_write",
-    "charge_block_read",
-    "charge_block_write",
-)
+#: the kernel modules: their charge placement is law (flow-charge), each
+#: of their block-granularity charges must be reachable from a contracted
+#: kernel entry point (orphan-charge), and no sealed block may escape in
+#: them (flow-resource)
+_KERNEL_SCOPE = ("src/repro/core/",)
 
 #: the lock-owning layers
 _LOCK_SCOPE_PREFIXES = (
@@ -53,14 +47,7 @@ _LOCK_SCOPE_PREFIXES = (
 )
 _LOCK_SCOPE_FILES = ("src/repro/planner/plan_cache.py",)
 
-#: where the vectorized/slow-reference pins live
-_PARITY_TEST_FILE = "tests/test_kernel_parity.py"
-
-#: modules whose block-granularity charges must be reachable from a
-#: contracted kernel entry point
-_ORPHAN_CHARGE_SCOPE = ("src/repro/core/",)
-
-#: the project the whole-project analyses index
+#: the project the whole-project analyses index, and flow-resource's scope
 _PROJECT_SCOPE = ("src/repro/",)
 
 
@@ -94,58 +81,6 @@ def check_uncharged_io(module: ModuleSource, ctx: LintContext):
                     "machine.block_len(bi) for free length metadata)"
                 ),
             )
-
-
-# --------------------------------------------------------------------------- #
-# loop-charge
-# --------------------------------------------------------------------------- #
-def _reference_exempt(module: ModuleSource, node: ast.AST) -> bool:
-    """True when the call sits in a deliberate record-at-a-time path, as
-    the ``flow-charge`` analysis defines one (minus its dominance step):
-    the outermost enclosing function is named for the slow kernel, or the
-    call lies in one of its ``SLOW_REFERENCE`` regions.  Those paths charge
-    per record *by contract* (they must be I/O-identical to the historical
-    implementation)."""
-    fns = [
-        anc for anc in module.ancestors(node)
-        if isinstance(anc, (ast.FunctionDef, ast.AsyncFunctionDef))
-    ]
-    return bool(fns) and slow_exempt(fns[-1], node)
-
-
-@rule(
-    "loop-charge",
-    "per-record charge calls inside kernel-path loops — use the batch "
-    "charge_reads/charge_writes API (PR-5 contract) unless the loop is a "
-    "slow_reference path",
-)
-def check_loop_charge(module: ModuleSource, ctx: LintContext):
-    if not _in_scope(module, prefixes=_LOOP_CHARGE_SCOPE):
-        return
-    for node in ast.walk(module.tree):
-        if not (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _SINGLE_CHARGES
-        ):
-            continue
-        in_loop = any(
-            isinstance(anc, (ast.For, ast.While)) for anc in module.ancestors(node)
-        )
-        if not in_loop or _reference_exempt(module, node):
-            continue
-        yield Finding(
-            rule="loop-charge",
-            path=module.virtual_path,
-            line=node.lineno,
-            col=node.col_offset,
-            message=(
-                f"per-record `{node.func.attr}` inside a kernel-path loop — "
-                "hoist to one batched charge_reads/charge_writes call "
-                "(vectorized-kernel contract), or move the loop under a "
-                "SLOW_REFERENCE branch"
-            ),
-        )
 
 
 # --------------------------------------------------------------------------- #
@@ -276,62 +211,6 @@ def check_lock_discipline(module: ModuleSource, ctx: LintContext):
 
 
 # --------------------------------------------------------------------------- #
-# kernel-parity
-# --------------------------------------------------------------------------- #
-def _entry_symbol(spec: str) -> str | None:
-    """``"repro.core.aem_heapsort:aem_heapsort"`` -> ``"aem_heapsort"``;
-    None unless ``spec`` has the form ``declare_contract`` accepts."""
-    module, _, symbol = spec.partition(":")
-    return symbol if module and symbol.isidentifier() else None
-
-
-@rule(
-    "kernel-parity",
-    "every declare_contract call must name its kernel's entry point as an "
-    'entry="module:symbol" literal pinned in tests/test_kernel_parity.py',
-)
-def check_kernel_parity(module: ModuleSource, ctx: LintContext):
-    parity_text = ctx.read_file(_PARITY_TEST_FILE)
-    for node in ast.walk(module.tree):
-        if not (isinstance(node, ast.Call) and _call_name(node) == "declare_contract"):
-            continue
-        value = next((kw.value for kw in node.keywords if kw.arg == "entry"), None)
-        literal = isinstance(value, ast.Constant) and isinstance(value.value, str)
-        symbol = _entry_symbol(value.value) if literal else None
-        if value is None:
-            where, message = node, (
-                "declare_contract without an `entry=` entry point — "
-                "every kernel names the callable that serves both modes"
-            )
-        elif not literal:
-            where, message = value, (
-                '`entry=` must be a string literal ("module:symbol") so the '
-                "parity pin is statically checkable"
-            )
-        elif symbol is None:
-            where, message = value, (
-                f'`entry={value.value!r}` is not of the form "module:symbol"'
-            )
-        elif parity_text is None:
-            where, message = node, f"parity test file {_PARITY_TEST_FILE} not found"
-        elif symbol not in parity_text:
-            where, message = value, (
-                f"kernel entry point `{symbol}` has no pin in "
-                f"{_PARITY_TEST_FILE} — add a byte-identical "
-                "vectorized/slow_reference parity test"
-            )
-        else:
-            continue
-        yield Finding(
-            rule="kernel-parity",
-            path=module.virtual_path,
-            line=where.lineno,
-            col=where.col_offset,
-            message=message,
-        )
-
-
-# --------------------------------------------------------------------------- #
 # orphan-charge
 # --------------------------------------------------------------------------- #
 def _charge_map(ctx: LintContext):
@@ -345,7 +224,7 @@ def _charge_map(ctx: LintContext):
         cached = ctx._charge_map_cache = analyze_summaries([
             summarize_source(path, tree)
             for path, tree in sorted(_project_view(ctx).items())
-            if path in scope or path.startswith(_ORPHAN_CHARGE_SCOPE)
+            if path in scope or path.startswith(_KERNEL_SCOPE)
         ])
     return cached
 
@@ -357,7 +236,7 @@ def _charge_map(ctx: LintContext):
     "cost accounting no certificate ever exercises",
 )
 def check_orphan_charge(module: ModuleSource, ctx: LintContext):
-    if not _in_scope(module, prefixes=_ORPHAN_CHARGE_SCOPE):
+    if not _in_scope(module, prefixes=_KERNEL_SCOPE):
         return
     for site in _charge_map(ctx).orphans:
         if site.path != module.virtual_path:
@@ -424,11 +303,8 @@ def check_bench_emit(module: ModuleSource, ctx: LintContext):
 # --------------------------------------------------------------------------- #
 # CFG-backed flow rules (interprocedural engine in repro.analysis.flow)
 # --------------------------------------------------------------------------- #
-#: all pairing checks apply inside the package; tickets only matter in the
-#: service layer, sealed blocks only in core
-_RESOURCE_SCOPE = ("src/repro/",)
+#: result tickets only matter in the service layer
 _TICKET_SCOPE = ("src/repro/service/",)
-_SEALED_SCOPE = ("src/repro/core/",)
 
 
 def _flow_sources(ctx: LintContext) -> dict[str, str]:
@@ -552,12 +428,12 @@ def check_flow_resource(module: ModuleSource, ctx: LintContext):
     acquiring node, kill at release/escape, leak = open resource reaching
     an exit the discipline covers."""
     vp = module.virtual_path
-    if not vp.startswith(_RESOURCE_SCOPE):
+    if not vp.startswith(_PROJECT_SCOPE):
         return
-    for kind, f in analyze_pairing(
+    for _kind, f in analyze_pairing(
         module.tree,
         check_tickets=vp.startswith(_TICKET_SCOPE),
-        check_sealed=vp.startswith(_SEALED_SCOPE),
+        check_sealed=vp.startswith(_KERNEL_SCOPE),
     ):
         yield Finding(
             rule="flow-resource",
@@ -570,16 +446,16 @@ def check_flow_resource(module: ModuleSource, ctx: LintContext):
 
 @rule(
     "flow-charge",
-    "charge placement by dominance: manual block loops in core must be "
-    "dominated by an aggregate charge_*(n) at the same loop-nest depth, "
-    "and no call chain may reach a bare per-record charge_*() from inside "
-    "a loop (the helper-indirection gap of loop-charge)",
+    "charge placement by dominance: kernel-path loops in core use the "
+    "batched charge_reads/charge_writes API, not a per-record single "
+    "charge (directly or through a helper), and manual block loops must "
+    "be dominated by an aggregate charge_*(n) at the same loop-nest depth",
 )
 def check_flow_charge(module: ModuleSource, ctx: LintContext):
-    """Dominator-based deepening of loop-charge, interprocedural via
-    per-record summaries over the call graph; SLOW_REFERENCE regions are
-    exempt by dominance, not just syntactic containment."""
-    if not _in_scope(module, prefixes=_LOOP_CHARGE_SCOPE):
+    """Dominance check over the CFG, interprocedural via per-record
+    summaries over the call graph; SLOW_REFERENCE regions are exempt by
+    dominance, not just syntactic containment."""
+    if not _in_scope(module, prefixes=_KERNEL_SCOPE):
         return
     for f in _flow_result(ctx, analyze_charges):
         if f.path != module.virtual_path:

@@ -4,29 +4,28 @@ Generic linters keep the Python honest; nothing keeps the *cost model*
 honest.  The invariants this repo lives by — every physical block touch
 goes through a charged :class:`~repro.models.external_memory.AEMachine`
 primitive, kernel-path loops use the batch charge API, service-layer state
-is written under its lock, every vectorized kernel has a pinned
-slow-reference twin — are all statically checkable, so this module checks
-them.  It is a small AST lint framework (rule registry, per-line
-suppression, text/JSON reporters, a committed-baseline filter for CI) plus
-the repo's rules, which live in :mod:`~repro.analysis.lint_rules`.
+is written under its lock — are all statically checkable, so this module
+checks them.  It is a small AST lint framework (rule registry, per-line
+suppression, text/JSON reporters) plus the repo's rules, which live in
+:mod:`~repro.analysis.lint_rules`.
 
 Usage::
 
     PYTHONPATH=src python -m repro lint src benchmarks
     PYTHONPATH=src python -m repro lint --format json src
-    PYTHONPATH=src python -m repro lint --baseline tests/lint_baseline.json src
 
 Suppression
 -----------
 Append ``# reprolint: disable=<rule>[,<rule>...]`` to a line to waive named
 rules on that line, or ``# reprolint: disable`` to waive all of them.  A
 suppression comment is a claim that the flagged code is *deliberate* —
-pair it with a prose comment saying why.
+pair it with a prose comment saying why.  It is the only way to waive a
+finding, and it names the rule that reports the finding.
 
 Virtual paths
 -------------
 Most rules are scoped to parts of the tree (the lock rules to the service
-layer, the loop rule to the kernel paths).  Scoping keys off the file's
+layer, the charge rules to the kernel paths).  Scoping keys off the file's
 repo-relative path; a file may override it with a first-lines pragma::
 
     # reprolint: path=src/repro/service/example.py
@@ -34,8 +33,7 @@ repo-relative path; a file may override it with a first-lines pragma::
 which exists so the planted-violation corpus under ``tests/lint_corpus/``
 can opt into any rule's scope while living outside it.
 
-Exit codes: 0 — clean (after baseline filtering), 1 — findings, 2 — usage
-or parse error.
+Exit codes: 0 — clean, 1 — findings, 2 — usage or parse error.
 """
 
 from __future__ import annotations
@@ -64,12 +62,6 @@ class Finding:
     line: int
     col: int
     message: str
-
-    @property
-    def fingerprint(self) -> tuple[str, str, str]:
-        """Baseline identity: line numbers drift under unrelated edits, so
-        the committed baseline matches on (rule, path, message) only."""
-        return (self.rule, self.path, self.message)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -100,13 +92,8 @@ class ModuleSource:
             node = self.parents[node]
             yield node
 
-    def segment(self, node: ast.AST) -> str:
-        """Source text of ``node`` (empty string if unavailable)."""
-        return ast.get_source_segment(self.text, node) or ""
-
     def suppressed(self, rule: str, line: int) -> bool:
-        rules = self.suppressions.get(line)
-        return rules is not None and ("*" in rules or rule in rules)
+        return waived(self.suppressions, rule, line)
 
 
 def _find_path_pragma(lines: list[str]) -> str | None:
@@ -115,6 +102,12 @@ def _find_path_pragma(lines: list[str]) -> str | None:
         if m:
             return m.group(1)
     return None
+
+
+def waived(table: dict[int, set[str]] | None, rule: str, line: int) -> bool:
+    """Does the per-line suppression ``table`` waive ``rule`` at ``line``?"""
+    rules = table.get(line) if table else None
+    return rules is not None and ("*" in rules or rule in rules)
 
 
 def _collect_suppressions(lines: list[str]) -> dict[int, set[str]]:
@@ -245,34 +238,6 @@ def lint_paths(
 
 
 # --------------------------------------------------------------------------- #
-# baseline
-# --------------------------------------------------------------------------- #
-def load_baseline(path: str) -> list[dict]:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, list):
-        raise ValueError(f"baseline {path} must be a JSON list of findings")
-    return data
-
-
-def save_baseline(path: str, findings: Iterable[Finding]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump([f.to_dict() for f in findings], fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def filter_baseline(
-    findings: Iterable[Finding], baseline: Iterable[dict]
-) -> list[Finding]:
-    """Drop findings whose fingerprint is grandfathered by the baseline."""
-    known = {
-        (e.get("rule", ""), e.get("path", ""), e.get("message", ""))
-        for e in baseline
-    }
-    return [f for f in findings if f.fingerprint not in known]
-
-
-# --------------------------------------------------------------------------- #
 # reporting / CLI
 # --------------------------------------------------------------------------- #
 def render_text(findings: list[Finding], out) -> None:
@@ -351,10 +316,6 @@ def main(argv: list[str] | None = None, out=None) -> int:
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--rule", action="append", dest="rules", metavar="NAME",
                         help="run only the named rule (repeatable)")
-    parser.add_argument("--baseline", metavar="FILE",
-                        help="JSON baseline of grandfathered findings to ignore")
-    parser.add_argument("--write-baseline", metavar="FILE",
-                        help="write current findings to FILE and exit 0")
     parser.add_argument("--root", default=".",
                         help="repo root that scoped rule paths are relative to")
     parser.add_argument("--explain", metavar="RULE",
@@ -370,29 +331,11 @@ def main(argv: list[str] | None = None, out=None) -> int:
     if args.dump_graphs:
         return _dump_graphs(args.root, args.dump_graphs, out)
 
-    # a bad baseline is a usage error: report it before the (slow) lint
-    baseline = None
-    if args.baseline:
-        try:
-            baseline = load_baseline(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"reprolint: error: {exc}", file=sys.stderr)
-            return 2
-
     try:
         findings = lint_paths(args.paths, root=args.root, rules=args.rules)
     except (OSError, SyntaxError, KeyError, ValueError) as exc:
         print(f"reprolint: error: {exc}", file=sys.stderr)
         return 2
-
-    if args.write_baseline:
-        save_baseline(args.write_baseline, findings)
-        print(f"reprolint: wrote {len(findings)} finding(s) to "
-              f"{args.write_baseline}", file=out)
-        return 0
-
-    if baseline is not None:
-        findings = filter_baseline(findings, baseline)
 
     if args.format == "json":
         render_json(findings, out)

@@ -50,6 +50,9 @@ from ..service.server import ServiceClient, ServiceError
 #: wire-level failures that mean "this host is gone" (vs a job-level error)
 _HOST_DOWN = (ConnectionError, OSError)
 
+#: seconds a polled per-host stats() load stays fresh for routing
+_STATS_TTL = 0.25
+
 
 @dataclass(frozen=True)
 class ClusterSpec:
@@ -61,16 +64,10 @@ class ClusterSpec:
     retries: int = 2
     #: connect polls per host at coordinator construction
     connect_retries: int = 25
-    connect_delay: float = 0.1
     #: socket timeout for every wire call (None = block)
     timeout: float | None = None
     #: splitter sample records per host (scatter planning)
     oversample: int = 32
-    #: seconds a polled per-host stats() load stays fresh for routing
-    stats_ttl: float = 0.25
-    #: retry backoff: first delay and cap for the capped-exponential curve
-    backoff_base: float = 0.05
-    backoff_cap: float = 2.0
     #: per-request socket deadline for routed wire calls (None = block)
     request_timeout: float | None = None
     #: dead hosts re-enter service automatically when a probation-interval
@@ -83,11 +80,6 @@ class ClusterSpec:
             raise ValueError("ClusterSpec needs at least one host")
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
-        if self.backoff_base <= 0 or self.backoff_cap < self.backoff_base:
-            raise ValueError(
-                "need 0 < backoff_base <= backoff_cap, got "
-                f"{self.backoff_base}/{self.backoff_cap}"
-            )
         if self.rejoin_interval <= 0:
             raise ValueError(
                 f"rejoin_interval must be > 0, got {self.rejoin_interval}"
@@ -153,7 +145,6 @@ class ClusterCoordinator:
                 host,
                 port,
                 retries=spec.connect_retries,
-                retry_delay=spec.connect_delay,
                 timeout=spec.timeout,
                 request_timeout=spec.request_timeout,
             )
@@ -264,7 +255,7 @@ class ClusterCoordinator:
         now = time.monotonic()
         with self._lock:
             cached = self._stats_cache.get(index)
-        if cached is not None and now - cached[0] < self.spec.stats_ttl:
+        if cached is not None and now - cached[0] < _STATS_TTL:
             return cached[1]
         try:
             stats = self._clients[index].stats()
@@ -386,13 +377,7 @@ class ClusterCoordinator:
         # capped exponential backoff with jitter before the resubmit: a
         # fleet-wide hiccup must not turn every coordinator into a
         # synchronized retry stampede (sleep taken outside the lock)
-        time.sleep(
-            backoff_delay(
-                handle.attempts,
-                base=self.spec.backoff_base,
-                cap=self.spec.backoff_cap,
-            )
-        )
+        time.sleep(backoff_delay(handle.attempts))
         replacement = self._submit_once(
             handle.data, handle.priority, handle.kwargs, exclude=exclude
         )

@@ -70,18 +70,15 @@ class LocalCluster:
         workers: int | None = None,
         executor: str = "thread",
         params: MachineParams | None = None,
-        python: str | None = None,
         max_queue: int | None = None,
         admission: str = "reject",
         max_client_tickets: int | None = None,
-        banner_timeout: float = BANNER_TIMEOUT,
     ):
         if servers < 1:
             raise ValueError(f"servers must be >= 1, got {servers}")
         self.params = params if params is not None else MachineParams(M=64, B=8, omega=8)
         self.procs: list[subprocess.Popen] = []
         self.addresses: list[tuple[str, int]] = []
-        self._banner_timeout = banner_timeout
         self._env = dict(os.environ)
         src = _src_pythonpath()
         self._env["PYTHONPATH"] = (
@@ -90,7 +87,7 @@ class LocalCluster:
             else src
         )
         cmd = [
-            python or sys.executable,
+            sys.executable,
             "-m",
             "repro",
             "serve",
@@ -135,7 +132,7 @@ class LocalCluster:
             text=True,
             env=self._env,
         )
-        banner = _read_banner(proc, self._banner_timeout)
+        banner = _read_banner(proc, BANNER_TIMEOUT)
         match = _BANNER.search(banner) if banner is not None else None
         if match is None:
             proc.kill()
@@ -145,7 +142,7 @@ class LocalCluster:
                 stderr = ""
             detail = (stderr or "").strip()
             why = (
-                f"no banner within {self._banner_timeout}s"
+                f"no banner within {BANNER_TIMEOUT}s"
                 if banner is None
                 else f"bad banner {banner.strip()!r}"
             )

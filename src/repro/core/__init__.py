@@ -13,34 +13,9 @@ AEM (§4):
 
 Cache-oblivious (§5.1):
     :func:`~repro.core.co_sort.co_sort` (Figure 1).
+
+The package exports nothing: import each kernel from its submodule
+(``from repro.core.aem_mergesort import aem_mergesort``), or through the
+lazy ``repro`` namespace.  Six kernels share their submodule's name, so
+a package-level name would shadow the submodule it comes from.
 """
-
-from .aem_heapsort import AEMPriorityQueue, aem_heapsort
-from .aem_mergesort import aem_mergesort
-from .aem_samplesort import aem_samplesort
-from .buffer_tree import BufferTree
-from .em_utils import em_two_way_mergesort
-from .kernels import SLOW_REFERENCE, VECTORIZED
-from .parallel_samplesort import parallel_samplesort
-from .ram_sort import RAM_SORTS, bst_sort, heapsort, mergesort, quicksort
-from .selection_sort import selection_sort
-from .shard_merge import shard_merge
-
-__all__ = [
-    "AEMPriorityQueue",
-    "BufferTree",
-    "RAM_SORTS",
-    "SLOW_REFERENCE",
-    "VECTORIZED",
-    "aem_heapsort",
-    "aem_mergesort",
-    "aem_samplesort",
-    "bst_sort",
-    "em_two_way_mergesort",
-    "heapsort",
-    "mergesort",
-    "parallel_samplesort",
-    "quicksort",
-    "selection_sort",
-    "shard_merge",
-]

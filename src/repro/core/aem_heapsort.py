@@ -344,10 +344,12 @@ class AEMPriorityQueue:
                 count += 1
                 new_max = rec
         else:
-            blocks = list(self.machine.scan_blocks(leaf))
-            writer.extend_blocks(blocks)
-            count = len(leaf)
-            new_max = blocks[-1][-1]
+            records: list = []
+            for block in self.machine.scan_blocks(leaf):
+                records += block
+            writer.extend(records)
+            count = len(records)
+            new_max = records[-1]
         self._beta = writer.close()
         self._beta_len = count
         self._beta_valid = count

@@ -88,9 +88,8 @@ def _merge_two(machine: AEMachine, a: ExtArray, b: ExtArray) -> ExtArray:
 def _merge_two_slow(machine: AEMachine, a: ExtArray, b: ExtArray) -> ExtArray:
     """Record-at-a-time reference merge (parity baseline)."""
     out = machine.writer(name="merge2-out")
-    ra, rb = machine.reader(a), machine.reader(b)
-    ita = ra.records()
-    itb = rb.records()
+    ita = machine.scan(a)
+    itb = machine.scan(b)
     va = next(ita, _DONE)
     vb = next(itb, _DONE)
     while va is not _DONE and vb is not _DONE:

@@ -7,8 +7,8 @@ record per iteration, ``BlockWriter.append`` is called once per record, and
 the cost counter is touched on every block event.  On a real interpreter that
 makes simulated wall-clock a function of Python dispatch overhead, not of the
 algorithms.  The *vectorized* kernels move whole blocks — ``scan_blocks`` /
-``BlockWriter.extend`` / ``extend_blocks`` — partition and merge with
-``bisect`` over sorted blocks, and charge the counter in batches
+``BlockWriter.extend`` — partition and merge with ``bisect`` over sorted
+blocks, and charge the counter in batches
 (:meth:`repro.models.counters.CostCounter.charge_reads` /
 :meth:`~repro.models.counters.CostCounter.charge_writes`).
 

@@ -82,9 +82,9 @@ def _shard_merge_slow(
 ) -> None:
     """Record-at-a-time reference merge (parity baseline) of the non-empty
     shards ``live`` into ``out``."""
-    records = [machine.reader(s).records() for s in live]
+    streams = [machine.scan(s) for s in live]
     heap = []
-    for idx, it in enumerate(records):
+    for idx, it in enumerate(streams):
         v = next(it, _DONE)
         if v is not _DONE:
             heap.append((v, idx))
@@ -92,7 +92,7 @@ def _shard_merge_slow(
     while heap:
         v, idx = heapq.heappop(heap)
         out.append(v)
-        nxt = next(records[idx], _DONE)
+        nxt = next(streams[idx], _DONE)
         if nxt is not _DONE:
             heapq.heappush(heap, (nxt, idx))
 

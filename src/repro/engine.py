@@ -574,9 +574,17 @@ class StreamSession:
         self.pushed += 1
 
     def push_many(self, records: Iterable) -> None:
-        """Ingest records in bulk (one amortized insert each)."""
-        for rec in records:
-            self.push(rec)
+        """Ingest records in bulk: one :meth:`BufferTree.insert_many` call,
+        which cascades at exactly the record a :meth:`push` loop would, so
+        the blocks and charges are a push loop's."""
+        self._require_open()
+        live = self._live
+        pairs = []
+        for uid, record in enumerate(records, start=self.pushed):
+            live.setdefault(record, []).append(uid)
+            pairs.append((record, uid))
+        self.tree.insert_many(pairs)
+        self.pushed += len(pairs)
 
     def delete(self, key) -> None:
         """Remove the most recently pushed live instance of ``key``.

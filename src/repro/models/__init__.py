@@ -18,7 +18,6 @@ __getattr__, __dir__ = _lazy_exports(__name__, {
     ".counters": ("CostCounter", "PhaseRecorder"),
     ".external_memory": (
         "AEMachine",
-        "BlockReader",
         "BlockWriter",
         "ExtArray",
         "MemoryBudgetExceeded",
@@ -31,7 +30,6 @@ __getattr__, __dir__ = _lazy_exports(__name__, {
 
 __all__ = [
     "AEMachine",
-    "BlockReader",
     "BlockWriter",
     "CacheSim",
     "CostCounter",

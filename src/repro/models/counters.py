@@ -85,7 +85,7 @@ class CostCounter:
         — same totals, same granularity (block), same ``block_cost`` — but a
         k-block scan costs one Python-level update instead of k.  The
         vectorized kernels (``AEMachine.scan_blocks``,
-        ``BlockWriter.extend_blocks``) charge through this API.
+        ``BlockWriter.extend``) charge through this API.
         """
         if n < 0:
             raise ValueError(f"cannot charge {n} block reads")

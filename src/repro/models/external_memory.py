@@ -11,9 +11,11 @@ This module provides the executable machine the §4 algorithms run against:
 * :class:`AEMachine` — owns the cost counter and the transfer instructions
   ``read_block`` / ``write_block`` (plus ``read_blocks``, a batch of reads
   under one charge).
-* :class:`BlockReader` / :class:`BlockWriter` — the streaming access patterns
-  every algorithm in the paper uses: sequential scans charging one read per
-  block, and buffered appends charging one write per flushed block.
+* One read path and one write path, the streaming access patterns every
+  algorithm in the paper uses: :meth:`AEMachine.scan` /
+  :meth:`AEMachine.scan_blocks`, sequential scans charging one read per
+  block, and :class:`BlockWriter`, buffered appends charging one write per
+  flushed block.
 * :class:`MemoryGuard` — tracks the number of records an algorithm holds in
   primary memory, with a high-water mark; in strict mode it raises when the
   declared capacity is exceeded.  Tests use it to check the "primary memory
@@ -195,9 +197,9 @@ class ExtArray:
         Equals ``ceil(length / B)`` for a freshly written array, but may
         exceed it after zero-I/O structural operations: ``concat`` keeps each
         input's partial final block as a partial block *inside* the result,
-        and ``_ensure_block`` may add empty placeholder blocks.  Scans and
-        readers iterate physical blocks, so charged costs honestly reflect
-        that fragmentation.  For the defragmented count use
+        and ``_ensure_block`` may add empty placeholder blocks.  Scans
+        iterate physical blocks, so charged costs honestly reflect that
+        fragmentation.  For the defragmented count use
         :attr:`logical_blocks`.
         """
         return len(self._blocks)
@@ -220,20 +222,6 @@ class ExtArray:
         outside the model is flagged by the ``uncharged-io`` lint rule.
         """
         return len(self._blocks[bi])
-
-    def compact(self) -> int:
-        """Drop empty placeholder blocks; return how many were removed.
-
-        Empty physical blocks (left by out-of-order ``_ensure_block`` calls
-        or by concatenating empty regions) hold no records, so removing them
-        is pure metadata bookkeeping — free, like ``split_blocks``/``concat``.
-        Partial blocks are *not* repacked: moving records would be real block
-        I/O and must go through a charged rewrite.
-        """
-        before = len(self._blocks)
-        if any(not blk for blk in self._blocks):
-            self._blocks = [blk for blk in self._blocks if blk]
-        return before - len(self._blocks)
 
     def peek_list(self) -> list:
         """Uncharged flat copy — verification only (never inside algorithms)."""
@@ -400,8 +388,9 @@ class AEMachine:
         Read-only: blocks are streamed without the defensive copy of
         :meth:`read_block`, since only individual records are exposed.
 
-        Physically *empty* placeholder blocks (see :meth:`ExtArray.compact`)
-        hold no records and are skipped without charge — a transfer that
+        Physically *empty* placeholder blocks (left by ``_ensure_block`` or
+        by concatenating empty regions) hold no records and are skipped
+        without charge — a transfer that
         moves nothing is not a transfer.  ``scan_blocks`` applies the same
         rule, so the two access paths stay cost-identical.
         """
@@ -425,60 +414,15 @@ class AEMachine:
 
         The reads are charged up front (on first iteration): a scan is an
         all-or-nothing transfer plan.  Callers that may stop early should
-        use :meth:`reader` / :meth:`read_block`, which charge per block.
+        use :meth:`scan` or :meth:`read_block`, which charge per block.
         """
         blocks = [blk for blk in arr._blocks if blk]
         if blocks:
             self.counter.charge_reads(len(blocks))
         yield from blocks
 
-    def blocks_of(self, n: int) -> int:
-        """``ceil(n / B)`` — the number of blocks ``n`` records occupy."""
-        return math.ceil(n / self.params.B)
-
-    def reader(self, arr: ExtArray, start_block: int = 0) -> "BlockReader":
-        return BlockReader(self, arr, start_block)
-
     def writer(self, arr: ExtArray | None = None, name: str = "") -> "BlockWriter":
         return BlockWriter(self, arr if arr is not None else self.allocate(name))
-
-
-class BlockReader:
-    """Sequential block-at-a-time reader with an explicit pointer.
-
-    Mirrors the pointers ``I_1..I_l`` of Algorithm 2: ``load_next`` transfers
-    the next block (cost 1) and exposes it; ``exhausted`` reports whether the
-    pointer has passed the final block.
-    """
-
-    def __init__(self, machine: AEMachine, arr: ExtArray, start_block: int = 0):
-        self.machine = machine
-        self.arr = arr
-        self.next_block = start_block
-        self.current: list | None = None
-
-    @property
-    def exhausted(self) -> bool:
-        return self.next_block >= self.arr.num_blocks
-
-    def load_next(self) -> list:
-        """Read the next block, advance the pointer, return the block."""
-        if self.exhausted:
-            raise IndexError("BlockReader exhausted")
-        self.current = self.machine.read_block(self.arr, self.next_block)
-        self.next_block += 1
-        return self.current
-
-    def records(self) -> Iterator:
-        """Stream all remaining records, charging one read per block.
-
-        Read-only fast path: unlike :meth:`load_next`, the transferred block
-        is not copied (only records are yielded, never the block itself).
-        """
-        while not self.exhausted:
-            self.current = self.machine.read_block(self.arr, self.next_block, copy=False)
-            self.next_block += 1
-            yield from self.current
 
 
 class BlockWriter:
@@ -540,36 +484,6 @@ class BlockWriter:
         if pos < total:
             self._buf.extend(recs[pos:])
             self.written += total - pos
-
-    def extend_blocks(self, blocks: Iterable[list]) -> None:
-        """Append whole blocks, batching the block-write accounting.
-
-        Cost-equivalent to ``extend`` over the chained records (identical
-        write count and block contents), but when the writer holds no
-        partial buffer and an incoming block is exactly ``B`` records it is
-        appended as-is, and one ``charge_writes(k)`` covers each run of
-        ``k`` such full blocks instead of ``k`` separate counter updates.
-        Blocks that are partial (or that land on a partial buffer) fall back
-        to :meth:`extend`, which re-blocks them.
-        """
-        if self.closed:
-            raise RuntimeError("BlockWriter already closed")
-        B = self.machine.params.B
-        arr = self.arr
-        pending_full = 0
-        for blk in blocks:
-            if not self._buf and len(blk) == B:
-                arr._blocks.append(list(blk))
-                arr.length += B
-                self.written += B
-                pending_full += 1
-            else:
-                if pending_full:
-                    self.machine.counter.charge_writes(pending_full)
-                    pending_full = 0
-                self.extend(blk)
-        if pending_full:
-            self.machine.counter.charge_writes(pending_full)
 
     def _flush(self) -> None:
         if self._buf:

@@ -613,8 +613,9 @@ class ServiceClient:
     One TCP connection, blocking request/response.  ``retries`` polls the
     connect until the server is listening (handy right after launching
     ``python -m repro serve`` in the background); connect attempts back off
-    exponentially from ``retry_delay`` with jitter (capped at
-    ``retry_cap``) instead of hammering a booting server at a fixed rate.
+    exponentially from ``retry_delay`` with jitter (capped at 2 s, as
+    :func:`~repro.service.backoff.backoff_delay` caps by default) instead
+    of hammering a booting server at a fixed rate.
     ``request_timeout`` is a per-request deadline on the socket — a stalled
     server surfaces as :class:`TimeoutError` instead of a silent hang.
 
@@ -630,10 +631,13 @@ class ServiceClient:
         *,
         retries: int = 0,
         retry_delay: float = 0.1,
-        retry_cap: float = 2.0,
         timeout: float | None = None,
         request_timeout: float | None = None,
     ):
+        if not 0 < retry_delay <= 2.0:
+            raise ValueError(
+                f"retry_delay must be in (0, 2] s, the backoff's cap; got {retry_delay}"
+            )
         last_error: Exception | None = None
         attempts = max(1, retries + 1)
         for attempt in range(attempts):
@@ -643,7 +647,7 @@ class ServiceClient:
             except OSError as exc:
                 last_error = exc
                 if attempt + 1 < attempts:  # no sleep after the final failure
-                    time.sleep(backoff_delay(attempt, base=retry_delay, cap=retry_cap))
+                    time.sleep(backoff_delay(attempt, base=retry_delay))
         else:
             raise ConnectionError(
                 f"cannot reach sort server at {host}:{port}: {last_error}"
@@ -702,15 +706,15 @@ class ServiceClient:
                 self._sock.settimeout(deadline)
             try:
                 # one send per message, frames included (module docstring)
-                self._sock.sendall(message)  # reprolint: disable=lock-discipline
-                line = self._rfile.readline()  # reprolint: disable=lock-discipline
+                self._sock.sendall(message)  # reprolint: disable=flow-lockset
+                line = self._rfile.readline()  # reprolint: disable=flow-lockset
                 if not line:
                     raise ConnectionError("server closed the connection")
                 reply = json.loads(line)
                 count = reply.get("output_i64")
                 if count is not None:
                     size = count * _I64
-                    frame = self._rfile.read(size)  # reprolint: disable=lock-discipline
+                    frame = self._rfile.read(size)  # reprolint: disable=flow-lockset
                     if len(frame) < size:
                         raise ConnectionError("server closed the connection mid-frame")
             except socket.timeout as exc:

@@ -1,13 +1,13 @@
 # reprolint: path=src/repro/core/corpus_flow_charge.py
 """Planted violations: flow-charge (3 findings).
 
-One per capability the CFG-backed rule adds over syntactic loop-charge:
-an uncharged manual block loop (C3), a charge that textually precedes
-the loop but does not *dominate* it (C3, the branch case), and a
-per-record helper reached through a call edge (C2 — the helper
-indirection the old rule cannot see).  ``aem_mergesort`` shares its name
-with a contracted entry symbol so every helper is charge-map-reachable
-and orphan-charge stays silent here.
+One per check beyond a direct per-record charge in a loop (that case is
+``flow_charge_direct.py``'s): an uncharged manual block loop (C3), a
+charge that textually precedes the loop but does not *dominate* it (C3,
+the branch case), and a per-record helper reached through a call edge
+(C2 — the helper indirection no syntactic check can see).
+``aem_mergesort`` shares its name with a contracted entry symbol so every
+helper is charge-map-reachable and orphan-charge stays silent here.
 """
 
 SLOW_REFERENCE = "slow_reference"
@@ -69,7 +69,7 @@ def drives_helper(machine, arr):
     machine.counter.charge_reads(arr.num_blocks)
     for bi in range(arr.num_blocks):
         # VIOLATION (flow-charge C2): reaches a bare charge through the
-        # helper — invisible to the syntactic rule
+        # helper — invisible to a syntactic check
         _bump(machine)
 
 

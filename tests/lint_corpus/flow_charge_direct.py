@@ -1,9 +1,9 @@
-# reprolint: path=src/repro/core/corpus_loop_charge.py
-"""Planted violations: loop-charge (4 findings).
-
-``aem_mergesort`` below shares its name with a contracted entry symbol so
-every helper here is charge-map-reachable — orphan-charge (exercised by
-``orphan_charge.py``) must stay silent on this file's planted loops.
+# reprolint: path=src/repro/core/corpus_flow_charge_direct.py
+"""Planted violations: flow-charge's direct case (4 findings), a single
+charge made inside a kernel-path loop.  ``aem_mergesort`` below shares
+its name with a contracted entry symbol so every helper here is
+charge-map-reachable — orphan-charge (exercised by ``orphan_charge.py``)
+must stay silent on this file's planted loops.
 """
 
 SLOW_REFERENCE = "slow_reference"
@@ -84,4 +84,4 @@ def _merge_slow_reference(machine, arr):
 
 def waived(machine, arr):
     for bi in range(arr.num_blocks):
-        machine.counter.charge_block_read()  # reprolint: disable=loop-charge
+        machine.counter.charge_block_read()  # reprolint: disable=flow-charge

@@ -55,8 +55,8 @@ class HelperBlocker:
 
     def deliberate_wait(self):
         with self._cond:
-            # OK: suppressed in both modes — handshake sleeps while held
-            time.sleep(0.001)  # reprolint: disable=flow-lockset,lock-discipline
+            # OK: suppressed — the handshake sleeps while held
+            time.sleep(0.001)  # reprolint: disable=flow-lockset
 
     def register_and_forget(self, fut):
         # VIOLATION (flow-resource): the ticket _register returns is the

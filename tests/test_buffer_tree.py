@@ -1,14 +1,19 @@
 """Tests for the §4.3 buffer tree (structure, emptying, splits, leaf pops)."""
 
+import functools
 import random
 import sys
 from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.engine as engine_module
 from repro.core.buffer_tree import BufferTree, _even_split, _merge_streams
+from repro.core.kernels import SLOW_REFERENCE, VECTORIZED
+from repro.engine import SortEngine
 from repro.models import AEMachine, MachineParams
 from repro.workloads import random_permutation
 
@@ -305,3 +310,51 @@ class TestWriteEfficiency:
         writes_per_op = machine.counter.block_writes / n
         # bound with generous constant: (1/B)(1 + log_16(8000)) * 8 ~ 4.2/8
         assert writes_per_op < 8 * (1 / 8) * (1 + 3.3)
+
+
+class TestStreamPushMany:
+    """``StreamSession.push_many`` hands its whole batch to one
+    ``insert_many``; it must leave exactly what a ``push`` loop leaves."""
+
+    @staticmethod
+    def session_run(kernel: str, k: int, batched: bool) -> list:
+        rng = random.Random(5)
+        keys = [rng.randrange(300) for _ in range(2000)]  # duplicate keys
+        tree_in_mode = functools.partial(BufferTree, kernel=kernel)
+        with mock.patch.object(engine_module, "BufferTree", tree_in_mode):
+            session = SortEngine(MachineParams(M=64, B=8, omega=4)).stream(k=k)
+        assert session.tree.kernel == kernel
+
+        def ingest(records):
+            if batched:
+                session.push_many(records)
+            else:
+                for rec in records:
+                    session.push(rec)
+
+        ingest(keys[:1100])
+        ingest(iter(keys[1100:1103]))  # any iterable, landing mid-buffer
+        ingest([])
+        for key in keys[:40:3]:
+            session.delete(key)
+        session.pop_min(37)
+        ingest(keys[1103:])
+        session.delete(keys[-1])
+        session.pop_min(5)
+        session.close()
+        return [
+            (report.output, report.counter.block_reads,
+             report.counter.block_writes, report.extras)
+            for report in session.reports
+        ]
+
+    @pytest.mark.parametrize("kernel", [VECTORIZED, SLOW_REFERENCE])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_push_many_matches_a_push_loop(self, kernel, k):
+        batched = self.session_run(kernel, k, batched=True)
+        assert batched == self.session_run(kernel, k, batched=False)
+        assert len(batched) == 3
+        # the reports carry real drains and real I/O
+        assert all(reads and writes for _, reads, writes, _ in batched)
+        assert [len(out) for out, *_ in batched[:2]] == [37, 5]
+

@@ -78,31 +78,8 @@ class TestTransfers:
         assert list(machine.scan(arr)) == list(range(20))
         assert machine.counter.block_reads == 3
 
-    def test_blocks_of(self, machine):
-        assert machine.blocks_of(0) == 0
-        assert machine.blocks_of(1) == 1
-        assert machine.blocks_of(8) == 1
-        assert machine.blocks_of(9) == 2
-
 
 class TestReaderWriter:
-    def test_block_reader_streams(self, machine):
-        arr = machine.from_list(range(20))
-        reader = machine.reader(arr)
-        assert list(reader.records()) == list(range(20))
-        assert reader.exhausted
-
-    def test_block_reader_pointer_semantics(self, machine):
-        arr = machine.from_list(range(16))
-        reader = machine.reader(arr)
-        assert reader.load_next() == list(range(8))
-        assert reader.next_block == 1
-        assert not reader.exhausted
-        reader.load_next()
-        assert reader.exhausted
-        with pytest.raises(IndexError):
-            reader.load_next()
-
     def test_block_writer_flushes_full_blocks(self, machine):
         writer = machine.writer()
         for i in range(8):
@@ -314,36 +291,6 @@ class TestBlockGranularPrimitives:
         list(fresh.scan_blocks(arr))
         assert fresh.counter.block_reads == scan_reads
 
-    def test_extend_blocks_cost_equivalent_to_extend(self, machine):
-        src = machine.from_list(range(45))
-        w1 = machine.writer()
-        w1.extend_blocks(machine.scan_blocks(src))
-        a1 = w1.close()
-        fresh = AEMachine(machine.params)
-        w2 = fresh.writer()
-        for rec in range(45):
-            w2.append(rec)
-        a2 = w2.close()
-        assert a1._blocks == a2._blocks
-        # same writes; scan_blocks charged 6 reads on `machine` only
-        assert machine.counter.block_writes == fresh.counter.block_writes
-
-    def test_extend_blocks_partial_blocks_reblocked(self, machine):
-        w = machine.writer()
-        w.extend_blocks([[1, 2, 3], [4, 5], [6, 7, 8, 9, 10, 11]])
-        arr = w.close()
-        assert arr.peek_list() == list(range(1, 12))
-        # 11 records -> ceil(11/8) = 2 block writes, like any append path
-        assert machine.counter.block_writes == 2
-
-    def test_extend_blocks_after_close_rejected(self, machine):
-        w = machine.writer()
-        w.close()
-        import pytest
-
-        with pytest.raises(RuntimeError):
-            w.extend_blocks([[1]])
-
 
 class TestFragmentation:
     """Empty placeholder blocks (out-of-order ``_ensure_block``) must not be
@@ -366,20 +313,3 @@ class TestFragmentation:
         blocks = list(machine.scan_blocks(arr))
         assert [len(b) for b in blocks] == [8, 8, 2]
         assert machine.counter.block_reads == 3
-
-    def test_compact_drops_only_empty_blocks(self, machine):
-        arr = self._fragmented(machine)
-        removed = arr.compact()
-        assert removed == 2
-        assert arr.num_blocks == 3
-        assert arr.length == 18
-        assert arr.peek_list() == list(range(18))
-        assert machine.counter.total_io() == 0  # compaction is metadata-only
-        assert arr.compact() == 0  # idempotent
-
-    def test_compact_keeps_partial_blocks(self, machine):
-        a = machine.from_list(range(5))
-        b = machine.from_list(range(5, 10))
-        out = machine.concat([a, b])
-        assert out.compact() == 0  # partial (non-empty) blocks stay put
-        assert out.num_blocks == 2

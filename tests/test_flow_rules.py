@@ -150,7 +150,7 @@ class TestLockset:
         assert len(result.findings) == 1
         assert result.findings[0].line == 8
         assert "blocking call `read(...)`" in result.findings[0].message
-        waived = {"src/repro/service/client.py": {8: {"lock-discipline"}}}
+        waived = {"src/repro/service/client.py": {8: {"flow-lockset"}}}
         assert analyze_lockset(project(client_py=src), waived).findings == []
 
 
@@ -254,6 +254,32 @@ class TestCharges:
         )
         findings = analyze_charges(index)
         assert [f.line for f in findings] == [4]
+
+    def test_direct_single_charge_in_loop(self):
+        # with or without a count, in a for body, a while body or a while
+        # test (run once per iteration); the same call outside the loop, in
+        # a for header (run once) or in the SLOW_REFERENCE branch stays silent
+        index = self.make_index(
+            "def f(machine, xs, mode):\n"
+            "    machine.counter.charge_read()\n"
+            "    for x in xs:\n"
+            "        machine.counter.charge_block_write(2)\n"
+            "    while xs:\n"
+            "        xs.pop()\n"
+            "        machine.counter.charge_read()\n"
+            "    while machine.counter.charge_read() and xs:\n"
+            "        xs.pop()\n"
+            "    for x in [machine.counter.charge_read()]:\n"
+            "        pass\n"
+            "    if mode == SLOW_REFERENCE:\n"
+            "        for x in xs:\n"
+            "            machine.counter.charge_write()\n"
+        )
+        findings = analyze_charges(index)
+        assert [(f.line, f.col) for f in findings] == [(4, 8), (7, 8), (8, 10)]
+        assert "per-record `charge_block_write` at loop depth 1" in findings[0].message
+        waived = {"src/repro/core/mod.py": {4: {"flow-charge"}, 7: {"*"}, 8: {"*"}}}
+        assert analyze_charges(index, waived) == []
 
     def test_per_record_summary_not_seeded_outside_core(self):
         # bare charges in the instrumented model layer ARE the cost model;

@@ -1,8 +1,9 @@
 """What importing ``repro`` loads.
 
 ``repro`` and its ``analysis``, ``datastructures``, ``models``, ``planner``
-and ``service`` packages export their names lazily (PEP 562), so a process
-imports, and with bytecode caching off compiles, only the layers it runs.
+and ``service`` packages export their names lazily (PEP 562), and
+``repro.core`` exports none, so a process imports, and with bytecode
+caching off compiles, only the layers it runs.
 Each check runs in a fresh interpreter with ``PYTHONDONTWRITEBYTECODE=1``,
 because the test process itself has long since imported everything.
 """
@@ -60,16 +61,20 @@ def test_a_sort_loads_no_service_cluster_experiment_or_tooling_module():
     assert [m for m in loaded if m.removeprefix("repro.analysis.") in tooling] == []
     # the lazy repro.datastructures loads only the trees the ram sorts use
     assert "repro.datastructures.write_efficient" not in loaded
+    # repro.core exports nothing, so the cluster's kernels stay unloaded
+    assert "repro.core.parallel_samplesort" not in loaded
+    assert "repro.core.shard_merge" not in loaded
 
 
 def test_importing_a_lazy_package_loads_none_of_its_submodules():
+    packages = (*LAZY_PACKAGES, "repro.core")
     loaded = run_fresh(
         "import json, sys\n"
-        f"for name in {LAZY_PACKAGES!r}:\n"
+        f"for name in {packages!r}:\n"
         "    __import__(name)\n"
         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('repro'))))"
     )
-    assert loaded == sorted(LAZY_PACKAGES)
+    assert loaded == sorted(packages)
 
 
 @pytest.mark.parametrize("package", LAZY_PACKAGES)

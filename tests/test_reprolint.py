@@ -19,12 +19,9 @@ from repro.analysis.reprolint import (
     Finding,
     LintContext,
     ModuleSource,
-    filter_baseline,
     iter_python_files,
     lint_paths,
-    load_baseline,
     main,
-    save_baseline,
 )
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -43,9 +40,7 @@ class TestFramework:
     def test_all_rules_registered(self):
         assert set(RULES) == {
             "uncharged-io",
-            "loop-charge",
             "lock-discipline",
-            "kernel-parity",
             "orphan-charge",
             "bench-emit",
             "flow-lockset",
@@ -72,7 +67,7 @@ class TestFramework:
             "c = 3\n",
         )
         assert m.suppressed("uncharged-io", 1)
-        assert not m.suppressed("loop-charge", 1)
+        assert not m.suppressed("flow-charge", 1)
         assert m.suppressed("anything", 2)
         assert not m.suppressed("uncharged-io", 3)
 
@@ -126,7 +121,7 @@ class TestFramework:
         for name in ("build_project_index", "analyze_lockset", "analyze_charges"):
             count(lint_rules, name)
         count(boundcheck, "analyze_summaries")
-        assert len(lint_paths([CORPUS], root=REPO)) == 28
+        assert len(lint_paths([CORPUS], root=REPO)) == 24
         assert sorted(calls) == [
             "analyze_charges", "analyze_lockset", "analyze_summaries",
             "build_project_index",
@@ -182,14 +177,16 @@ class TestCorpus:
         }
 
     def test_loop_charge_fires_and_exempts_slow_paths(self):
-        findings = lint_corpus_file("loop_charge.py")
-        assert rules_of(findings) == ["loop-charge"] * 4
+        # flow-charge's direct case: a single charge inside a loop
+        findings = lint_corpus_file("flow_charge_direct.py")
+        assert rules_of(findings) == ["flow-charge"] * 4
         # the SLOW_REFERENCE branch, the loop after a fast path's `return`
         # and the *_slow_reference function hold identical loops that must
         # NOT fire; the vectorized branches of both guard shapes must
         assert all("charge_block_read" in f.message or "charge_write" in f.message
                    for f in findings)
-        with open(os.path.join(CORPUS, "loop_charge.py"), encoding="utf-8") as fh:
+        path = os.path.join(CORPUS, "flow_charge_direct.py")
+        with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
         planted = {i + 2 for i, line in enumerate(lines) if "# VIOLATION" in line}
         assert {f.line for f in findings} == planted
@@ -205,29 +202,6 @@ class TestCorpus:
         assert "self.jobs" in messages
         assert "self.slots" in messages
         assert "result(...)" in messages
-
-    def test_kernel_parity_fires(self):
-        findings = lint_corpus_file("kernel_parity.py")
-        assert rules_of(findings) == ["kernel-parity"] * 4
-        messages = " | ".join(f.message for f in findings)
-        assert "phantom_sort" in messages
-        assert "entry=" in messages
-        assert "string literal" in messages
-        assert "module:symbol" in messages
-
-    def test_kernel_parity_checks_the_entry_form_declare_contract_checks(
-        self, tmp_path
-    ):
-        # the entries declare_contract rejects at import fail the lint too
-        path = tmp_path / "contracts.py"
-        path.write_text(
-            'declare_contract("a", entry="repro.core.aem_mergesort:")\n'
-            'declare_contract("b", entry=":aem_mergesort")\n'
-            'declare_contract("c", entry="repro.core.aem_mergesort:x:y")\n'
-        )
-        findings = lint_paths([str(path)], root=REPO, rules=["kernel-parity"])
-        assert [f.line for f in findings] == [1, 2, 3]
-        assert all("is not of the form" in f.message for f in findings)
 
     def test_orphan_charge_fires_and_exempts_element_charges(self):
         findings = lint_corpus_file("orphan_charge.py")
@@ -304,48 +278,15 @@ class TestRepairedTree:
         )
         assert findings == [], "\n".join(f.render() for f in findings)
 
-    def test_committed_baseline_is_empty(self):
-        baseline = load_baseline(os.path.join(REPO, "tests", "lint_baseline.json"))
-        assert baseline == []
-
-
-class TestBaseline:
-    def test_round_trip_filters_everything(self, tmp_path):
-        findings = lint_corpus_file("lock_discipline.py")
-        assert findings
-        path = tmp_path / "baseline.json"
-        save_baseline(str(path), findings)
-        assert filter_baseline(findings, load_baseline(str(path))) == []
-
-    def test_new_findings_survive_the_filter(self, tmp_path):
-        findings = lint_corpus_file("lock_discipline.py")
-        path = tmp_path / "baseline.json"
-        save_baseline(str(path), findings[:-1])
-        remaining = filter_baseline(findings, load_baseline(str(path)))
-        assert remaining == [findings[-1]]
-
-    def test_fingerprint_ignores_line_drift(self):
-        f = Finding("r", "p.py", 10, 0, "msg")
-        g = Finding("r", "p.py", 99, 4, "msg")
-        assert f.fingerprint == g.fingerprint
-        assert filter_baseline([g], [f.to_dict()]) == []
-
-
-BENCH_VIOLATION = (
-    "# reprolint: path=benchmarks/bench_planted.py\n"
-    "def bench_planted_scenario():\n"
-    "    return 1\n"
-)
-
 
 class TestSuppressionEdgeCases:
     def test_multiple_rules_one_comment(self):
         m = ModuleSource(
             "f.py",
-            "a = 1  # reprolint: disable=uncharged-io,loop-charge\n",
+            "a = 1  # reprolint: disable=uncharged-io,flow-charge\n",
         )
         assert m.suppressed("uncharged-io", 1)
-        assert m.suppressed("loop-charge", 1)
+        assert m.suppressed("flow-charge", 1)
         assert not m.suppressed("lock-discipline", 1)
 
     def test_multiple_rules_tolerate_spaces(self):
@@ -383,28 +324,12 @@ class TestSuppressionEdgeCases:
         assert rules_of(findings) == ["bench-emit"]
         assert "bench_unsuppressed_scenario" in findings[0].message
 
-    def test_baseline_stable_under_file_rename(self, tmp_path):
-        # fingerprints key off the virtual path, so physically renaming a
-        # pragma'd file must not resurrect grandfathered findings
-        old = tmp_path / "bench_old_name.py"
-        old.write_text(BENCH_VIOLATION)
-        before = lint_paths([str(old)], root=str(tmp_path))
-        assert before
-        baseline = tmp_path / "baseline.json"
-        save_baseline(str(baseline), before)
-
-        new = tmp_path / "bench_new_name.py"
-        os.rename(old, new)
-        after = lint_paths([str(new)], root=str(tmp_path))
-        assert [f.fingerprint for f in after] == [f.fingerprint for f in before]
-        assert filter_baseline(after, load_baseline(str(baseline))) == []
-
 
 @pytest.fixture(scope="class")
 def memoized_lint_paths():
-    """Lint each distinct argument set once per class: three of TestCLI's
-    tests lint the whole corpus (one of them twice), and every such call
-    returns the same findings.  Each caller gets a fresh list."""
+    """Lint each distinct argument set once per class: two of TestCLI's
+    tests lint the whole corpus, and both calls return the same findings.
+    Each caller gets a fresh list."""
     real = reprolint.lint_paths
     memo: dict = {}
 
@@ -425,13 +350,13 @@ class TestCLI:
         rc = main([CORPUS, "--root", REPO])
         out = capsys.readouterr().out
         assert rc == 1
-        assert "reprolint: 28 findings" in out
+        assert "reprolint: 24 findings" in out
 
     def test_json_format(self, capsys):
         rc = main([CORPUS, "--root", REPO, "--format", "json"])
         assert rc == 1
         payload = json.loads(capsys.readouterr().out)
-        assert len(payload) == 28
+        assert len(payload) == 24
         assert {"rule", "path", "line", "col", "message"} <= set(payload[0])
 
     def test_single_rule_selection(self, capsys):
@@ -440,30 +365,6 @@ class TestCLI:
         assert rc == 1
         payload = json.loads(capsys.readouterr().out)
         assert {e["rule"] for e in payload} == {"uncharged-io"}
-
-    def test_write_then_apply_baseline(self, tmp_path, capsys):
-        baseline = str(tmp_path / "b.json")
-        assert main([CORPUS, "--root", REPO, "--write-baseline", baseline]) == 0
-        capsys.readouterr()
-        rc = main([CORPUS, "--root", REPO, "--baseline", baseline])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "0 findings" in out
-
-    def test_missing_baseline_is_usage_error(self):
-        assert main([CORPUS, "--root", REPO,
-                     "--baseline", "/nonexistent/b.json"]) == 2
-
-    def test_bad_baseline_is_reported_before_linting(self, monkeypatch, tmp_path):
-        calls = []
-        monkeypatch.setattr(reprolint, "lint_paths",
-                            lambda *args, **kwargs: calls.append(args) or [])
-        assert main([CORPUS, "--root", REPO,
-                     "--baseline", "/nonexistent/b.json"]) == 2
-        not_a_list = tmp_path / "b.json"
-        not_a_list.write_text("{}")
-        assert main([CORPUS, "--root", REPO, "--baseline", str(not_a_list)]) == 2
-        assert calls == []
 
     def test_explain_rule(self, capsys):
         assert main(["--explain", "flow-lockset"]) == 0
@@ -504,10 +405,10 @@ class TestCLI:
         assert rc == 0
         assert "0 findings" in out
 
-    def test_module_invocation_matches_acceptance_command(self):
-        # no path arguments: the defaults are the acceptance paths
+    def test_module_invocation_matches_acceptance_command(self, monkeypatch):
+        # CI's lint step, verbatim: any finding fails it
         proc = subprocess.run(
-            [sys.executable, "-m", "repro", "lint"],
+            [sys.executable, "-m", "repro", "lint", "src", "benchmarks"],
             cwd=REPO,
             env={**os.environ, "PYTHONPATH": os.path.join(REPO, "src")},
             capture_output=True,
@@ -516,6 +417,12 @@ class TestCLI:
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert proc.stdout == "reprolint: 0 findings\n"
+        # with no path arguments, the defaults are those paths
+        linted = []
+        monkeypatch.setattr(reprolint, "lint_paths",
+                            lambda paths, **kwargs: linted.append(paths) or [])
+        assert main([]) == 0
+        assert linted == [["src", "benchmarks"]]
 
 
 class TestKernelRegistryCompleteness:

@@ -11,7 +11,9 @@ import threading
 import pytest
 
 from repro.analysis import iosan, locksan
-from repro.core import aem_heapsort, aem_mergesort, BufferTree
+from repro.core.aem_heapsort import aem_heapsort
+from repro.core.aem_mergesort import aem_mergesort
+from repro.core.buffer_tree import BufferTree
 from repro.models import AEMachine, CostCounter, MachineParams
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

@@ -307,6 +307,12 @@ class TestLifecycle:
         with pytest.raises(ConnectionError, match="cannot reach"):
             ServiceClient("127.0.0.1", 1, retries=1, retry_delay=0.01)
 
+    @pytest.mark.parametrize("delay", [0.0, 2.5])
+    def test_client_rejects_a_retry_delay_outside_the_backoff(self, delay):
+        # rejected before any connect, not after the first failed one
+        with pytest.raises(ValueError, match="retry_delay"):
+            ServiceClient("127.0.0.1", 1, retries=0, retry_delay=delay)
+
     def test_concurrent_clients(self, served):
         client, _, server = served
         host, port = server.address
