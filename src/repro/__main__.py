@@ -73,6 +73,10 @@ from .models.params import MachineParams
 from .workloads import SCENARIOS, make_scenario, random_permutation
 
 
+def _machine(args: argparse.Namespace) -> MachineParams:
+    return MachineParams(M=args.M, B=args.B, omega=args.omega)
+
+
 def _cmd_experiments(args: argparse.Namespace) -> int:
     from .experiments import ALL_EXPERIMENTS
 
@@ -91,7 +95,7 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
 
 
 def _cmd_sort(args: argparse.Namespace) -> int:
-    params = MachineParams(M=args.M, B=args.B, omega=args.omega)
+    params = _machine(args)
     engine = SortEngine(params)
     data = random_permutation(args.n, seed=args.seed)
     try:
@@ -119,7 +123,7 @@ def _cmd_sort(args: argparse.Namespace) -> int:
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
-    params = MachineParams(M=args.M, B=args.B, omega=args.omega)
+    params = _machine(args)
     rows = sweep_k(args.n, params, k_max=args.k_max)
     print(format_table(rows, title=f"Appendix-A k sweep for n={args.n} on {params}"))
     best = min(rows, key=lambda r: r["predicted_cost"])
@@ -138,7 +142,7 @@ def _load_constants(path: str | None):
 def _cmd_plan(args: argparse.Namespace) -> int:
     from .planner import rank_plans
 
-    params = MachineParams(M=args.M, B=args.B, omega=args.omega)
+    params = _machine(args)
     ranked = rank_plans(args.n, params, k_max=args.k_max,
                         constants=_load_constants(args.constants))
     rows = [
@@ -163,7 +167,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 def _cmd_batch(args: argparse.Namespace) -> int:
     from .planner import SortJob
 
-    params = MachineParams(M=args.M, B=args.B, omega=args.omega)
+    params = _machine(args)
     mix = [s.strip() for s in args.mix.split(",") if s.strip()]
     unknown = [s for s in mix if s not in SCENARIOS]
     if not mix or unknown:
@@ -208,7 +212,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     from .planner import compare_rankings, fit_constants, measure_samples
 
-    params = MachineParams(M=args.M, B=args.B, omega=args.omega)
+    params = _machine(args)
     sizes = tuple(int(s) for s in args.sizes.split(",") if s.strip())
     if not sizes:
         print(f"no calibration sizes in {args.sizes!r}")
@@ -262,7 +266,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .service import EngineServer, SortService
 
-    params = MachineParams(M=args.M, B=args.B, omega=args.omega)
+    params = _machine(args)
     engine = SortEngine(
         params,
         constants=_load_constants(args.constants),
@@ -315,7 +319,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_cluster(args: argparse.Namespace) -> int:
     from .cluster import LocalCluster
 
-    params = MachineParams(M=args.M, B=args.B, omega=args.omega)
+    params = _machine(args)
     t0 = time.time()
     with LocalCluster(
         args.servers, workers=args.workers, executor=args.executor, params=params
@@ -431,7 +435,7 @@ def _parse_stream_line(line: str):
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:
-    params = MachineParams(M=args.M, B=args.B, omega=args.omega)
+    params = _machine(args)
     engine = SortEngine(params)
     t0 = time.time()
     session = engine.stream(k=args.k)
@@ -633,43 +637,43 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sorting with Asymmetric Read and Write Costs (SPAA 2015) — reproduction CLI",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the simulated machine, shared by every subcommand that builds one
+    machine = argparse.ArgumentParser(add_help=False)
+    machine.add_argument("--M", type=int, default=64)
+    machine.add_argument("--B", type=int, default=8)
+    machine.add_argument("--omega", type=int, default=8)
 
     p_exp = sub.add_parser("experiments", help="regenerate experiment tables")
     p_exp.add_argument("ids", nargs="*", help="experiment ids (default: all)")
     p_exp.add_argument("--quick", action="store_true", help="reduced grids")
     p_exp.set_defaults(fn=_cmd_experiments)
 
-    p_sort = sub.add_parser("sort", help="run one instrumented sort")
+    p_sort = sub.add_parser("sort", parents=[machine], help="run one instrumented sort")
     p_sort.add_argument("--algorithm", default="mergesort",
                         choices=["auto", "mergesort", "samplesort", "heapsort",
                                  "selection", "ram"])
     p_sort.add_argument("--n", type=int, default=10_000)
     p_sort.add_argument("--k", type=int, default=None)
-    p_sort.add_argument("--M", type=int, default=64)
-    p_sort.add_argument("--B", type=int, default=8)
-    p_sort.add_argument("--omega", type=int, default=8)
     p_sort.add_argument("--seed", type=int, default=0)
     p_sort.set_defaults(fn=_cmd_sort)
 
-    p_tune = sub.add_parser("tune", help="Appendix-A k sweep")
+    p_tune = sub.add_parser("tune", parents=[machine], help="Appendix-A k sweep")
     p_tune.add_argument("--n", type=int, default=100_000)
-    p_tune.add_argument("--M", type=int, default=64)
-    p_tune.add_argument("--B", type=int, default=8)
-    p_tune.add_argument("--omega", type=int, default=8)
     p_tune.add_argument("--k-max", type=int, default=None)
     p_tune.set_defaults(fn=_cmd_tune)
 
-    p_plan = sub.add_parser("plan", help="rank algorithms by predicted cost")
+    p_plan = sub.add_parser(
+        "plan", parents=[machine], help="rank algorithms by predicted cost"
+    )
     p_plan.add_argument("--n", type=int, default=10_000)
-    p_plan.add_argument("--M", type=int, default=64)
-    p_plan.add_argument("--B", type=int, default=8)
-    p_plan.add_argument("--omega", type=int, default=8)
     p_plan.add_argument("--k-max", type=int, default=None)
     p_plan.add_argument("--constants", default=None, metavar="FILE",
                         help="calibrated-constants JSON (from `calibrate --save`)")
     p_plan.set_defaults(fn=_cmd_plan)
 
-    p_batch = sub.add_parser("batch", help="run many adaptive sorts concurrently")
+    p_batch = sub.add_parser(
+        "batch", parents=[machine], help="run many adaptive sorts concurrently"
+    )
     p_batch.add_argument("--jobs", type=int, default=50)
     p_batch.add_argument("--n", type=int, default=2_000,
                          help="max records per job (per-job n drawn in [min-n, n])")
@@ -680,9 +684,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--algorithm", default=None,
                          choices=["mergesort", "samplesort", "heapsort", "selection", "ram"],
                          help="pin every job to one algorithm (default: plan per job)")
-    p_batch.add_argument("--M", type=int, default=64)
-    p_batch.add_argument("--B", type=int, default=8)
-    p_batch.add_argument("--omega", type=int, default=8)
     p_batch.add_argument("--executor", default="thread", choices=["thread", "process"],
                          help="thread: shared pool (GIL-bound); process: dealt "
                               "across worker processes for multi-core scaling")
@@ -697,6 +698,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cal = sub.add_parser(
         "calibrate",
+        parents=[machine],
         help="fit per-algorithm leading constants from measured runs",
     )
     p_cal.add_argument("--sizes", default="512,2048,8192",
@@ -705,9 +707,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"workload scenario from {sorted(SCENARIOS)}")
     p_cal.add_argument("--plan-n", type=int, default=None,
                        help="probe size for the ranking check (default: max size)")
-    p_cal.add_argument("--M", type=int, default=64)
-    p_cal.add_argument("--B", type=int, default=8)
-    p_cal.add_argument("--omega", type=int, default=8)
     p_cal.add_argument("--seed", type=int, default=0)
     p_cal.add_argument("--save", default=None, metavar="FILE",
                        help="write the fitted constants as JSON")
@@ -715,6 +714,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_stream = sub.add_parser(
         "stream",
+        parents=[machine],
         help="ingest records incrementally through the buffer-tree stream",
     )
     p_stream.add_argument("--input", default="-", metavar="FILE",
@@ -726,9 +726,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_stream.add_argument("--k", type=int, default=None,
                           help="buffer-tree extra branching factor "
                                "(default: Appendix-A recipe)")
-    p_stream.add_argument("--M", type=int, default=64)
-    p_stream.add_argument("--B", type=int, default=8)
-    p_stream.add_argument("--omega", type=int, default=8)
     p_stream.add_argument("--seed", type=int, default=0)
     p_stream.add_argument("--check", action="store_true",
                           help="verify the drained output is sorted")
@@ -736,6 +733,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_serve = sub.add_parser(
         "serve",
+        parents=[machine],
         help="run the persistent engine server (sort jobs over a socket)",
     )
     p_serve.add_argument("--host", default="127.0.0.1")
@@ -747,9 +745,6 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=["thread", "process"],
                          help="thread: shared pool (GIL-bound); process: "
                               "persistent worker processes for multi-core scaling")
-    p_serve.add_argument("--M", type=int, default=64)
-    p_serve.add_argument("--B", type=int, default=8)
-    p_serve.add_argument("--omega", type=int, default=8)
     p_serve.add_argument("--constants", default=None, metavar="FILE",
                          help="calibrated-constants JSON (from `calibrate --save`)")
     p_serve.add_argument("--ticket-ttl", type=float, default=None, metavar="SECONDS",
@@ -779,6 +774,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cluster = sub.add_parser(
         "cluster",
+        parents=[machine],
         help="spawn a local server fleet and run scatter-gather + routed jobs",
     )
     p_cluster.add_argument("--servers", type=int, default=3,
@@ -796,9 +792,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="per-server pool executor")
     p_cluster.add_argument("--retries", type=int, default=2,
                            help="resubmissions allowed per job on host death")
-    p_cluster.add_argument("--M", type=int, default=64)
-    p_cluster.add_argument("--B", type=int, default=8)
-    p_cluster.add_argument("--omega", type=int, default=8)
     p_cluster.add_argument("--seed", type=int, default=0)
     p_cluster.add_argument("--check", action="store_true",
                            help="verify outputs and parity with single-engine "

@@ -66,8 +66,6 @@ class ClusterSpec:
     connect_retries: int = 25
     #: socket timeout for every wire call (None = block)
     timeout: float | None = None
-    #: splitter sample records per host (scatter planning)
-    oversample: int = 32
     #: per-request socket deadline for routed wire calls (None = block)
     request_timeout: float | None = None
     #: dead hosts re-enter service automatically when a probation-interval
@@ -419,9 +417,7 @@ class ClusterCoordinator:
             raise WorkerDiedError("no live cluster hosts to scatter over")
         with self._lock:
             retries_before = self._retries
-        plan = plan_cluster_shards(
-            n, len(live), self.params, oversample=self.spec.oversample
-        )
+        plan = plan_cluster_shards(n, len(live), self.params)
         splitters = self._splitters(data, plan)
         shards = split_shards(data, splitters, len(live))
 

@@ -355,21 +355,19 @@ class ClusterShardPlan:
         }
 
 
-def plan_cluster_shards(
-    n: int,
-    hosts: int,
-    params: MachineParams,
-    *,
-    oversample: int = 32,
-) -> ClusterShardPlan:
+#: splitter sample records per host in a cluster scatter
+CLUSTER_OVERSAMPLE = 32
+
+
+def plan_cluster_shards(n: int, hosts: int, params: MachineParams) -> ClusterShardPlan:
     """Plan the scatter of an ``n``-record job across ``hosts`` hosts.
 
-    Mirrors Theorem 4.5's sample-and-split structure one level up: draw an
-    ``oversample``-per-host sample, pick ``hosts - 1`` splitters at even
-    sample quantiles, scatter, and merge the sorted shards back with the
-    ``shardmerge`` kernel.  Returns the balanced target split and the
-    predicted merge I/O the cluster's :class:`~repro.api.SortReport` is
-    judged against.
+    Mirrors Theorem 4.5's sample-and-split structure one level up: draw a
+    :data:`CLUSTER_OVERSAMPLE`-per-host sample, pick ``hosts - 1``
+    splitters at even sample quantiles, scatter, and merge the sorted
+    shards back with the ``shardmerge`` kernel.  Returns the balanced
+    target split and the predicted merge I/O the cluster's
+    :class:`~repro.api.SortReport` is judged against.
     """
     if hosts < 1:
         raise ValueError(f"hosts must be >= 1, got {hosts}")
@@ -377,7 +375,7 @@ def plan_cluster_shards(
         raise ValueError(f"n must be >= 0, got {n}")
     q, r = divmod(n, hosts)
     sizes = tuple(q + 1 if i < r else q for i in range(hosts))
-    sample_size = min(n, hosts * max(1, oversample))
+    sample_size = min(n, hosts * CLUSTER_OVERSAMPLE)
     reads, writes = predict_shard_merge_io(n, params, hosts)
     return ClusterShardPlan(
         n=n,

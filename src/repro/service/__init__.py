@@ -5,8 +5,10 @@ redesign was synchronous — every entry point blocked its caller until the
 sort finished.  This subsystem adds the submission-oriented surface a
 persistent, heavily-trafficked deployment needs:
 
-* :mod:`~repro.service.futures` — :class:`SortFuture` result handles with
-  result / exception / cancel / done-callback semantics;
+* :mod:`~repro.service.futures` — :class:`SortFuture`, a
+  :class:`concurrent.futures.Future` that carries its job's ticket,
+  priority and plan-cache stats (stdlib ``wait`` / ``as_completed`` /
+  ``asyncio.wrap_future`` work on it);
 * :mod:`~repro.service.scheduler` — :class:`SortService`, the
   priority-queue dispatcher over a **persistent** worker pool (thread or
   long-lived worker processes that survive across submissions, with
@@ -24,8 +26,8 @@ reference.
 from .. import _lazy_exports
 
 __getattr__, __dir__ = _lazy_exports(__name__, {
-    ".backoff": ("Deadline", "backoff_delay", "backoff_delays"),
-    ".futures": ("CANCELLED", "FINISHED", "PENDING", "RUNNING", "SortFuture", "wait"),
+    ".backoff": ("backoff_delay",),
+    ".futures": ("CANCELLED", "FINISHED", "PENDING", "RUNNING", "SortFuture"),
     ".scheduler": (
         "ADMISSION_POLICIES",
         "QueueFullError",
@@ -39,7 +41,6 @@ __getattr__, __dir__ = _lazy_exports(__name__, {
 __all__ = [
     "ADMISSION_POLICIES",
     "CANCELLED",
-    "Deadline",
     "EngineServer",
     "FINISHED",
     "PENDING",
@@ -51,7 +52,5 @@ __all__ = [
     "SortService",
     "WorkerDiedError",
     "backoff_delay",
-    "backoff_delays",
     "default_pool_width",
-    "wait",
 ]

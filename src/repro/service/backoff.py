@@ -20,8 +20,6 @@ RNG supplies real jitter (the production behaviour).
 from __future__ import annotations
 
 import random
-import time
-from collections.abc import Iterator
 
 #: production jitter source (seedless callers); never used when a seed is
 #: given, so drills stay reproducible
@@ -56,46 +54,3 @@ def backoff_delay(
         return full
     rng = random.Random(f"{seed}:{attempt}") if seed is not None else _rng
     return full * (1.0 - jitter) + full * jitter * rng.random()
-
-
-def backoff_delays(
-    attempts: int,
-    *,
-    base: float = 0.05,
-    cap: float = 2.0,
-    jitter: float = 0.5,
-    seed: int | None = None,
-) -> Iterator[float]:
-    """The first ``attempts`` delays of :func:`backoff_delay`, in order."""
-    for i in range(attempts):
-        yield backoff_delay(i, base=base, cap=cap, jitter=jitter, seed=seed)
-
-
-class Deadline:
-    """A wall-clock budget shared across the retries of one operation.
-
-    ``Deadline(None)`` never expires (every ``remaining()`` is ``None``),
-    so callers can thread an optional per-request deadline through retry
-    loops without branching on its presence.
-    """
-
-    __slots__ = ("_expires_at",)
-
-    def __init__(self, seconds: float | None):
-        if seconds is not None and seconds < 0:
-            raise ValueError(f"deadline seconds must be >= 0, got {seconds}")
-        self._expires_at = None if seconds is None else time.monotonic() + seconds
-
-    def remaining(self) -> float | None:
-        """Seconds left (clamped at 0), or ``None`` for no deadline."""
-        if self._expires_at is None:
-            return None
-        return max(0.0, self._expires_at - time.monotonic())
-
-    def expired(self) -> bool:
-        return self._expires_at is not None and time.monotonic() >= self._expires_at
-
-    def clamp(self, delay: float) -> float:
-        """``delay`` shortened so a sleep cannot overshoot the deadline."""
-        remaining = self.remaining()
-        return delay if remaining is None else min(delay, remaining)

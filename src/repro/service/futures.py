@@ -6,79 +6,45 @@ sorts in the background, and the future delivers the
 :class:`~repro.api.SortReport` (or the failure) whenever the caller is ready
 for it.
 
-The semantics deliberately mirror :class:`concurrent.futures.Future` —
-``result`` / ``exception`` / ``cancel`` / ``add_done_callback`` — but the
-class is implemented here rather than inherited so the service can attach
-job metadata (``ticket``, ``priority``, the normalized
-:class:`~repro.planner.batch.SortJob`) and the per-job plan-cache accounting
-that :meth:`~repro.service.SortService.gather` folds into a
-:class:`~repro.planner.batch.BatchReport`.
-
-States and transitions::
-
-    PENDING ──cancel()──▶ CANCELLED
-       │
-       └─worker picks it up─▶ RUNNING ──▶ FINISHED (result or exception)
-
-``cancel()`` only succeeds while the job is still queued (PENDING); once a
-worker has started it there is nothing safe to interrupt, matching the
-stdlib contract.
+It *is* a :class:`concurrent.futures.Future`, so ``concurrent.futures.wait``,
+``as_completed`` and ``asyncio.wrap_future`` work on it.  The subclass adds
+only the job's metadata (``ticket``, ``job``, ``priority`` and the
+worker-stamped ``plan_stats`` / ``wall_seconds`` / ``cpu_seconds``) and the
+queue's ``on_cancel`` hook.  ``cancel()`` only succeeds while the job is
+still queued (PENDING).
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import CancelledError
+from concurrent import futures
+from concurrent.futures._base import (
+    CANCELLED,
+    CANCELLED_AND_NOTIFIED,
+    FINISHED,
+    PENDING,
+    RUNNING,
+)
 
 from ..analysis.locksan import wrap_condition
 
-PENDING = "PENDING"
-RUNNING = "RUNNING"
-CANCELLED = "CANCELLED"
-FINISHED = "FINISHED"
-
-_STATES = (PENDING, RUNNING, CANCELLED, FINISHED)
+__all__ = ["CANCELLED", "FINISHED", "PENDING", "RUNNING", "SortFuture"]
 
 
-class SortFuture:
+class SortFuture(futures.Future):
     """The result handle for one submitted sort job.
 
-    Attributes
-    ----------
-    ticket:
-        Service-wide monotonically increasing submission id (also the id the
-        line-protocol server hands to remote clients).
-    job:
-        The normalized :class:`~repro.planner.batch.SortJob` this future
-        tracks.
-    priority:
-        Dispatch priority (lower runs first; FIFO within a priority).
+    ``ticket`` is the service-wide submission id (also the id the
+    line-protocol server hands to remote clients), ``job`` the normalized
+    :class:`~repro.planner.batch.SortJob`, ``priority`` its dispatch
+    priority (lower runs first; FIFO within a priority).
     """
 
-    __slots__ = (
-        "ticket",
-        "job",
-        "priority",
-        "_cond",
-        "_state",
-        "_result",
-        "_exception",
-        "_callbacks",
-        "plan_stats",
-        "wall_seconds",
-        "cpu_seconds",
-        "on_cancel",
-    )
-
     def __init__(self, ticket: int, job=None, priority: float = 0):
+        super().__init__()
+        self._condition = wrap_condition(self._condition, "SortFuture._cond")
         self.ticket = ticket
         self.job = job
         self.priority = priority
-        self._cond = wrap_condition(threading.Condition(), "SortFuture._cond")
-        self._state = PENDING
-        self._result = None
-        self._exception: BaseException | None = None
-        self._callbacks: list = []
         #: ``(worker_index, plan_hits, plan_misses)`` for this job's
         #: execution, stamped by the worker just before completion —
         #: ``None`` until then (and forever, for cancelled jobs)
@@ -95,177 +61,51 @@ class SortFuture:
         #: CANCELLED calls it, outside the lock, before the done-callbacks
         self.on_cancel = None
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        label = getattr(self.job, "label", "") or ""
-        return (
-            f"SortFuture(ticket={self.ticket}, state={self._state}"
-            + (f", label={label!r}" if label else "")
-            + ")"
-        )
-
-    # ------------------------------------------------------------------ #
-    # inspection
-    # ------------------------------------------------------------------ #
     @property
     def state(self) -> str:
-        """One of ``PENDING`` / ``RUNNING`` / ``CANCELLED`` / ``FINISHED``."""
-        with self._cond:
-            return self._state
+        """One of ``PENDING`` / ``RUNNING`` / ``CANCELLED`` / ``FINISHED``
+        (the stdlib's ``CANCELLED_AND_NOTIFIED`` reads ``CANCELLED``)."""
+        state = self._state
+        return CANCELLED if state == CANCELLED_AND_NOTIFIED else state
 
-    def cancelled(self) -> bool:
-        with self._cond:
-            return self._state == CANCELLED
-
-    def running(self) -> bool:
-        with self._cond:
-            return self._state == RUNNING
-
-    def done(self) -> bool:
-        with self._cond:
-            return self._state in (CANCELLED, FINISHED)
-
-    # ------------------------------------------------------------------ #
-    # cancellation
-    # ------------------------------------------------------------------ #
     def cancel(self) -> bool:
-        """Cancel the job if it has not been dispatched yet.
-
-        Returns ``True`` when the future is (now) cancelled, ``False`` when
-        the job is already running or finished.  Waiters are released with
-        :class:`concurrent.futures.CancelledError` and done-callbacks fire.
-        """
-        with self._cond:
-            if self._state == CANCELLED:
-                return True
+        """Cancel the job if it has not been dispatched yet: ``True`` when
+        the future is (now) cancelled, ``False`` once it runs or finished."""
+        with self._condition:
             if self._state != PENDING:
-                return False
+                return self._state in (CANCELLED, CANCELLED_AND_NOTIFIED)
             self._state = CANCELLED
-            self._cond.notify_all()
+            self._condition.notify_all()
         hook = self.on_cancel  # read once: the queue may drop it meanwhile
         if hook is not None:
             hook()
         self._invoke_callbacks()
         return True
 
-    # ------------------------------------------------------------------ #
-    # waiting
-    # ------------------------------------------------------------------ #
     def result(self, timeout: float | None = None):
-        """Block until done; return the :class:`~repro.api.SortReport`.
-
-        Raises the job's exception if it failed,
-        :class:`concurrent.futures.CancelledError` if it was cancelled, and
-        :class:`TimeoutError` if ``timeout`` elapses first.
-        """
-        with self._cond:
-            self._wait_done(timeout)
-            if self._state == CANCELLED:
-                raise CancelledError(f"job {self.ticket} was cancelled")
-            if self._exception is not None:
-                raise self._exception
-            return self._result
-
-    def exception(self, timeout: float | None = None) -> BaseException | None:
-        """Block until done; return the job's exception (``None`` on
-        success).  Cancellation raises, timeouts raise ``TimeoutError``."""
-        with self._cond:
-            self._wait_done(timeout)
-            if self._state == CANCELLED:
-                raise CancelledError(f"job {self.ticket} was cancelled")
-            return self._exception
-
-    def _wait_done(self, timeout: float | None) -> None:
-        # caller holds the condition
-        if self._state in (CANCELLED, FINISHED):
-            return
-        self._cond.wait_for(
-            lambda: self._state in (CANCELLED, FINISHED), timeout=timeout
-        )
-        if self._state not in (CANCELLED, FINISHED):
-            raise TimeoutError(f"job {self.ticket} not done after {timeout}s")
-
-    # ------------------------------------------------------------------ #
-    # callbacks
-    # ------------------------------------------------------------------ #
-    def add_done_callback(self, fn) -> None:
-        """Call ``fn(self)`` when the future completes or is cancelled.
-
-        Fires immediately (in the caller's thread) if already done;
-        otherwise fires in the worker thread that completes the job.
-        Callback exceptions are swallowed — a misbehaving observer must not
-        take down a worker.
-        """
-        with self._cond:
-            if self._state not in (CANCELLED, FINISHED):
-                self._callbacks.append(fn)
-                return
-        self._safe_call(fn)
-
-    def _invoke_callbacks(self) -> None:
-        with self._cond:
-            callbacks, self._callbacks = self._callbacks, []
-        for fn in callbacks:
-            self._safe_call(fn)
-
-    def _safe_call(self, fn) -> None:
+        """The job's :class:`~repro.api.SortReport`; an expired ``timeout``
+        raises the builtin :class:`TimeoutError` on every Python version."""
         try:
-            fn(self)
-        except Exception:  # noqa: BLE001 — observer errors must not propagate
-            pass
+            return super().result(timeout)
+        except futures.TimeoutError as exc:
+            if exc is self._exception:  # the job's own failure
+                raise
+            raise _builtin_timeout(self, timeout) from None
 
-    # ------------------------------------------------------------------ #
-    # producer side (the service's workers)
-    # ------------------------------------------------------------------ #
+    def exception(self, timeout: float | None = None):
+        """The job's exception (``None`` on success); timeouts as in
+        :meth:`result`."""
+        try:
+            return super().exception(timeout)
+        except futures.TimeoutError:
+            raise _builtin_timeout(self, timeout) from None
+
     def set_running_or_notify_cancel(self) -> bool:
-        """Transition PENDING → RUNNING; ``False`` if already cancelled
-        (the worker must then skip the job)."""
-        with self._cond:
-            if self._state == CANCELLED:
-                return False
-            if self._state != PENDING:
-                raise RuntimeError(
-                    f"job {self.ticket} dispatched twice (state {self._state})"
-                )
-            self._state = RUNNING
-            return True
-
-    def set_result(self, result) -> None:
-        with self._cond:
-            if self._state in (CANCELLED, FINISHED):
-                raise RuntimeError(f"job {self.ticket} already {self._state}")
-            self._result = result
-            self._state = FINISHED
-            self._cond.notify_all()
-        self._invoke_callbacks()
-
-    def set_exception(self, exception: BaseException) -> None:
-        with self._cond:
-            if self._state in (CANCELLED, FINISHED):
-                raise RuntimeError(f"job {self.ticket} already {self._state}")
-            self._exception = exception
-            self._state = FINISHED
-            self._cond.notify_all()
-        self._invoke_callbacks()
+        # defined here, not only inherited: perfbench times queue waits by
+        # patching this name in SortFuture's own class dict
+        return super().set_running_or_notify_cancel()
 
 
-def wait(futures, timeout: float | None = None) -> tuple[list, list]:
-    """Wait for ``futures`` to finish; return ``(done, not_done)`` lists.
-
-    A blunt instrument compared to :meth:`SortFuture.result` — useful for
-    "is the batch drained yet" checks without consuming results.
-    """
-    import time
-
-    deadline = None if timeout is None else time.monotonic() + timeout
-    done: list = []
-    not_done: list = []
-    for fut in futures:
-        remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
-        with fut._cond:
-            try:
-                fut._wait_done(remaining)
-            except TimeoutError:
-                not_done.append(fut)
-                continue
-        done.append(fut)
-    return done, not_done
+def _builtin_timeout(future: SortFuture, timeout) -> TimeoutError:
+    # before Python 3.11 concurrent.futures.TimeoutError is its own class
+    return TimeoutError(f"job {future.ticket} not done after {timeout}s")

@@ -50,7 +50,8 @@ admission policies when the queue is full:
   reply with a ``retry_after`` hint) decides when to come back;
 * ``"block"`` — wait for a slot, bounded by the submit's
   ``admission_timeout`` (falling back to the service's ``block_timeout``);
-  :class:`QueueFullError` on deadline expiry;
+  :class:`QueueFullError` on deadline expiry.  Either timeout is ``None``
+  (wait indefinitely) or a finite number of seconds ``>= 0``;
 * ``"shed-lowest"`` — cancel the lowest-priority *pending* future to make
   room, provided the incoming job outranks it (strictly lower priority
   value); otherwise the incoming job is the lowest-value work and is
@@ -59,6 +60,18 @@ admission policies when the queue is full:
 
 Only queued (undispatched) jobs count against ``max_queue``; in-flight jobs
 do not: a job cancelled while queued frees its slot at once.
+
+Futures
+-------
+A :class:`~repro.service.futures.SortFuture` is a
+:class:`concurrent.futures.Future`, and the service keeps the stdlib
+executor's contract: whoever takes a job out of the queue calls its
+future's ``set_running_or_notify_cancel()`` exactly once — the worker that
+dispatches it, or, for a job cancelled while queued, the code that dropped
+it (``_cancel_queued``, the shed victim in :meth:`SortService.submit`,
+:meth:`SortService.shutdown` without drain, a process worker's parked slot).
+Without that call ``concurrent.futures.wait`` never counts a cancelled
+future as done.
 """
 
 from __future__ import annotations
@@ -71,15 +84,13 @@ import os
 import pickle
 import threading
 import time
-from collections.abc import Iterable, Sequence
-from concurrent.futures import CancelledError
+from collections.abc import Sequence
 
 from ..analysis.locksan import wrap_condition
 from ..models.params import MachineParams
 from ..planner.batch import BatchReport, JobFailure, SortJob, execute_and_check
 from ..planner.plan_cache import PlanCache
 from ..testing import faults
-from .backoff import Deadline
 from .futures import SortFuture
 
 #: recognised admission policies for a bounded queue
@@ -110,6 +121,18 @@ class WorkerDiedError(RuntimeError):
     Only the in-flight job fails with this; the pool respawns the worker and
     subsequent submissions run normally.
     """
+
+
+def _check_timeout(name: str, seconds: float | None) -> None:
+    # NaN fails both comparisons: Condition.wait_for would poll on it
+    # without sleeping, and a lock wait cannot take more than TIMEOUT_MAX
+    if seconds is not None and not (
+        isinstance(seconds, (int, float)) and 0 <= seconds <= threading.TIMEOUT_MAX
+    ):
+        raise ValueError(
+            f"{name} must be None or finite and >= 0 (at most "
+            f"{threading.TIMEOUT_MAX:g} s), got {seconds!r}"
+        )
 
 
 def default_pool_width(executor: str) -> int:
@@ -306,8 +329,7 @@ class SortService:
                 f"unknown admission policy {admission!r}; "
                 f"choose from {ADMISSION_POLICIES}"
             )
-        if block_timeout is not None and block_timeout < 0:
-            raise ValueError(f"block_timeout must be >= 0, got {block_timeout}")
+        _check_timeout("block_timeout", block_timeout)
         self.max_queue = max_queue
         self.admission = admission
         self.block_timeout = block_timeout
@@ -398,7 +420,7 @@ class SortService:
             raise TypeError(f"priority must be a real number, got {priority!r}")
         if worker is not None and not (0 <= worker < self.workers):
             raise ValueError(f"worker must be in [0, {self.workers}), got {worker}")
-        victim: _Entry | None = None
+        _check_timeout("admission_timeout", admission_timeout)
         with self._cond:
             if self._shutdown:
                 raise RuntimeError("service is shut down")
@@ -421,6 +443,7 @@ class SortService:
             with self._cond:
                 self.shed += 1
                 self.cancelled += 1
+            victim.future.set_running_or_notify_cancel()
         return future
 
     # ------------------------------------------------------------------ #
@@ -453,39 +476,34 @@ class SortService:
         """Admit one job under the bounded-queue policy (caller holds the
         condition).  Returns the entry to shed (cancel outside the lock),
         or ``None``; raises :class:`QueueFullError` when inadmissible."""
-        if self.max_queue is None:
+        if self.max_queue is None or self._pending_jobs < self.max_queue:
             return None
-        deadline: Deadline | None = None
-        while self._pending_jobs >= self.max_queue:
-            if self.admission == "reject":
+        if self.admission == "reject":
+            raise self._queue_full_locked(
+                f"queue full ({self._pending_jobs}/{self.max_queue}); "
+                "admission policy 'reject'"
+            )
+        if self.admission == "shed-lowest":
+            victim = self._shed_victim_locked(priority)
+            if victim is None:
                 raise self._queue_full_locked(
-                    f"queue full ({self._pending_jobs}/{self.max_queue}); "
-                    "admission policy 'reject'"
+                    f"queue full ({self._pending_jobs}/{self.max_queue}) "
+                    "and no pending job has lower priority than "
+                    f"{priority!r}; admission policy 'shed-lowest'"
                 )
-            if self.admission == "shed-lowest":
-                victim = self._shed_victim_locked(priority)
-                if victim is None:
-                    raise self._queue_full_locked(
-                        f"queue full ({self._pending_jobs}/{self.max_queue}) "
-                        "and no pending job has lower priority than "
-                        f"{priority!r}; admission policy 'shed-lowest'"
-                    )
-                return victim
-            # "block": wait for a slot, bounded by the deadline
-            if deadline is None:
-                deadline = Deadline(
-                    admission_timeout if admission_timeout is not None
-                    else self.block_timeout
-                )
-            remaining = deadline.remaining()
-            if remaining is not None and remaining <= 0:
-                raise self._queue_full_locked(
-                    f"queue full ({self._pending_jobs}/{self.max_queue}); "
-                    "admission policy 'block' deadline expired"
-                )
-            self._cond.wait(remaining)
-            if self._shutdown:
-                raise RuntimeError("service is shut down")
+            return victim
+        # "block": wait for a slot or shutdown, bounded by the timeout
+        timeout = (admission_timeout if admission_timeout is not None
+                   else self.block_timeout)
+        if not self._cond.wait_for(
+            lambda: self._shutdown or self._pending_jobs < self.max_queue, timeout
+        ):
+            raise self._queue_full_locked(
+                f"queue full ({self._pending_jobs}/{self.max_queue}); "
+                "admission policy 'block' deadline expired"
+            )
+        if self._shutdown:
+            raise RuntimeError("service is shut down")
         return None
 
     def _shed_victim_locked(self, priority: float) -> _Entry | None:
@@ -547,22 +565,6 @@ class SortService:
             for i, job in enumerate(jobs)
         ]
 
-    def map(self, datasets: Iterable, priority: float = 0):
-        """Sort many datasets; return an iterator of their
-        :class:`~repro.api.SortReport`\\ s in submission order.
-
-        Submission is eager (all jobs enter the queue before this returns);
-        only the result consumption is lazy.  The first failing job raises
-        when its result is reached, like :meth:`Executor.map`.
-        """
-        futures = self.submit_many(list(datasets), priority)
-
-        def _results():
-            for fut in futures:
-                yield fut.result()
-
-        return _results()
-
     # ------------------------------------------------------------------ #
     # gathering
     # ------------------------------------------------------------------ #
@@ -581,8 +583,6 @@ class SortService:
             label = getattr(fut.job, "label", "")
             try:
                 rep = fut.result()
-            except CancelledError as exc:
-                report.failures.append(JobFailure(index=i, label=label, error=exc))
             except Exception as exc:  # noqa: BLE001 — captured per job by design
                 report.failures.append(JobFailure(index=i, label=label, error=exc))
             else:
@@ -629,12 +629,15 @@ class SortService:
                 self._cond.wait()
 
     def _cancel_queued(self, entry: _Entry) -> None:
-        """``entry.future.on_cancel``: a still-queued job frees its slot and
-        counts as cancelled here; a popped one is counted by its popper."""
+        """``entry.future.on_cancel``: a still-queued job frees its slot,
+        counts as cancelled and is notified here; a popped one is counted
+        and notified by its popper."""
         with self._cond:
-            if entry.queued:
-                self._dequeue_locked(entry)
-                self.cancelled += 1
+            if not entry.queued:
+                return
+            self._dequeue_locked(entry)
+            self.cancelled += 1
+        entry.future.set_running_or_notify_cancel()
 
     def _finish(self, future: SortFuture, worker: int, hits: int, misses: int,
                 result=None, error: BaseException | None = None,
@@ -703,6 +706,7 @@ class SortService:
                 with self._cond:
                     self.cancelled += 1
                 fut.cancel()
+                fut.set_running_or_notify_cancel()
                 continue
             proc, conn = handle
             if not fut.set_running_or_notify_cancel():
@@ -837,6 +841,7 @@ class SortService:
             if entry.future.cancel():
                 with self._cond:
                     self.cancelled += 1
+            entry.future.set_running_or_notify_cancel()
         if wait:
             for t in self._threads:
                 t.join(timeout)

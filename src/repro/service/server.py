@@ -12,7 +12,9 @@ language (or ``nc``) can speak it:
   server runs one handler thread per connection, so only that client
   waits) and *consumes* the ticket on a terminal reply unless ``"keep":
   true`` — the registry stays bounded by the in-flight work, not by
-  history; ``cancel`` / ``status`` / ``stats`` / ``ping`` / ``shutdown``
+  history.  Its optional ``"timeout"`` is ``null`` or a finite number of
+  seconds; any other value gets an ``ok: false`` reply and keeps the
+  ticket; ``cancel`` / ``status`` / ``stats`` / ``ping`` / ``shutdown``
   round out the surface.
 
 Request → response examples::
@@ -68,6 +70,7 @@ server is up.
 from __future__ import annotations
 
 import json
+import math
 import socket
 import socketserver
 import sys
@@ -547,8 +550,17 @@ class EngineServer:
             self._drop_ticket_locked(ticket)
 
     def _op_result(self, request: dict, client: tuple | None = None) -> dict:
-        future = self._lookup(request)
         timeout = request.get("timeout")
+        # checked before the lookup: a timeout the wait cannot take must
+        # not consume the ticket, and the sorted output with it
+        if timeout is not None and not (
+            type(timeout) in (int, float) and -math.inf < timeout <= threading.TIMEOUT_MAX
+        ):
+            raise ServiceError(
+                "result 'timeout' must be null or a finite number of seconds "
+                f"up to {threading.TIMEOUT_MAX:g}, got {timeout!r}"
+            )
+        future = self._lookup(request)
         keep = bool(request.get("keep", False))
         try:
             rep = future.result(timeout)

@@ -167,6 +167,46 @@ class TestBlockPolicy:
         gate.set()
         service.shutdown(drain=True)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0, 1e10, "1"])
+    def test_timeouts_must_be_finite_and_non_negative(self, engine, bad):
+        # a NaN timeout would make the admission wait poll without sleeping
+        with pytest.raises(ValueError, match="block_timeout"):
+            _service(engine, max_queue=1, admission="block", block_timeout=bad)
+        service = _service(engine, max_queue=1, admission="block")
+        with pytest.raises(ValueError, match="admission_timeout"):
+            service.submit([2, 1], admission_timeout=bad)
+        assert service.stats()["submitted"] == 0
+        service.shutdown()
+
+    @pytest.mark.parametrize("drain", [True, False])
+    def test_blocked_submitter_fails_when_the_service_shuts_down(
+        self, locksan_on, engine, drain
+    ):
+        service = _service(engine, max_queue=1, admission="block")
+        _busy, gate = _occupy(service, [1])
+        service.submit([2, 1])
+        errors = []
+
+        def blocked_submit():
+            try:
+                service.submit([4, 3])
+            except RuntimeError as exc:
+                errors.append(exc)
+
+        t = threading.Thread(target=blocked_submit)
+        t.start()
+        t.join(timeout=0.2)
+        assert t.is_alive(), "submit should still be blocked on a full queue"
+        # with drain=True the queue stays full: only the shutdown wakes it
+        service.shutdown(drain=drain, wait=False)
+        t.join(timeout=30)
+        assert not t.is_alive()
+        assert [str(e) for e in errors] == ["service is shut down"]
+        assert not isinstance(errors[0], QueueFullError)
+        gate.set()
+        service.shutdown()
+        assert service.stats()["submitted"] == 2
+
 
 class TestShedLowestPolicy:
     def test_sheds_exactly_the_lowest_priority_pending_future(
@@ -251,6 +291,21 @@ class TestCancelWhileQueued:
         stats = service.stats()
         assert stats["shed"] == 1 and stats["cancelled"] == 2
         assert stats["completed"] == 3
+
+    def test_done_callback_sees_the_freed_slot(self, locksan_on, engine):
+        service = _service(engine, max_queue=2, admission="reject")
+        busy, gate = _occupy(service, [1])
+        queued = service.submit([2, 1])
+        service.submit([3, 2])
+        seen = []
+        queued.add_done_callback(
+            lambda f: seen.append((service.queued(), service.stats()["cancelled"]))
+        )
+        assert queued.cancel()
+        assert seen == [(1, 1)]
+        gate.set()
+        assert busy.result(timeout=30).output == [1]
+        service.shutdown()
 
     def test_shutdown_without_drain_counts_a_cancelled_job_once(
         self, locksan_on, engine

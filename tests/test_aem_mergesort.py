@@ -207,3 +207,11 @@ class TestTheorem43Bounds:
         # classic: ~ (n/B) transfers per level in each direction
         assert machine.counter.block_writes <= (n // B) * levels + levels
         assert machine.counter.block_reads <= 2 * (n // B) * levels + levels
+
+    def test_classic_k1_write_counts_pay_full_omega(self):
+        """The classic (k=1) mergesort's writes scale with the level count —
+        the quantity the asymmetric variants shrink."""
+        data = random_permutation(8000, seed=3)
+        _, machine, _ = run(data, M=64, B=8, k=1)
+        # 3 levels at n=8000, M/B=8: ~1000 blocks x 3
+        assert machine.counter.block_writes >= 3 * (8000 // 8)

@@ -1,10 +1,8 @@
-"""Retry/backoff unification: the capped-exponential curve and Deadline."""
-
-import time
+"""Retry/backoff unification: the capped-exponential curve."""
 
 import pytest
 
-from repro.service import Deadline, backoff_delay, backoff_delays
+from repro.service import backoff_delay
 
 
 class TestBackoffDelay:
@@ -34,11 +32,6 @@ class TestBackoffDelay:
     def test_huge_attempt_does_not_overflow(self):
         assert backoff_delay(10_000, base=0.05, cap=3.0, jitter=0.0) == 3.0
 
-    def test_generator_matches_scalar(self):
-        assert list(backoff_delays(5, base=0.05, cap=1.0, jitter=0.0)) == [
-            backoff_delay(i, base=0.05, cap=1.0, jitter=0.0) for i in range(5)
-        ]
-
     def test_bad_args(self):
         with pytest.raises(ValueError):
             backoff_delay(-1)
@@ -49,23 +42,3 @@ class TestBackoffDelay:
         with pytest.raises(ValueError):
             backoff_delay(0, jitter=1.5)
 
-
-class TestDeadline:
-    def test_no_deadline_never_expires(self):
-        d = Deadline(None)
-        assert d.remaining() is None
-        assert not d.expired()
-        assert d.clamp(1.5) == 1.5
-
-    def test_counts_down_and_expires(self):
-        d = Deadline(0.05)
-        r0 = d.remaining()
-        assert r0 is not None and 0 < r0 <= 0.05
-        time.sleep(0.06)
-        assert d.expired()
-        assert d.remaining() == 0.0
-
-    def test_clamp_caps_a_wait_at_the_remaining_budget(self):
-        d = Deadline(10.0)
-        assert d.clamp(0.2) == 0.2
-        assert d.clamp(99.0) <= 10.0

@@ -221,6 +221,35 @@ class TestOverloadReply:
             assert len(reply["tickets"]) == 1  # the one that fit
 
 
+class TestResultTimeout:
+    """``result`` takes ``null`` or a finite number of seconds as its
+    ``timeout``; anything else gets an ``ok: false`` reply before any wait
+    and leaves the ticket live, so the sorted output is not lost."""
+
+    @pytest.mark.parametrize(
+        "timeout", ['"soon"', "[1]", "true", "NaN", "Infinity", "-Infinity", "1e10"]
+    )
+    def test_malformed_timeout_keeps_the_ticket(self, served, timeout):
+        server, _ = served
+        with _raw(server) as sock:
+            rfile = sock.makefile("r")
+
+            def roundtrip(line: str) -> dict:
+                sock.sendall(line.encode() + b"\n")
+                return json.loads(rfile.readline())
+
+            ticket = roundtrip('{"op": "submit", "data": [2, 1]}')["ticket"]
+            first = roundtrip(f'{{"op": "result", "ticket": {ticket}, "keep": true}}')
+            assert first["output"] == [1, 2]
+            reply = roundtrip(
+                f'{{"op": "result", "ticket": {ticket}, "timeout": {timeout}}}'
+            )
+            assert reply["ok"] is False and "kind" not in reply
+            assert "'timeout' must be null or a finite number" in reply["error"]
+            last = roundtrip(f'{{"op": "result", "ticket": {ticket}, "timeout": 5}}')
+            assert last["ok"] is True and last["output"] == [1, 2]
+
+
 class TestClientQuota:
     @pytest.fixture
     def quotaed(self):

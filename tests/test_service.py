@@ -1,6 +1,8 @@
 """Tests for the asynchronous SortService: futures, priority dispatch,
 persistent pools, worker-death isolation, and batch parity."""
 
+import asyncio
+import concurrent.futures
 import gc
 import os
 import threading
@@ -17,10 +19,11 @@ from repro.service import (
     FINISHED,
     PENDING,
     RUNNING,
+    EngineServer,
+    ServiceClient,
     SortFuture,
     SortService,
     WorkerDiedError,
-    wait,
 )
 from repro.workloads import make_scenario, random_permutation
 
@@ -138,6 +141,17 @@ class TestSortFuture:
         with pytest.raises(TimeoutError):
             fut.result(timeout=0.01)
 
+    def test_timeouts_raise_the_builtin_timeout_error(self):
+        # before Python 3.11 concurrent.futures.TimeoutError is a class of
+        # its own; EngineServer's `result` op catches the builtin
+        fut = SortFuture(9)
+        with pytest.raises(TimeoutError) as result_timeout:
+            fut.result(timeout=0.01)
+        with pytest.raises(TimeoutError) as exception_timeout:
+            fut.exception(timeout=0.01)
+        assert type(result_timeout.value) is TimeoutError
+        assert type(exception_timeout.value) is TimeoutError
+
     def test_callback_errors_are_swallowed(self):
         fut = SortFuture(6)
         fut.add_done_callback(lambda f: 1 / 0)
@@ -149,8 +163,8 @@ class TestSortFuture:
         done_fut, pending_fut = SortFuture(7), SortFuture(8)
         done_fut.set_running_or_notify_cancel()
         done_fut.set_result("r")
-        done, not_done = wait([done_fut, pending_fut], timeout=0.05)
-        assert done == [done_fut] and not_done == [pending_fut]
+        done, not_done = concurrent.futures.wait([done_fut, pending_fut], timeout=0.05)
+        assert done == {done_fut} and not_done == {pending_fut}
 
 
 # ---------------------------------------------------------------------- #
@@ -175,13 +189,6 @@ class TestSubmission:
         with SortService(PARAMS, workers=1) as svc:
             futs = svc.submit_many(_jobs(4))
             assert [f.ticket for f in futs] == [0, 1, 2, 3]
-
-    def test_map_yields_reports_in_submission_order(self):
-        with SortService(PARAMS, workers=3) as svc:
-            datasets = [random_permutation(100 + 13 * i, seed=i) for i in range(5)]
-            reports = list(svc.map(datasets))
-            assert [r.n for r in reports] == [100 + 13 * i for i in range(5)]
-            assert all(r.is_sorted() for r in reports)
 
     def test_job_failure_travels_through_future(self):
         with SortService(PARAMS, workers=1) as svc:
@@ -242,6 +249,63 @@ class TestPriority:
         release.set()
         svc.shutdown(drain=True)
         assert order == list("abcd")
+
+
+# ---------------------------------------------------------------------- #
+# service futures are concurrent.futures.Futures
+# ---------------------------------------------------------------------- #
+class TestStdlibFutures:
+    def test_wait_and_as_completed(self):
+        with SortService(PARAMS, workers=2) as svc:
+            futs = svc.submit_many(_jobs(4))
+            done, not_done = concurrent.futures.wait(futs, timeout=30)
+            assert done == set(futs) and not not_done
+            finished = list(concurrent.futures.as_completed(futs, timeout=30))
+            assert sorted(f.ticket for f in finished) == [f.ticket for f in futs]
+
+    def test_asyncio_wrap_future(self):
+        data = random_permutation(200, seed=3)
+        with SortService(PARAMS, workers=1) as svc:
+            async def awaited():
+                return await asyncio.wrap_future(svc.submit(data))
+
+            assert asyncio.run(awaited()).output == sorted(data)
+
+    def test_every_queued_cancellation_is_done_for_wait(self, monkeypatch):
+        # a cancel while queued, a shed victim and a shutdown(drain=False)
+        # cancel each notify stdlib waiters, and `status` reads CANCELLED
+        svc, gate, release = _gated_service(max_queue=2, admission="shed-lowest")
+        futures = {}
+        submit = svc.submit
+
+        def recording_submit(*args, **kwargs):
+            fut = submit(*args, **kwargs)
+            futures[fut.ticket] = fut
+            return fut
+
+        monkeypatch.setattr(svc, "submit", recording_submit)
+        server = EngineServer(svc).start()
+        try:
+            with ServiceClient(*server.address) as client:
+                cancelled = client.submit([2, 1], priority=5)
+                victim = client.submit([3, 2], priority=9)
+                assert client.cancel(cancelled)
+                doomed = client.submit([4, 3], priority=5)
+                client.submit([5, 4], priority=1)  # sheds the victim
+                svc.shutdown(drain=False, wait=False)
+                tickets = [cancelled, victim, doomed]
+                done, not_done = concurrent.futures.wait(
+                    [futures[t] for t in tickets], timeout=1
+                )
+                assert not not_done and done == {futures[t] for t in tickets}
+                assert [client.status(t) for t in tickets] == [CANCELLED] * 3
+        finally:
+            server.close()
+            release.set()
+            svc.shutdown()
+        assert gate.result(timeout=10).is_sorted()
+        stats = svc.stats()
+        assert stats["cancelled"] == 4 and stats["shed"] == 1
 
 
 # ---------------------------------------------------------------------- #
