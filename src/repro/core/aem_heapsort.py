@@ -61,6 +61,11 @@ class AEMPriorityQueue:
         self._beta_valid = 0
         self._beta_max = None  # max *valid* key in beta (None = empty)
         self._pairs: list[tuple[int, object]] = []  # implicit-deletion list
+        # vectorized only: beta's records as one sorted list while beta is a
+        # single sorted run with nothing appended since it was written
+        # (simulator scratch); records [_run_off:] are the valid ones
+        self._run: list | None = None
+        self._run_off = 0
         self._extractions_since_rebuild = 0
         self.size = 0
         # statistics for the E5 experiment
@@ -120,6 +125,7 @@ class AEMPriorityQueue:
             self.insert(key)
 
     def _beta_append(self, key) -> None:
+        self._run = None  # an appended record may sit anywhere in key order
         if self._beta_writer is None or self._beta_writer.closed:
             self._beta_writer = BlockWriter(self.machine, self._beta)
         self._beta_writer.append(key)
@@ -166,12 +172,28 @@ class AEMPriorityQueue:
 
         The model makes one read-only pass over beta, keeping the smallest
         records in the declared alpha working set.  The vectorized kernel
-        selects from one run with no phase boundary, which is a sort and a
-        cut: it sorts the fresh list :meth:`_valid_beta` returns (stable,
-        so equal records keep scan order) and keeps its first ``take``
-        records.  That list is up to ``2kM`` records of simulator scratch,
-        which the queue's ``MemoryGuard`` declaration (alpha plus four
-        blocks) does not count.
+        has two paths, which on totally ordered keys produce the same
+        batch, pair list, counts and charges:
+
+        * **run path** — beta is one sorted run with nothing appended since
+          it was written (the tree refill, a rebuild of such a run and the
+          overflow's kept half write one; :meth:`_beta_append` ends it),
+          which holds for all of heapsort's drain.  Every deletion pair
+          then covers the whole run, so the valid records are the run's
+          suffix past ``_run_off``: the batch is its next ``take`` records,
+          one slice, and the offset moves past exactly the records the new
+          pair invalidates (every record ``<= x``).  The pass over beta is
+          still made, charged and consumed to the end: Lemma 4.8 counts
+          those reads, and the simulator makes every read the model
+          charges, as ``selection_phases`` does for each later phase;
+        * **general path** — beta holds appended, unsorted records: select
+          from one run with no phase boundary, which is a sort and a cut.
+          It sorts the fresh list :meth:`_valid_beta` returns (stable, so
+          equal records keep scan order) and keeps its first ``take``.
+
+        The run and the general path's list are up to ``2kM`` records of
+        simulator scratch, which the queue's ``MemoryGuard`` declaration
+        (alpha plus four blocks) does not count.
         """
         if self._beta_valid == 0:
             self._refill_beta_from_tree()
@@ -182,14 +204,21 @@ class AEMPriorityQueue:
         # valid records in memory (a bounded max-heap), then one appended
         # deletion pair.
         self._seal_beta_writer()
+        run = self._run
         if self.kernel == SLOW_REFERENCE:
             batch = heap_smallest(self._iter_valid_beta(), take)
+        elif run is not None:
+            for _ in self.machine.scan_blocks(self._beta):  # made and charged
+                pass
+            batch = run[self._run_off:self._run_off + take]
         else:
             batch = self._valid_beta()
             batch.sort()
             del batch[take:]
         self._alpha = batch
         x = batch[-1]
+        if run is not None:
+            self._run_off = bisect.bisect_right(run, x, self._run_off + len(batch))
         # implicit deletion: everything with index <= current length and key
         # <= x is now invalid; keep the pair list's (i asc, x desc) invariant
         while self._pairs and self._pairs[-1][1] <= x:
@@ -229,7 +258,9 @@ class AEMPriorityQueue:
 
         The pair list is sorted by index, so the flattened scan splits into
         one segment per deletion pair, each filtered by one comprehension;
-        records past the last pair's index are all valid.
+        records past the last pair's index are all valid.  Only the general
+        path calls this: while beta is one sorted run, the valid records are
+        the run's suffix (see :meth:`_refill_alpha`).
         """
         flat: list = []
         for block in self.machine.scan_blocks(self._beta):
@@ -255,7 +286,14 @@ class AEMPriorityQueue:
     # beta maintenance
     # ------------------------------------------------------------------ #
     def _rebuild_beta(self) -> None:
-        """Compact beta: drop invalid records, clear the pair list (Lem 4.9)."""
+        """Compact beta: drop invalid records, clear the pair list (Lem 4.9).
+
+        The vectorized run path (beta is one sorted run, see
+        :meth:`_refill_alpha`) still makes, charges and consumes the pass
+        over every beta block, then writes the run's valid suffix with one
+        ``extend``; that suffix, still sorted, becomes the new run.  The
+        general path writes what :meth:`_valid_beta` returns.
+        """
         self.beta_rebuilds += 1
         self._seal_beta_writer()
         writer = self.machine.writer(name="beta")
@@ -268,11 +306,18 @@ class AEMPriorityQueue:
                 if new_max is None or rec > new_max:
                     new_max = rec
         else:
-            valid = self._valid_beta()
+            if self._run is not None:
+                for _ in self.machine.scan_blocks(self._beta):  # made and charged
+                    pass
+                valid = self._run = self._run[self._run_off:]
+                self._run_off = 0
+                new_max = valid[-1] if valid else None  # sorted: last is max
+            else:
+                valid = self._valid_beta()
+                if valid:
+                    new_max = max(valid)
             writer.extend(valid)
             count = len(valid)
-            if valid:
-                new_max = max(valid)
         self._beta = writer.close()
         self._beta_len = count
         self._beta_valid = count
@@ -303,21 +348,17 @@ class AEMPriorityQueue:
                     self.tree.insert(rec)
                 idx += 1
         else:
-            # sorted scan: the first `keep` records stay in beta (slice per
-            # block), the suffix streams into the buffer tree
-            idx = 0
+            # sorted scan: the first `keep` records stay in beta as the new
+            # run, the suffix streams into the buffer tree (one insert_many
+            # cascades where a record loop would)
+            records: list = []
             for block in self.machine.scan_blocks(sorted_beta):
-                end = idx + len(block)
-                if end <= keep:
-                    writer.extend(block)
-                    new_max = block[-1]
-                else:
-                    head = block[: keep - idx] if idx < keep else []
-                    if head:
-                        writer.extend(head)
-                        new_max = head[-1]
-                    self.tree.insert_many(block[len(head):])
-                idx = end
+                records += block
+            self._run = records[:keep]
+            self._run_off = 0
+            writer.extend(self._run)
+            new_max = self._run[-1]
+            self.tree.insert_many(records[keep:])
         self._beta = writer.close()
         self._beta_len = keep
         self._beta_valid = keep
@@ -350,6 +391,8 @@ class AEMPriorityQueue:
             writer.extend(records)
             count = len(records)
             new_max = records[-1]
+            self._run = records  # the leaf is sorted: beta is one run
+            self._run_off = 0
         self._beta = writer.close()
         self._beta_len = count
         self._beta_valid = count

@@ -48,7 +48,9 @@ pops, draining) is unchanged.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
+import operator
 
 from ..models.external_memory import AEMachine, BlockWriter, ExtArray
 from .kernels import SLOW_REFERENCE, resolve_kernel
@@ -408,19 +410,15 @@ class BufferTree:
         had_ops = len(merged) > n_payload
         if had_ops and n_payload:
             merged.sort()  # two sorted runs: C-level galloping merge
-        if had_ops and len(merged) > 1:
-            # duplicate-insert detection: the payload is strictly increasing
-            # by invariant, so any duplicate involves an op key
-            try:
-                distinct = len(set(merged)) == len(merged)
-            except TypeError:  # unhashable keys: pairwise scan instead
-                distinct = all(x < y for x, y in zip(merged, merged[1:]))
-            if not distinct:
-                prev = merged[0]
-                for key in merged[1:]:
-                    if key == prev:
-                        raise KeyError(f"duplicate insert of key {key!r}")
-                    prev = key
+        # duplicate-insert detection: the payload is strictly increasing by
+        # invariant and the merge is stable, so every duplicate sits next to
+        # its twin; one C-level pass over adjacent pairs finds it
+        if had_ops and any(map(operator.eq, merged, itertools.islice(merged, 1, None))):
+            prev = merged[0]
+            for key in merged[1:]:
+                if key == prev:
+                    raise KeyError(f"duplicate insert of key {key!r}")
+                prev = key
         out_writer.extend(merged)
         return len(merged)
 
@@ -757,10 +755,9 @@ def _external_prefix_sort(
     if kernel == SLOW_REFERENCE:
         reference_phases(machine, buf, prefix_len, M, out)
     else:
-        # block-granular selection phases over the (truncated) prefix blocks
-        selection_phases(
-            lambda: _prefix_blocks(machine, buf, prefix_len), prefix_len, M, out
-        )
+        # block-granular selection phases: the prefix's blocks do not change
+        # between phases, so they are found once and re-read by each phase
+        selection_phases(_prefix_reader(machine, buf, prefix_len), prefix_len, M, out)
     return out.close()
 
 
@@ -769,6 +766,14 @@ def _prefix_blocks(machine: AEMachine, arr: ExtArray, prefix_len: int) -> list:
     (straddling block truncated), charged by one batched read — the same
     blocks, one read each, that the reference's per-record prefix scan
     reads.  Empty placeholder blocks are neither returned nor read."""
+    return _prefix_reader(machine, arr, prefix_len)()
+
+
+def _prefix_reader(machine: AEMachine, arr: ExtArray, prefix_len: int):
+    """Find the block indexes covering ``arr``'s first ``prefix_len``
+    records and the straddling block's cut once; return a callable that
+    reads those blocks with one batched ``read_blocks`` per call and
+    returns them as :func:`_prefix_blocks` does."""
     indexes: list[int] = []
     seen = 0
     for bi in range(arr.num_blocks):
@@ -778,10 +783,16 @@ def _prefix_blocks(machine: AEMachine, arr: ExtArray, prefix_len: int) -> list:
         if blk_len:  # an empty placeholder has nothing to transfer
             indexes.append(bi)
             seen += blk_len
-    blocks = machine.read_blocks([arr] * len(indexes), indexes)
-    if seen > prefix_len:
-        blocks[-1] = blocks[-1][: prefix_len - seen]
-    return blocks
+    arrs = [arr] * len(indexes)
+    cut = prefix_len - seen  # < 0: the straddling block's excess records
+
+    def read() -> list:
+        blocks = machine.read_blocks(arrs, indexes)
+        if cut < 0:
+            blocks[-1] = blocks[-1][:cut]
+        return blocks
+
+    return read
 
 
 def _skip_stream(machine: AEMachine, arr: ExtArray, skip: int):

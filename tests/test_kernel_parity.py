@@ -152,6 +152,52 @@ class TestBufferTreeParity:
                 tree.insert_many([7] * n)
                 tree.drain_sorted()
 
+    @staticmethod
+    def _duplicate_named(batches, kernel) -> str:
+        """Insert ``batches`` (one ``insert_many`` each) and drain; return
+        the message of the ``KeyError`` that must come out."""
+        machine = AEMachine(PARAMS)
+        tree = BufferTree(machine, k=1, kernel=kernel)
+        with pytest.raises(KeyError) as info:
+            for batch in batches(tree.buffer_limit):
+                tree.insert_many(batch)
+            tree.drain_sorted()
+        return info.value.args[0]
+
+    @pytest.mark.parametrize("kernel", [VECTORIZED, SLOW_REFERENCE])
+    def test_duplicate_list_key_raises_in_both_kernels(self, kernel):
+        """Unhashable keys: the twin is found next to its key after the
+        leaf merge, both against the leaf's payload (one batch: the first
+        ``[3]`` reaches the leaf before the last) and between two inserts
+        buffered together (two batches)."""
+        def one_batch(limit):
+            return [[[i] for i in range(limit + 8)] + [[3]]]
+
+        def two_batches(limit):
+            return [[[i] for i in range(0, 4 * limit, 2)],
+                    [[6]] + [[i] for i in range(1, 2 * limit, 2)]]
+
+        assert self._duplicate_named(one_batch, kernel) == "duplicate insert of key [3]"
+        assert self._duplicate_named(two_batches, kernel) == "duplicate insert of key [6]"
+
+    @pytest.mark.parametrize("kernel", [VECTORIZED, SLOW_REFERENCE])
+    def test_int_next_to_equal_float_raises_in_both_kernels(self, kernel):
+        """``1`` and ``1.0`` are one key.  Against the payload both kernels
+        name the later insert; when the two wait in one buffer the
+        vectorized kernel names the later and the reference the earlier,
+        as each did before the adjacent-pair check."""
+        def one_batch(first, last):
+            return lambda limit: [[first, *(float(i) for i in range(2, limit + 8)), last]]
+
+        def two_batches(limit):
+            return [[*(float(i) for i in range(0, 4 * limit, 2)), 1],
+                    [1.0, *(float(i) for i in range(3, 2 * limit, 2))]]
+
+        assert self._duplicate_named(one_batch(1, 1.0), kernel) == "duplicate insert of key 1.0"
+        assert self._duplicate_named(one_batch(1.0, 1), kernel) == "duplicate insert of key 1"
+        named = "1.0" if kernel == VECTORIZED else "1"
+        assert self._duplicate_named(two_batches, kernel) == f"duplicate insert of key {named}"
+
 
 class TestParallelSamplesortParity:
     @pytest.mark.parametrize("n", (0, 1, PARAMS.B, PARAMS.B + 1, 3000))
